@@ -4,7 +4,8 @@ Commands: cutwidth, planarize, solve, certify, export.  Every command
 prints a JSON run report (schema 1) to stdout; files are written next to
 the inputs or to the requested paths.  Exit codes: 0 success, 2 parse
 error, 3 precondition violation, 4 resource/oracle limit,
-5 verification failure.
+5 verification failure, including a broken construction invariant
+(InvariantError).
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import time
 
 from . import io as cio
 from .drawing import build_arc_drawing, to_svg
-from .errors import (CutplanarError, InvalidLayoutError, OracleLimitError,
-                     ParseError, PreconditionError, ResourceLimitError)
+from .errors import (CutplanarError, InvalidLayoutError, InvariantError,
+                     OracleLimitError, ParseError, PreconditionError,
+                     ResourceLimitError)
 from .gadgets import (builtin_gadget, certify_is_gadget, is_gadget_conditions,
                       replace_edges_by_gadget, validate_crossover_shape)
 from .graph import Graph, LinearLayout, cut_profile, exact_cutwidth, random_graph
@@ -43,7 +45,7 @@ def _report(args, results: dict, t0: float, seed: int | None = None) -> dict:
         "command": " ".join(sys.argv[1:]),
         "inputs": {p: _digest(p) for p in getattr(args, "_input_files", [])},
         "results": results,
-        "wall_time_s": round(time.time() - t0, 3),
+        "wall_time_s": round(time.perf_counter() - t0, 3),
     }
     if seed is not None:
         rep["seed"] = seed
@@ -259,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    t0 = time.time()
+    t0 = time.perf_counter()
     try:
         results = args.func(args)
         code = 0
@@ -275,6 +277,9 @@ def main(argv=None) -> int:
     except (OracleLimitError, ResourceLimitError) as exc:
         print(json.dumps({"schema": 1, "error": f"resource limit: {exc}"}))
         return EXIT_RESOURCE
+    except InvariantError as exc:
+        print(json.dumps({"schema": 1, "error": f"invariant: {exc}"}))
+        return EXIT_VERIFY
     except FileNotFoundError as exc:
         print(json.dumps({"schema": 1, "error": f"parse error: {exc}"}))
         return EXIT_PARSE

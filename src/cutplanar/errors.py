@@ -37,3 +37,8 @@ class ParseError(CutplanarError):
 
 class GadgetError(CutplanarError):
     """Gadget failed a certification gate or is unusable for the request."""
+
+
+class InvariantError(CutplanarError):
+    """A construction invariant of the planarization failed; the message
+    names the gap, the vertex label and, inside a gadget, its copy."""

@@ -259,17 +259,20 @@ def layout_to_path_decomposition(g: Graph, layout: LinearLayout
     layout.validate(g)
     if g.n == 0:
         return PathDecomposition((), 0)
-    pos = layout.position()
-    last_pos = {v: max((pos[u] for u in g.neighbors(v)), default=pos[v])
-                for v in range(g.n)}
+    pos = {v: i for i, v in enumerate(layout.order)}
+    adj = g.adjacency()
+    # One sweep: a vertex joins the active set after its own position and
+    # leaves it after the position of its last neighbor.
+    leaves: list[list[int]] = [[] for _ in range(g.n)]
+    active: set[int] = set()
     bags = []
-    for i in range(1, g.n + 1):
-        v_i = layout.order[i - 1]
-        bag = {v_i}
-        for u in range(g.n):
-            if pos[u] < i and last_pos[u] >= i:
-                bag.add(u)
-        bags.append(frozenset(bag))
+    for i, v in enumerate(layout.order):
+        bags.append(frozenset(active | {v}))
+        active.difference_update(leaves[i])
+        last = max((pos[u] for u in adj[v]), default=i)
+        if last > i:
+            active.add(v)
+            leaves[last].append(v)
     width = max(len(b) for b in bags) - 1
     return PathDecomposition(tuple(bags), width)
 

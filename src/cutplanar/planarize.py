@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .drawing import build_arc_drawing, element_order
-from .errors import GadgetError, OracleLimitError
+from .errors import GadgetError, InvariantError, OracleLimitError
 from .gadgets import CrossoverGadget, certify_is_gadget
 from .graph import Graph, LinearLayout, cut_profile, is_planar
 from . import solvers
@@ -113,27 +113,30 @@ def _assert_invariants(res: PlanarizationResult, prof_out, h: Graph,
     """Hard runtime checks of the construction's guarantees; a violation
     falsifies the width argument and must never be shipped past."""
     bound = res.width_in + res.gadget_width + 4
-    if res.width_out > bound:
-        raise AssertionError(
-            f"cutwidth bound violated: {res.width_out} > {bound}")
     # per-gap claims: original-vertex gaps <= width_in, gadget gaps <= bound
     order = res.layout_prime.order
     for i, w in enumerate(order[:-1]):
         cut = prof_out.widths[i]
-        if w in res.original_vertices:
-            if cut > res.width_in:
-                raise AssertionError(
-                    f"cut after original vertex {w} is {cut} > {res.width_in}")
-        elif cut > bound:
-            raise AssertionError(
-                f"cut after gadget vertex {w} is {cut} > {bound}")
+        original = w in res.original_vertices
+        if cut > (res.width_in if original else bound):
+            label = res.g_prime.labels.get(w, str(w))
+            if original:
+                raise InvariantError(
+                    f"gap {i}: cut after original vertex {label} is {cut} "
+                    f"> input width {res.width_in}")
+            raise InvariantError(
+                f"gap {i}: cut after vertex {label} of gadget copy "
+                f"{label.split(':')[0]} is {cut} > bound {bound}")
+    if res.width_out > bound:
+        raise InvariantError(
+            f"cutwidth bound violated: {res.width_out} > {bound}")
     # vertex / edge accounting
     if res.g_prime.n != g.n + ell * h.n:
-        raise AssertionError("vertex count mismatch")
+        raise InvariantError("vertex count mismatch")
     if res.g_prime.m != g.m + ell * (h.m + 2):
-        raise AssertionError("edge count mismatch")
+        raise InvariantError("edge count mismatch")
     if not is_planar(res.g_prime):
-        raise AssertionError("planarized graph is not planar")
+        raise InvariantError("planarized graph is not planar")
 
 
 def verify_planarization(g: Graph, layout: LinearLayout, t: int,

@@ -7,8 +7,9 @@ Two independent routes are provided for IS and DS:
 * dp_*    : dynamic programming over the path decomposition derived from
   a linear layout, with 2 states per bag vertex for IS and 3 for DS.
   Peak live states stay within 2^(w+1) resp. 3^(w+1) for a layout of
-  cutwidth w; the DS program picks a dense numpy table or a sparse dict
-  (with sound dominance pruning) depending on the bag width.
+  cutwidth w.  IS runs on a dense numpy table.  DS keeps only its live
+  states, as sorted int64 base-3 keys with sound dominance pruning, so it
+  handles widths up to 38 within MEMORY_BUDGET_BYTES.
 
 brute_vc is a separate edge-branching search, deliberately not derived
 from brute_is, so the IS/VC complementarity can be asserted as a real
@@ -27,11 +28,10 @@ from .graph import Graph, LinearLayout, cut_profile, layout_to_path_decompositio
 BRUTE_LIMIT = 28
 MEMORY_BUDGET_BYTES = 2 << 30
 
-# Unreachable markers.  Large enough in magnitude that adding/subtracting
-# 1 per introduced vertex can never bring a dead state back into the
-# range of real values (int32 tables, instance sizes << 10^6).
+# Unreachable marker.  Large enough in magnitude that adding 1 per
+# introduced vertex can never bring a dead state back into the range of
+# real values (int32 tables, instance sizes << 10^6).
 _IS_NEG = -(1 << 24)
-_DS_INF = 1 << 24
 
 
 # ---------------------------------------------------------------------------
@@ -249,16 +249,13 @@ def _bag_steps(g: Graph, layout: LinearLayout):
     back_edges lists already-introduced neighbors and forget_after lists
     vertices leaving the bag after this position."""
     decomp = layout_to_path_decomposition(g, layout)
-    bags = decomp.bags
+    bags = decomp.bags + (frozenset(),)
     adj = g.adjacency()
+    pos = layout.position()
     steps = []
     for i, v in enumerate(layout.order):
-        introduced_before = set(layout.order[:i])
-        back = sorted(adj[v] & introduced_before)
-        cur_bag = bags[i]
-        nxt_bag = bags[i + 1] if i + 1 < len(bags) else frozenset()
-        forget = sorted(cur_bag - nxt_bag)
-        steps.append((v, back, forget))
+        back = sorted(u for u in adj[v] if pos[u] <= i)
+        steps.append((v, back, sorted(bags[i] - bags[i + 1])))
     return steps, decomp
 
 
@@ -298,7 +295,10 @@ def dp_is(g: Graph, layout: LinearLayout) -> DPReport:
     return DPReport(opt, max_live, len(decomp.bags), decomp.width)
 
 
-DENSE_DS_CELL_LIMIT = 5_000_000
+def _digit(keys: np.ndarray, weight: int) -> np.ndarray:
+    """keys // weight % 3 for non-negative keys (numpy's % is slower)."""
+    high = keys // weight
+    return high - high // 3 * 3
 
 
 def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
@@ -308,134 +308,71 @@ def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
     2 = out and not yet dominated.  Forgetting rejects state 2, so
     isolated vertices are forced into the set.
 
-    Uses a dense numpy table when 3^(max bag) is small and a sparse
-    dict table otherwise (live states in structured graphs are far
-    fewer than the worst case).
+    The table is a sorted, unique int64 array of base-3 keys, digit i
+    holding the state of bag slot i (an introduced vertex takes the top
+    digit), with a parallel int64 cost array.  A bag of w + 1 digits needs
+    3^(w+1) < 2^63, so a decomposition of width 39 or more raises
+    ResourceLimitError.  So does a step that starts from n states when
+    96 n bytes (six int64 arrays of the 2n introduced states) exceed
+    MEMORY_BUDGET_BYTES; both are checked before allocating.  Every step
+    drops a state with digit 2 at some slot when its digit-1 twin costs no
+    more: a dominated vertex can only relax the future requirements.
     """
     layout.validate(g)
     if g.n == 0:
         return DPReport(0, 1, 0, 0)
     steps, decomp = _bag_steps(g, layout)
-    if 3 ** (decomp.width + 1) <= DENSE_DS_CELL_LIMIT:
-        _budget_check(decomp.width, 3, 4)
-        return _dp_ds_dense(steps, decomp)
-    return _dp_ds_sparse(steps, decomp)
-
-
-def _dp_ds_dense(steps, decomp) -> DPReport:
-    table = np.zeros((), dtype=np.int32)
+    if 3 ** (decomp.width + 1) > np.iinfo(np.int64).max:
+        raise ResourceLimitError(
+            f"DS state keys of width {decomp.width} do not fit in int64")
+    keys = np.zeros(1, dtype=np.int64)
+    costs = np.zeros(1, dtype=np.int64)
     slots: list[int] = []
     max_live = 1
     for v, back, forget in steps:
-        in_part = table + 1
-        blocked = np.full_like(table, _DS_INF)
-        table = np.stack([in_part, blocked, table], axis=0)
-        slots.insert(0, v)
-        for u in back:
-            ax = slots.index(u)
-            t = np.moveaxis(table, (0, ax), (0, 1))
-            # v in the set dominates u; u in the set dominates v
-            t[0, 1] = np.minimum(t[0, 1], t[0, 2])
-            t[0, 2] = _DS_INF
-            t[1, 0] = np.minimum(t[1, 0], t[2, 0])
-            t[2, 0] = _DS_INF
-        for u in forget:
-            ax = slots.index(u)
-            t = np.moveaxis(table, ax, 0)
-            table = np.minimum(t[0], t[1])  # reject "not yet dominated"
-            slots.pop(ax)
-        max_live = max(max_live, max(1, int(np.count_nonzero(table < _DS_INF // 2))))
-    opt = int(table.min())
-    if opt >= _DS_INF // 2:
-        raise RuntimeError("DS DP found no feasible state")
-    return DPReport(opt, max_live, len(decomp.bags), decomp.width)
-
-
-SPARSE_DS_STATE_LIMIT = 20_000_000   # ~2 GiB of dict entries
-_PRUNE_THRESHOLD = 20_000
-
-
-def _prune_dominated(table: dict[int, int], nslots: int, pow3) -> dict[int, int]:
-    """Drop states that are pointwise dominated: turning some vertex from
-    "out, not yet dominated" into "out, dominated" can only relax future
-    requirements, so a state with digit 2 at a slot is dead whenever its
-    digit-1 twin is no more expensive."""
-    out = {}
-    for key, val in table.items():
-        alive = True
-        k = key
-        for i in range(nslots):
-            if k == 0:
-                break
-            if k % 3 == 2:
-                twin = table.get(key - pow3[i])
-                if twin is not None and twin <= val:
-                    alive = False
-                    break
-            k //= 3
-        if alive:
-            out[key] = val
-    return out
-
-
-def _dp_ds_sparse(steps, decomp) -> DPReport:
-    """Dict-backed variant; states are base-3 packed ints per bag slot."""
-    table: dict[int, int] = {0: 0}
-    slots: list[int] = []
-    max_live = 1
-    pow3 = [3 ** i for i in range(decomp.width + 2)]
-    for v, back, forget in steps:
-        # introduce v at digit position len(slots) (new highest digit)
-        d = pow3[len(slots)]
-        nxt: dict[int, int] = {}
-        for key, val in table.items():
-            nxt[key] = val + 1            # state 0: in the set
-            nxt[key + 2 * d] = val        # state 2: out, undominated
-        table = nxt
-        slots.append(v)
-        for u in back:
-            du = pow3[slots.index(u)]
-            dv = pow3[len(slots) - 1]
-            nxt = {}
-            for key, val in table.items():
-                su = (key // du) % 3
-                sv = (key // dv) % 3
-                if sv == 0 and su == 2:
-                    key = key - du        # u becomes dominated
-                elif su == 0 and sv == 2:
-                    key = key - dv
-                cur = nxt.get(key)
-                if cur is None or val < cur:
-                    nxt[key] = val
-            table = nxt
-        for u in forget:
-            i = slots.index(u)
-            du = pow3[i]
-            nxt = {}
-            for key, val in table.items():
-                s = (key // du) % 3
-                if s == 2:
-                    continue              # undominated at forget time
-                # remove digit i, shifting higher digits down
-                low = key % du
-                high = key // (du * 3)
-                key2 = low + high * du
-                cur = nxt.get(key2)
-                if cur is None or val < cur:
-                    nxt[key2] = val
-            table = nxt
-            slots.pop(i)
-        if len(table) > _PRUNE_THRESHOLD:
-            table = _prune_dominated(table, len(slots), pow3)
-        if len(table) > SPARSE_DS_STATE_LIMIT:
+        # Introduce doubles the states; no moment of the step holds more
+        # than six int64 arrays of that length (keys, costs and the
+        # temporaries of a forget or of the dedupe).
+        need = 6 * 8 * 2 * keys.size
+        if need > MEMORY_BUDGET_BYTES:
             raise ResourceLimitError(
-                f"sparse DS table reached {len(table)} states "
-                f"(width {decomp.width})")
-        max_live = max(max_live, len(table))
-    if not table:
-        raise RuntimeError("DS DP found no feasible state")
-    opt = min(table.values())
-    return DPReport(opt, max_live, len(decomp.bags), decomp.width)
+                f"DS step of {2 * keys.size} states needs {need} bytes, over "
+                f"the {MEMORY_BUDGET_BYTES}-byte budget (width {decomp.width})")
+        # Introduce v as the top digit, in the set (0) or out (1 if an
+        # earlier neighbor is in the set, else 2), with its back edges.
+        top = 3 ** len(slots)
+        v_in, v_dominated = keys.copy(), np.zeros(keys.size, dtype=bool)
+        for u in back:
+            du = 3 ** slots.index(u)
+            su = _digit(keys, du)
+            v_in -= du * (su == 2)        # v in the set dominates u
+            v_dominated |= su == 0        # u in the set dominates v
+        keys = np.concatenate([v_in, keys + top * (2 - v_dominated)])
+        costs = np.concatenate([costs + 1, costs])
+        slots.append(v)
+        for u in forget:
+            du = 3 ** slots.index(u)
+            keep = _digit(keys, du) != 2  # undominated at forget
+            keys, costs = keys[keep], costs[keep]
+            high = keys // du
+            keys = keys - (high - high // 3) * du   # higher digits move down
+            slots.remove(u)
+        # dedupe, keeping the cheapest cost of each key
+        order = np.argsort(keys, kind="stable")
+        keys, costs = keys[order], costs[order]
+        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+        keys, costs = keys[starts], np.minimum.reduceat(costs, starts)
+        # prune states whose digit-1 twin at some slot is no more expensive
+        dead = np.zeros(keys.size, dtype=bool)
+        for i in range(len(slots)):
+            idx = np.flatnonzero(_digit(keys, 3 ** i) == 2)
+            twin_key = keys[idx] - 3 ** i
+            twin = np.searchsorted(keys, twin_key)    # < idx: in range
+            hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
+            dead[idx[hit]] = True
+        keys, costs = keys[~dead], costs[~dead]
+        max_live = max(max_live, keys.size)
+    return DPReport(int(costs.min()), max_live, len(decomp.bags), decomp.width)
 
 
 # ---------------------------------------------------------------------------

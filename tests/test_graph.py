@@ -161,6 +161,25 @@ class TestPathDecomposition:
             pd.validate(g)
             assert pd.width <= cut_profile(g, layout).max_width
 
+    def test_sweep_matches_definition(self):
+        rng = random.Random(7)
+        for _ in range(40):
+            n = rng.randint(1, 60)
+            g = random_graph(n, rng.choice([0.05, 0.1, 0.3]), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            layout = LinearLayout(tuple(order))
+            pos = layout.position()
+            last = {v: max((pos[u] for u in g.neighbors(v)), default=pos[v])
+                    for v in range(n)}
+            expect = tuple(
+                frozenset({order[i - 1]} | {u for u in range(n)
+                                            if pos[u] < i <= last[u]})
+                for i in range(1, n + 1))
+            pd = layout_to_path_decomposition(g, layout)
+            assert pd.bags == expect
+            pd.validate(g)
+
 
 class TestIdentifyVertices:
     def test_path_endpoints(self):

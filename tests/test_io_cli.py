@@ -4,7 +4,7 @@ import pytest
 
 from cutplanar import cli
 from cutplanar import io as cio
-from cutplanar.errors import ParseError
+from cutplanar.errors import InvariantError, ParseError
 from cutplanar.gadgets import gjs_is_gadget, CrossoverGadget
 from cutplanar.graph import Graph, LinearLayout
 
@@ -169,6 +169,16 @@ class TestCli:
         gpath.write_text(json.dumps(cio.gadget_to_json(bad)))
         code, rep = run_cli(capsys, ["certify", str(gpath), "--hosts", "2"])
         assert code == cli.EXIT_VERIFY
+
+    def test_invariant_error_exit_code(self, capsys, monkeypatch, k4_files):
+        def broken(*args):
+            raise InvariantError("gap 3: cut after vertex X2:u of gadget copy X2")
+        monkeypatch.setattr(cli, "planarize", broken)
+        gpath, lpath = k4_files
+        code, rep = run_cli(capsys, ["planarize", gpath, lpath, "--problem",
+                                     "is", "--t", "1"])
+        assert code == cli.EXIT_VERIFY
+        assert "gadget copy X2" in rep["error"]
 
     def test_export_svg(self, capsys, tmp_path, k4_files):
         gpath, lpath = k4_files

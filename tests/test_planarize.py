@@ -3,9 +3,10 @@ import random
 
 import pytest
 
+from cutplanar.errors import InvariantError
 from cutplanar.gadgets import ds_crossover_gadget, gjs_is_gadget
 from cutplanar.graph import Graph, LinearLayout, cut_profile, is_planar, random_graph
-from cutplanar.planarize import planarize, verify_planarization
+from cutplanar.planarize import _assert_invariants, planarize, verify_planarization
 from cutplanar.solvers import brute_is, dp_is
 
 
@@ -94,6 +95,19 @@ class TestPlanarize:
         res = planarize(g, LinearLayout.identity(4), 1, gjs_is_gadget())
         bad = dataclasses.replace(res, t_prime=res.t_prime + 1)
         assert not verify_planarization(g, LinearLayout.identity(4), 1, bad, "is")
+
+    def test_forged_width_raises_invariant_error(self):
+        g = complete(4)
+        gadget = gjs_is_gadget()
+        res = planarize(g, LinearLayout.identity(4), 1, gadget)
+        prof = cut_profile(res.g_prime, res.layout_prime)
+        with pytest.raises(InvariantError, match=r"^gap 0: .* original vertex 0 "):
+            _assert_invariants(dataclasses.replace(res, width_in=0), prof,
+                               gadget.graph, 1, g)
+        # with the gadget width forged down, a gap inside copy X2 fails first
+        with pytest.raises(InvariantError, match=r"gadget copy X2 "):
+            _assert_invariants(dataclasses.replace(res, gadget_width=-4), prof,
+                               gadget.graph, 1, g)
 
     def test_edge_crossed_multiple_times(self):
         # three pairwise interleaving edges: every edge is crossed twice,

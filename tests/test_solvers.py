@@ -1,9 +1,14 @@
+import json
 import random
 
 import pytest
 
-from cutplanar.errors import OracleLimitError
-from cutplanar.graph import Graph, LinearLayout, cut_profile, random_graph
+from cutplanar import cli, solvers
+from cutplanar import io as cio
+from cutplanar.errors import OracleLimitError, ResourceLimitError
+from cutplanar.gadgets import ds_crossover_gadget
+from cutplanar.graph import (Graph, LinearLayout, cut_profile,
+                             layout_to_path_decomposition, random_graph)
 from cutplanar.solvers import (brute_ds, brute_is, brute_vc, dp_ds, dp_is,
                                heuristic_layout)
 
@@ -108,6 +113,52 @@ class TestLayoutDP:
             g2 = Graph.from_edges(n, list(g.edges) + [e])
             assert brute_is(g2) <= brute_is(g)
             assert brute_ds(g2) <= brute_ds(g)
+
+
+class TestDsEngine:
+    def test_matches_brute_at_widths_11_to_16(self):
+        # straddles width 13/14, where 3^(w+1) outgrows a dense table
+        rng = random.Random(17)
+        widths = []
+        while len(widths) < 30:
+            n = rng.randint(16, 24)
+            g = random_graph(n, rng.choice([0.15, 0.2, 0.25, 0.3]), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            layout = LinearLayout(tuple(order))
+            if not 11 <= layout_to_path_decomposition(g, layout).width <= 16:
+                continue
+            rep = dp_ds(g, layout)
+            assert rep.optimum == brute_ds(g)
+            assert rep.max_live_states <= 3 ** (rep.width_used + 1)
+            widths.append(rep.width_used)
+        assert min(widths) <= 13 and max(widths) >= 14
+
+    @staticmethod
+    def star_centre_last(leaves):
+        g = Graph.from_edges(leaves + 1, [(leaves, i) for i in range(leaves)])
+        return g, LinearLayout.identity(leaves + 1)
+
+    def test_width_beyond_int64_keys_rejected(self):
+        g, layout = self.star_centre_last(40)
+        with pytest.raises(ResourceLimitError):
+            dp_ds(g, layout)
+
+    def test_width_limit_exit_code(self, capsys, tmp_path):
+        g, layout = self.star_centre_last(40)
+        gpath, lpath = tmp_path / "star.gr", tmp_path / "star.layout"
+        gpath.write_text(cio.write_graph(g))
+        lpath.write_text(cio.write_layout(layout))
+        code = cli.main(["solve", str(gpath), str(lpath), "--problem", "ds",
+                         "--algo", "dp"])
+        assert code == cli.EXIT_RESOURCE
+        assert "resource limit" in json.loads(capsys.readouterr().out)["error"]
+
+    def test_memory_budget(self, monkeypatch):
+        gadget = ds_crossover_gadget()
+        monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES", 1 << 16)
+        with pytest.raises(ResourceLimitError):
+            dp_ds(gadget.graph, gadget.layout)
 
 
 class TestHeuristicLayout:
