@@ -616,8 +616,7 @@ def verify_simplicial_avoidance(g: Graph, limit: int = 24) -> bool:
     if not picked:
         return True
     opt = solvers.brute_ds(g, limit=limit)
-    avoiding = solvers.brute_ds_avoiding(g, picked, limit=limit)
-    return avoiding is not None and avoiding == opt
+    return solvers.brute_ds(g, limit=limit, avoid=picked) == opt
 
 
 def verify_domset_is_vc(g: Graph, u_set: set[int], limit: int = 24) -> bool:

@@ -7,9 +7,10 @@ Two independent routes are provided for IS and DS:
 * dp_*    : dynamic programming over the path decomposition derived from
   a linear layout, with 2 states per bag vertex for IS and 3 for DS.
   Peak live states stay within 2^(w+1) resp. 3^(w+1) for a layout of
-  cutwidth w.  IS runs on a dense numpy table.  DS keeps only its live
-  states, as sorted int64 base-3 keys with sound dominance pruning, so it
-  handles widths up to 38 within MEMORY_BUDGET_BYTES.
+  cutwidth w.  Both run on one engine that keeps only the live states,
+  as sorted int64 keys (base 2 resp. 3) with sound dominance pruning, so
+  it handles widths up to 61 (IS) resp. 38 (DS) within
+  MEMORY_BUDGET_BYTES.
 
 brute_vc is a separate edge-branching search, deliberately not derived
 from brute_is, so the IS/VC complementarity can be asserted as a real
@@ -18,7 +19,8 @@ cross-check.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,11 +29,6 @@ from .graph import Graph, LinearLayout, cut_profile, layout_to_path_decompositio
 
 BRUTE_LIMIT = 28
 MEMORY_BUDGET_BYTES = 2 << 30
-
-# Unreachable marker.  Large enough in magnitude that adding 1 per
-# introduced vertex can never bring a dead state back into the range of
-# real values (int32 tables, instance sizes << 10^6).
-_IS_NEG = -(1 << 24)
 
 
 # ---------------------------------------------------------------------------
@@ -84,18 +81,27 @@ def brute_is_excluding(g: Graph, excluded: set[int],
     return best
 
 
-def brute_ds(g: Graph, limit: int = BRUTE_LIMIT) -> int:
-    """Minimum dominating set size by branch and bound.
+def brute_ds(g: Graph, limit: int = BRUTE_LIMIT,
+             avoid: Iterable[int] = ()) -> int | None:
+    """Minimum size of a dominating set disjoint from ``avoid`` by branch
+    and bound; None if some vertex has no dominator outside ``avoid``.
 
     Branches on the closed neighborhood of an undominated vertex with the
-    fewest candidate dominators.
+    fewest allowed dominators.
     """
     _check_brute_size(g, limit)
     n = g.n
     adj = g.adjacency_masks()
     closed = [adj[v] | (1 << v) for v in range(n)]
     full = (1 << n) - 1
-    best = n  # all vertices always dominate
+    allowed = full
+    for v in avoid:
+        allowed &= ~(1 << v)
+    if any(not c & allowed for c in closed):
+        return None
+    best = allowed.bit_count()  # all allowed vertices always dominate
+    # lower bound: undominated vertices / max closed degree
+    maxdeg = max((c.bit_count() for c in closed), default=1)
 
     def search(dominated: int, size: int) -> None:
         nonlocal best
@@ -104,22 +110,20 @@ def brute_ds(g: Graph, limit: int = BRUTE_LIMIT) -> int:
         if dominated == full:
             best = size
             return
-        # pick the undominated vertex with the fewest dominators
+        # pick the undominated vertex with the fewest allowed dominators
         undom = full & ~dominated
         pick, pick_cnt = -1, 1 << 30
         mm = undom
         while mm:
             lb = mm & (-mm)
             v = lb.bit_length() - 1
-            c = closed[v].bit_count()
+            c = (closed[v] & allowed).bit_count()
             if c < pick_cnt:
                 pick_cnt, pick = c, v
             mm ^= lb
-        # lower bound: remaining undominated vertices / max closed degree
-        maxdeg = max(closed[v].bit_count() for v in range(n))
         if size + (undom.bit_count() + maxdeg - 1) // maxdeg >= best:
             return
-        mm = closed[pick]
+        mm = closed[pick] & allowed
         while mm:
             lb = mm & (-mm)
             w = lb.bit_length() - 1
@@ -127,46 +131,6 @@ def brute_ds(g: Graph, limit: int = BRUTE_LIMIT) -> int:
             mm ^= lb
     search(0, 0)
     return best
-
-
-def brute_ds_avoiding(g: Graph, avoid: set[int],
-                      limit: int = BRUTE_LIMIT) -> int | None:
-    """Minimum size of a dominating set disjoint from ``avoid``; None if no
-    dominating set avoids those vertices."""
-    _check_brute_size(g, limit)
-    n = g.n
-    adj = g.adjacency_masks()
-    closed = [adj[v] | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    avoid_mask = 0
-    for v in avoid:
-        avoid_mask |= 1 << v
-    best = [None]
-
-    def search(dominated: int, size: int) -> None:
-        if best[0] is not None and size >= best[0]:
-            return
-        if dominated == full:
-            best[0] = size
-            return
-        undom = full & ~dominated
-        pick, pick_cnt = -1, 1 << 30
-        mm = undom
-        while mm:
-            lb = mm & (-mm)
-            v = lb.bit_length() - 1
-            c = (closed[v] & ~avoid_mask).bit_count()
-            if c < pick_cnt:
-                pick_cnt, pick = c, v
-            mm ^= lb
-        mm = closed[pick] & ~avoid_mask
-        while mm:
-            lb = mm & (-mm)
-            w = lb.bit_length() - 1
-            search(dominated | closed[w], size + 1)
-            mm ^= lb
-    search(0, 0)
-    return best[0]
 
 
 def brute_vc(g: Graph, limit: int = BRUTE_LIMIT) -> int:
@@ -259,46 +223,23 @@ def _bag_steps(g: Graph, layout: LinearLayout):
     return steps, decomp
 
 
-def _budget_check(width: int, states_per_vertex: int, itemsize: int) -> None:
-    cells = states_per_vertex ** (width + 1)
-    if cells * itemsize > MEMORY_BUDGET_BYTES:
-        raise ResourceLimitError(
-            f"DP table of {cells} states (width {width}) exceeds the "
-            f"{MEMORY_BUDGET_BYTES >> 30} GiB budget")
-
-
 def dp_is(g: Graph, layout: LinearLayout) -> DPReport:
-    """Maximum independent set via 2-state DP over the layout's bags."""
-    layout.validate(g)
-    if g.n == 0:
-        return DPReport(0, 1, 0, 0)
-    steps, decomp = _bag_steps(g, layout)
-    _budget_check(decomp.width, 2, 4)
-    table = np.zeros((), dtype=np.int32)  # scalar: empty bag
-    slots: list[int] = []  # slots[axis] = vertex
-    max_live = 1
-    for v, back, forget in steps:
-        # introduce v on a new leading axis: 0 = out, 1 = in
-        table = np.stack([table, table + 1], axis=0)
-        slots.insert(0, v)
-        # conflict edges: v in and neighbor in -> unreachable
-        for u in back:
-            ax = slots.index(u)
-            t = np.moveaxis(table, (0, ax), (0, 1))
-            t[1, 1] = _IS_NEG
-        for u in forget:
-            ax = slots.index(u)
-            table = np.max(table, axis=ax)
-            slots.pop(ax)
-        max_live = max(max_live, max(1, int(np.count_nonzero(table > _IS_NEG // 2))))
-    opt = int(table.max())
-    return DPReport(opt, max_live, len(decomp.bags), decomp.width)
+    """Maximum independent set via 2-state DP over the layout's bags.
+
+    Per-vertex states: 0 = out of the set, 1 = in.  Costs are negated
+    sizes, so the shared engine minimizes.
+    """
+    rep = _bag_dp(g, layout, 2, _introduce_is, None)
+    return replace(rep, optimum=-rep.optimum)
 
 
-def _digit(keys: np.ndarray, weight: int) -> np.ndarray:
-    """keys // weight % 3 for non-negative keys (numpy's % is slower)."""
-    high = keys // weight
-    return high - high // 3 * 3
+def _introduce_is(keys, costs, top, back_weights):
+    # v out keeps every state; v in needs every earlier neighbor out
+    free = np.ones(keys.size, dtype=bool)
+    for du in back_weights:
+        free &= _digit(keys, du, 2) == 0
+    return (np.concatenate([keys, keys[free] + top]),
+            np.concatenate([costs, costs[free] - 1]))
 
 
 def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
@@ -307,66 +248,93 @@ def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
     Per-vertex states: 0 = in the set, 1 = out and dominated,
     2 = out and not yet dominated.  Forgetting rejects state 2, so
     isolated vertices are forced into the set.
+    """
+    return _bag_dp(g, layout, 3, _introduce_ds, 2)
 
-    The table is a sorted, unique int64 array of base-3 keys, digit i
-    holding the state of bag slot i (an introduced vertex takes the top
-    digit), with a parallel int64 cost array.  A bag of w + 1 digits needs
-    3^(w+1) < 2^63, so a decomposition of width 39 or more raises
-    ResourceLimitError.  So does a step that starts from n states when
-    96 n bytes (six int64 arrays of the 2n introduced states) exceed
-    MEMORY_BUDGET_BYTES; both are checked before allocating.  Every step
-    drops a state with digit 2 at some slot when its digit-1 twin costs no
-    more: a dominated vertex can only relax the future requirements.
+
+def _introduce_ds(keys, costs, top, back_weights):
+    # v in the set (0) dominates its earlier neighbors; v out is
+    # dominated (1) if an earlier neighbor is in the set, else 2
+    v_in, v_dominated = keys.copy(), np.zeros(keys.size, dtype=bool)
+    for du in back_weights:
+        su = _digit(keys, du, 3)
+        v_in -= du * (su == 2)
+        v_dominated |= su == 0
+    return (np.concatenate([v_in, keys + top * (2 - v_dominated)]),
+            np.concatenate([costs + 1, costs]))
+
+
+def _digit(keys: np.ndarray, weight: int, base: int) -> np.ndarray:
+    """keys // weight % base for non-negative keys (numpy's % is slower)."""
+    high = keys // weight
+    return high - high // base * base
+
+
+def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
+            reject_on_forget: int | None) -> DPReport:
+    """Minimum-cost DP over the layout's bags with ``base`` states per bag
+    vertex, shared by dp_is and dp_ds.
+
+    The table is a sorted, unique int64 array of base-``base`` keys, digit
+    i holding the state of bag slot i (an introduced vertex takes the top
+    digit), with a parallel int64 cost array.  ``introduce(keys, costs,
+    top, back_weights)`` returns the states with the new top digit set and
+    the back edges applied; ``back_weights`` are the digit weights of the
+    earlier neighbors.  Forgetting a vertex drops the states whose digit
+    is ``reject_on_forget`` and removes the digit.
+
+    A bag of w + 1 digits needs base^(w+1) < 2^63, so a decomposition of
+    width 62 (IS) or 39 (DS) or more raises ResourceLimitError.  So does a
+    step that starts from n states when 96 n bytes (six int64 arrays of
+    the 2n introduced states) exceed MEMORY_BUDGET_BYTES; both are checked
+    before allocating.  Every step drops a state whose digit at some slot
+    is base - 1 when its twin with digit base - 2 costs no more: that twin
+    allows every extension the state does (an out vertex allows all an in
+    vertex does for IS; a dominated vertex all an undominated one does for
+    DS).
     """
     layout.validate(g)
     if g.n == 0:
         return DPReport(0, 1, 0, 0)
     steps, decomp = _bag_steps(g, layout)
-    if 3 ** (decomp.width + 1) > np.iinfo(np.int64).max:
+    if base ** (decomp.width + 1) > np.iinfo(np.int64).max:
         raise ResourceLimitError(
-            f"DS state keys of width {decomp.width} do not fit in int64")
+            f"DP state keys of width {decomp.width} do not fit in int64")
     keys = np.zeros(1, dtype=np.int64)
     costs = np.zeros(1, dtype=np.int64)
     slots: list[int] = []
     max_live = 1
     for v, back, forget in steps:
-        # Introduce doubles the states; no moment of the step holds more
-        # than six int64 arrays of that length (keys, costs and the
+        # Introduce at most doubles the states; no moment of the step holds
+        # more than six int64 arrays of that length (keys, costs and the
         # temporaries of a forget or of the dedupe).
         need = 6 * 8 * 2 * keys.size
         if need > MEMORY_BUDGET_BYTES:
             raise ResourceLimitError(
-                f"DS step of {2 * keys.size} states needs {need} bytes, over "
+                f"DP step of {2 * keys.size} states needs {need} bytes, over "
                 f"the {MEMORY_BUDGET_BYTES}-byte budget (width {decomp.width})")
-        # Introduce v as the top digit, in the set (0) or out (1 if an
-        # earlier neighbor is in the set, else 2), with its back edges.
-        top = 3 ** len(slots)
-        v_in, v_dominated = keys.copy(), np.zeros(keys.size, dtype=bool)
-        for u in back:
-            du = 3 ** slots.index(u)
-            su = _digit(keys, du)
-            v_in -= du * (su == 2)        # v in the set dominates u
-            v_dominated |= su == 0        # u in the set dominates v
-        keys = np.concatenate([v_in, keys + top * (2 - v_dominated)])
-        costs = np.concatenate([costs + 1, costs])
+        keys, costs = introduce(keys, costs, base ** len(slots),
+                                [base ** slots.index(u) for u in back])
         slots.append(v)
         for u in forget:
-            du = 3 ** slots.index(u)
-            keep = _digit(keys, du) != 2  # undominated at forget
-            keys, costs = keys[keep], costs[keep]
+            du = base ** slots.index(u)
+            if reject_on_forget is not None:
+                keep = _digit(keys, du, base) != reject_on_forget
+                keys, costs = keys[keep], costs[keep]
             high = keys // du
-            keys = keys - (high - high // 3) * du   # higher digits move down
+            keys = keys - (high - high // base) * du   # higher digits move down
             slots.remove(u)
         # dedupe, keeping the cheapest cost of each key
         order = np.argsort(keys, kind="stable")
         keys, costs = keys[order], costs[order]
         starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
         keys, costs = keys[starts], np.minimum.reduceat(costs, starts)
-        # prune states whose digit-1 twin at some slot is no more expensive
+        # prune states whose digit-(base - 2) twin at some slot is no more
+        # expensive
         dead = np.zeros(keys.size, dtype=bool)
         for i in range(len(slots)):
-            idx = np.flatnonzero(_digit(keys, 3 ** i) == 2)
-            twin_key = keys[idx] - 3 ** i
+            idx = np.flatnonzero(_digit(keys, base ** i, base) == base - 1)
+            twin_key = keys[idx] - base ** i
             twin = np.searchsorted(keys, twin_key)    # < idx: in range
             hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
             dead[idx[hit]] = True

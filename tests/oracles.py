@@ -102,20 +102,25 @@ def subsets_is(g: Graph) -> int:
     return best
 
 
-def subsets_ds(g: Graph) -> int:
+def subsets_ds(g: Graph, avoid=()) -> int | None:
+    """Minimum dominating set disjoint from ``avoid``; None if there is
+    none."""
     adj = g.adjacency_masks()
     closed = [adj[v] | (1 << v) for v in range(g.n)]
     full = (1 << g.n) - 1
-    best = g.n
+    avoid_mask = sum(1 << v for v in avoid)
+    best = None
     for mask in range(1 << g.n):
+        if mask & avoid_mask:
+            continue
         dom = 0
         mm = mask
         while mm:
             lb = mm & (-mm)
             dom |= closed[lb.bit_length() - 1]
             mm ^= lb
-        if dom == full:
-            best = min(best, mask.bit_count())
+        if dom == full and (best is None or mask.bit_count() < best):
+            best = mask.bit_count()
     return best
 
 

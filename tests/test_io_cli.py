@@ -1,3 +1,4 @@
+import importlib
 import json
 
 import pytest
@@ -6,7 +7,10 @@ from cutplanar import cli
 from cutplanar import io as cio
 from cutplanar.errors import InvariantError, ParseError
 from cutplanar.gadgets import gjs_is_gadget, CrossoverGadget
-from cutplanar.graph import Graph, LinearLayout
+from cutplanar.graph import Graph, LinearLayout, is_planar
+
+# the package exports the function planarize under the module's name
+planarize_module = importlib.import_module("cutplanar.planarize")
 
 
 def complete(n):
@@ -121,13 +125,20 @@ class TestCli:
         out_graph = cio.parse_graph(open(r["files"]["graph"]).read())
         assert out_graph.n == 26
 
-    def test_planarize_k4_verify(self, capsys, k4_files, tmp_path):
+    def test_planarize_k4_verify(self, capsys, monkeypatch, k4_files, tmp_path):
+        calls = []
+
+        def counting_is_planar(g):
+            calls.append(g.n)
+            return is_planar(g)
+        monkeypatch.setattr(planarize_module, "is_planar", counting_is_planar)
         gpath, lpath = k4_files
         code, rep = run_cli(capsys, [
             "planarize", gpath, lpath, "--problem", "is", "--t", "1",
             "--verify", "--out-prefix", str(tmp_path / "v")])
         assert code == 0
         assert rep["results"]["verified"] is True
+        assert calls == [26]   # LR planarity runs once per job, on G'
 
     def test_planarize_k5_ds(self, capsys, tmp_path):
         g = complete(5)

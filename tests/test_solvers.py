@@ -6,7 +6,7 @@ import pytest
 from cutplanar import cli, solvers
 from cutplanar import io as cio
 from cutplanar.errors import OracleLimitError, ResourceLimitError
-from cutplanar.gadgets import ds_crossover_gadget
+from cutplanar.gadgets import builtin_gadget
 from cutplanar.graph import (Graph, LinearLayout, cut_profile,
                              layout_to_path_decomposition, random_graph)
 from cutplanar.solvers import (brute_ds, brute_is, brute_vc, dp_ds, dp_is,
@@ -51,6 +51,8 @@ class TestBruteForce:
             assert brute_is(g) == subsets_is(g)
             assert brute_ds(g) == subsets_ds(g)
             assert brute_vc(g) == subsets_vc(g)
+            avoid = set(rng.sample(range(n), rng.randint(1, n)))
+            assert brute_ds(g, avoid=avoid) == subsets_ds(g, avoid)
 
     def test_is_vc_complement(self):
         rng = random.Random(12)
@@ -131,6 +133,9 @@ class TestDsEngine:
             rep = dp_ds(g, layout)
             assert rep.optimum == brute_ds(g)
             assert rep.max_live_states <= 3 ** (rep.width_used + 1)
+            rep_is = dp_is(g, layout)
+            assert rep_is.optimum == brute_is(g)
+            assert rep_is.max_live_states <= 2 ** (rep_is.width_used + 1)
             widths.append(rep.width_used)
         assert min(widths) <= 13 and max(widths) >= 14
 
@@ -144,21 +149,44 @@ class TestDsEngine:
         with pytest.raises(ResourceLimitError):
             dp_ds(g, layout)
 
-    def test_width_limit_exit_code(self, capsys, tmp_path):
-        g, layout = self.star_centre_last(40)
+    @staticmethod
+    def assert_solve_exits_on_resource(capsys, tmp_path, g, layout, problem):
         gpath, lpath = tmp_path / "star.gr", tmp_path / "star.layout"
         gpath.write_text(cio.write_graph(g))
         lpath.write_text(cio.write_layout(layout))
-        code = cli.main(["solve", str(gpath), str(lpath), "--problem", "ds",
+        code = cli.main(["solve", str(gpath), str(lpath), "--problem", problem,
                          "--algo", "dp"])
         assert code == cli.EXIT_RESOURCE
         assert "resource limit" in json.loads(capsys.readouterr().out)["error"]
 
-    def test_memory_budget(self, monkeypatch):
-        gadget = ds_crossover_gadget()
-        monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES", 1 << 16)
+    def test_width_limit_exit_code(self, capsys, tmp_path):
+        g, layout = self.star_centre_last(40)
+        self.assert_solve_exits_on_resource(capsys, tmp_path, g, layout, "ds")
+
+    def test_is_width_limits(self, capsys, tmp_path):
+        # 40 legs of length 2, each leaf right after its pendant, centre
+        # last: width 40, and the out state of every leaf prunes its in state
+        legs = 40
+        g = Graph.from_edges(2 * legs + 1,
+                             [(2 * i, 2 * i + 1) for i in range(legs)]
+                             + [(2 * legs, 2 * i + 1) for i in range(legs)])
+        rep = dp_is(g, LinearLayout.identity(2 * legs + 1))
+        assert (rep.width_used, rep.optimum) == (40, legs + 1)
+        # 2^63 keys do not fit in int64
+        g, layout = self.star_centre_last(62)
         with pytest.raises(ResourceLimitError):
-            dp_ds(gadget.graph, gadget.layout)
+            dp_is(g, layout)
+        self.assert_solve_exits_on_resource(capsys, tmp_path, g, layout, "is")
+
+    @pytest.mark.parametrize("problem, budget",
+                             [("is", 1 << 8), ("ds", 1 << 16)],
+                             ids=["is", "ds"])
+    def test_memory_budget(self, monkeypatch, problem, budget):
+        gadget = builtin_gadget(problem)
+        dp = dp_is if problem == "is" else dp_ds
+        monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES", budget)
+        with pytest.raises(ResourceLimitError):
+            dp(gadget.graph, gadget.layout)
 
 
 class TestHeuristicLayout:
