@@ -22,8 +22,9 @@ from .drawing import build_arc_drawing, to_svg
 from .errors import (CutplanarError, InvalidLayoutError, InvariantError,
                      OracleLimitError, ParseError, PreconditionError,
                      ResourceLimitError)
-from .gadgets import (builtin_gadget, certify_is_gadget, is_gadget_conditions,
-                      replace_edges_by_gadget, validate_crossover_shape)
+from .gadgets import (SHIFT_CONDITIONS, builtin_gadget, is_gadget_conditions,
+                      replace_edges_by_gadget, replacement_layout,
+                      validate_crossover_shape)
 from .graph import Graph, LinearLayout, cut_profile, exact_cutwidth, random_graph
 from .planarize import planarize, verify_planarization
 from . import solvers
@@ -104,7 +105,7 @@ def cmd_planarize(args) -> dict:
         "gadget_width": res.gadget_width,
         "n_prime": res.g_prime.n,
         "m_prime": res.g_prime.m,
-        "cut_profile": list(cut_profile(res.g_prime, res.layout_prime).widths),
+        "cut_profile": list(res.cut_profile.widths),
         "files": {"graph": graph_out, "layout": layout_out},
     }
     if args.verify:
@@ -145,28 +146,28 @@ def cmd_certify(args) -> dict:
     gadget = cio.load_gadget(args.gadget)
     args._input_files = [args.gadget]
     out: dict = {"problem": gadget.problem, "shift": gadget.shift}
-    ok = True
-    out["planar_cyclic"] = validate_crossover_shape(gadget)
-    ok &= out["planar_cyclic"]
-    rng = random.Random(args.seed)
     if gadget.problem == "is":
         conds = is_gadget_conditions(gadget)
+        out["planar_cyclic"] = conds["planar_cyclic"]
         out["conditions"] = conds
-        ok &= certify_is_gadget(gadget)
-        shifts_ok = _host_shift_checks(gadget, "is", args.hosts, rng)
+        ok = all(conds[k] for k in SHIFT_CONDITIONS)
     else:
-        shifts_ok = _host_shift_checks(gadget, "ds", args.hosts, rng)
-    out["host_checks"] = shifts_ok
-    ok &= shifts_ok["all_exact"]
+        out["planar_cyclic"] = validate_crossover_shape(gadget)
+        ok = True
+    ok &= out["planar_cyclic"]
+    out["host_checks"] = _host_shift_checks(gadget, args.hosts,
+                                            random.Random(args.seed))
+    ok &= out["host_checks"]["all_exact"]
     out["verdict"] = "PASS" if ok else "FAIL"
     if not ok:
         raise _VerificationFailed(out)
     return out
 
 
-def _host_shift_checks(gadget, problem: str, hosts: int, rng) -> dict:
+def _host_shift_checks(gadget, hosts: int, rng) -> dict:
     """Random host graphs with two disjoint edges; the optimum must move
     by exactly the gadget shift under replacement."""
+    problem = gadget.problem
     max_n = 9 if problem == "is" else 7
     done = 0
     checked = []
@@ -179,7 +180,6 @@ def _host_shift_checks(gadget, problem: str, hosts: int, rng) -> dict:
             continue
         e1, e2 = pairs[rng.randrange(len(pairs))]
         gp = replace_edges_by_gadget(g, e1, e2, gadget)
-        from .gadgets import replacement_layout
         layout = replacement_layout(g, e1, e2, gadget)
         if problem == "is":
             before = solvers.brute_is(g)

@@ -36,7 +36,7 @@ class ParseError(CutplanarError):
 
 
 class GadgetError(CutplanarError):
-    """Gadget failed a certification gate or is unusable for the request."""
+    """Gadget is unusable for the request."""
 
 
 class InvariantError(CutplanarError):

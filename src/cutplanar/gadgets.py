@@ -17,11 +17,14 @@ Two gadget families are provided:
   structures (+6 each) whose four strand-triangle crossings are replaced
   by the vertex-cover crossing core (+9 each).
 
-Every construction in this module is validated by tests against
-brute-force optimum oracles; the structural facts used by the
-correctness arguments (disjoint closed neighborhoods, interior cover
-bounds, domination patterns) are asserted in the test suite rather than
-trusted.
+Both gadgets carry layouts frozen by vertex label.  Every construction
+in this module is validated by tests against brute-force optimum
+oracles; the structural facts used by the correctness arguments
+(disjoint closed neighborhoods, interior cover bounds, domination
+patterns) are asserted in the test suite rather than trusted.  The
+certification and lemma checks here (boundary function, minimum covers
+with required vertices, simplicial avoidance, domination as vertex
+cover) compute their optima with the exact solvers of solvers.py.
 """
 
 from __future__ import annotations
@@ -226,8 +229,11 @@ def verify_vc_crossing_bounds(g: Graph, terminals: dict[str, int]) -> bool:
 
 
 def min_vc_containing(g: Graph, required: set[int], limit: int = 28) -> int:
-    """Minimum vertex cover containing all of ``required``."""
-    return len(required) + solvers.brute_vc_excluding(g, required, limit)
+    """Minimum vertex cover containing all of ``required``: the required
+    vertices plus a minimum cover of the graph without them."""
+    keep = {w: i for i, w in enumerate(w for w in range(g.n)
+                                       if w not in required)}
+    return len(required) + solvers.brute_vc(g.relabel(keep, len(keep)), limit)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +345,18 @@ def _find_label(g: Graph, label: str) -> int:
     raise KeyError(label)
 
 
+def _layout_by_labels(g: Graph, labels: tuple[str, ...]) -> LinearLayout:
+    by_label = {s: v for v, s in g.labels.items()}
+    return LinearLayout(tuple(by_label[s] for s in labels))
+
+
+# Frozen layout of the IS gadget, stored by vertex label; width 6.
+_IS_GADGET_LAYOUT_LABELS = (
+    "d1", "y", "u'", "d3", "d2", "q", "v'", "c3", "c1", "c2", "e2",
+    "p", "v", "e1", "a2", "a1", "a3", "b2", "b3", "b1", "x", "u",
+)
+
+
 @lru_cache(maxsize=None)
 def gjs_is_gadget() -> CrossoverGadget:
     """Independent Set crossover gadget with shift 9.
@@ -359,7 +377,7 @@ def gjs_is_gadget() -> CrossoverGadget:
     labels = dict(core.labels)
     labels.update({u: "u", up: "u'", v: "v", vp: "v'"})
     g = Graph.from_edges(n + 4, edges, labels)
-    layout = solvers.heuristic_layout(g, seed=0)
+    layout = _layout_by_labels(g, _IS_GADGET_LAYOUT_LABELS)
     return CrossoverGadget("is", g, (u, up, v, vp), layout, 9)
 
 
@@ -481,11 +499,7 @@ def ds_crossover_gadget() -> CrossoverGadget:
     g = insert_double_path(g, (2, 3), tag="dpv")
     # drop the four host stubs; the a-role vertices become the terminals
     keep = [w for w in range(g.n) if g.labels.get(w, "").startswith("dp")]
-    perm = {w: i for i, w in enumerate(keep)}
-    edges = [(perm[a], perm[b]) for a, b in g.edges
-             if a in perm and b in perm]
-    labels = {perm[w]: g.labels[w] for w in keep}
-    g = Graph.from_edges(len(keep), edges, labels)
+    g = g.relabel({w: i for i, w in enumerate(keep)}, len(keep))
     for c1, c2 in _COMPOSITE_CROSSINGS:
         t1 = _strand_triangle(g, *c1)
         t2 = _strand_triangle(g, *c2)
@@ -493,8 +507,7 @@ def ds_crossover_gadget() -> CrossoverGadget:
         g = replace_triangle_crossing(g, t1, t2, tag=tag)
     terminals = tuple(_find_label(g, s) for s in
                       ("dpu:a_x", "dpu:a_y", "dpv:a_x", "dpv:a_y"))
-    by_label = {s: v for v, s in g.labels.items()}
-    layout = LinearLayout(tuple(by_label[s] for s in _DS_GADGET_LAYOUT_LABELS))
+    layout = _layout_by_labels(g, _DS_GADGET_LAYOUT_LABELS)
     return CrossoverGadget("ds", g, terminals, layout, 48)
 
 
@@ -523,34 +536,23 @@ def replacement_layout(host: Graph, e1: Edge, e2: Edge,
 # certification
 # ---------------------------------------------------------------------------
 
-BOUNDARY_BRUTE_LIMIT = 25
-
-
 def boundary_function(gadget: CrossoverGadget) -> BoundaryFunction:
     """Maximum independent set sizes of the gadget graph under all 16
-    terminal-avoidance patterns."""
+    terminal-avoidance patterns, each by the layout DP on the gadget
+    minus F under the gadget's layout restricted to what remains."""
     if gadget.problem != "is":
         raise GadgetError("boundary function applies to IS gadgets")
     g = gadget.graph
     values = {}
     for k in range(5):
         for F in itertools.combinations(gadget.terminals, k):
-            if g.n <= BOUNDARY_BRUTE_LIMIT:
-                best = solvers.brute_is_excluding(g, set(F), limit=BOUNDARY_BRUTE_LIMIT)
-            else:
-                sub, sublay = _delete_vertices(g, gadget.layout, set(F))
-                best = solvers.dp_is(sub, sublay).optimum
-            values[frozenset(F)] = best
+            keep = {w: i for i, w in enumerate(w for w in range(g.n)
+                                               if w not in F)}
+            sub_layout = LinearLayout(
+                tuple(keep[w] for w in gadget.layout.order if w in keep))
+            values[frozenset(F)] = solvers.dp_is(
+                g.relabel(keep, len(keep)), sub_layout).optimum
     return BoundaryFunction(values)
-
-
-def _delete_vertices(g: Graph, layout: LinearLayout, drop: set[int]):
-    keep = [w for w in range(g.n) if w not in drop]
-    perm = {w: i for i, w in enumerate(keep)}
-    edges = [(perm[a], perm[b]) for a, b in g.edges
-             if a in perm and b in perm]
-    order = tuple(perm[w] for w in layout.order if w in perm)
-    return Graph.from_edges(len(keep), edges), LinearLayout(order)
 
 
 def is_gadget_conditions(gadget: CrossoverGadget) -> dict[str, bool]:
@@ -580,11 +582,14 @@ def is_gadget_conditions(gadget: CrossoverGadget) -> dict[str, bool]:
     }
 
 
+# the keys of is_gadget_conditions that certify_is_gadget requires
+SHIFT_CONDITIONS = ("C1_legal_patterns", "C2_single_pair", "C3_both_pairs")
+
+
 def certify_is_gadget(gadget: CrossoverGadget) -> bool:
     """True iff the boundary-function conditions C1-C3 hold."""
     cond = is_gadget_conditions(gadget)
-    return all((cond["C1_legal_patterns"], cond["C2_single_pair"],
-                cond["C3_both_pairs"]))
+    return all(cond[k] for k in SHIFT_CONDITIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -625,41 +630,23 @@ def verify_domset_is_vc(g: Graph, u_set: set[int], limit: int = 24) -> bool:
 
     Precondition: each such edge has a private watcher outside u_set
     whose open neighborhood is exactly that edge.
+
+    Decided as: some minimum dominating set avoids the watchers W (the
+    vertices outside u_set whose open neighborhood is an inner edge).  A
+    watcher w of edge ab has N[w] within N[b], so any minimum dominating
+    set can swap w for b and keep its size.  A dominating set that
+    avoids W must dominate each watcher through a or b, so it covers
+    every inner edge.
     """
     adj = g.adjacency()
     inner = [(a, b) for a, b in g.edges if a in u_set and b in u_set]
+    inner_set = {frozenset(e) for e in inner}
+    watchers = {w for w in range(g.n)
+                if w not in u_set and frozenset(adj[w]) in inner_set}
     for a, b in inner:
-        if not any(adj[w] == {a, b} for w in range(g.n) if w not in u_set):
+        if not any(adj[w] == {a, b} for w in watchers):
             raise PreconditionError(
                 f"edge ({a},{b}) of the induced subgraph has no private "
                 "degree-two watcher")
-    opt = solvers.brute_ds(g, limit=limit)
-    # exhaustive: does some optimal dominating set cover all inner edges?
-    n = g.n
-    adjm = g.adjacency_masks()
-    closed = [adjm[v] | (1 << v) for v in range(n)]
-    full = (1 << n) - 1
-    found = [False]
-
-    def search(dominated: int, chosen: list[int], size: int) -> None:
-        if found[0] or size > opt:
-            return
-        if dominated == full:
-            cm = 0
-            for w in chosen:
-                cm |= 1 << w
-            if all((cm >> a) & 1 or (cm >> b) & 1 for a, b in inner):
-                found[0] = True
-            return
-        undom = full & ~dominated
-        v = (undom & (-undom)).bit_length() - 1
-        mm = closed[v]
-        while mm:
-            lb = mm & (-mm)
-            w = lb.bit_length() - 1
-            chosen.append(w)
-            search(dominated | closed[w], chosen, size + 1)
-            chosen.pop()
-            mm ^= lb
-    search(0, [], 0)
-    return found[0]
+    return (solvers.brute_ds(g, limit, avoid=watchers)
+            == solvers.brute_ds(g, limit))

@@ -126,14 +126,18 @@ def gadget_from_json(obj: dict) -> CrossoverGadget:
         terminals = tuple(int(t) - 1 for t in obj["terminals"])
         graph = graph_from_json(obj["graph"])
         layout = LinearLayout(tuple(int(v) - 1 for v in obj["layout"]))
+        return CrossoverGadget(problem, graph, terminals, layout, shift)
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"bad gadget JSON: {exc}")
-    return CrossoverGadget(problem, graph, terminals, layout, shift)
 
 
 def load_gadget(path: str) -> CrossoverGadget:
     with open(path) as f:
-        return gadget_from_json(json.load(f))
+        try:
+            obj = json.load(f)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"bad gadget JSON: {exc}")
+    return gadget_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

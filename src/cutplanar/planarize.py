@@ -14,9 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .drawing import build_arc_drawing, element_order
-from .errors import GadgetError, InvariantError, OracleLimitError
-from .gadgets import CrossoverGadget, certify_is_gadget
-from .graph import Graph, LinearLayout, cut_profile, is_planar
+from .errors import InvariantError, OracleLimitError
+from .gadgets import CrossoverGadget
+from .graph import CutProfile, Graph, LinearLayout, cut_profile, is_planar
 from . import solvers
 
 
@@ -31,11 +31,12 @@ class PlanarizationResult:
     gadget_width: int
     # vertex ids of g_prime that came from the input graph
     original_vertices: frozenset[int]
+    # per-gap cuts of layout_prime on g_prime
+    cut_profile: CutProfile
 
 
 def planarize(g: Graph, layout: LinearLayout, t: int,
-              gadget: CrossoverGadget, check_gadget: bool = False
-              ) -> PlanarizationResult:
+              gadget: CrossoverGadget) -> PlanarizationResult:
     """Replace all crossings of the arc drawing by gadget copies.
 
     Per-edge tail tracking realizes the left-to-right replacement: each
@@ -43,8 +44,6 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     the gadget's right-channel terminal after each of its crossings, so
     remaining crossings keep their original drawing locations.
     """
-    if check_gadget and gadget.problem == "is" and not certify_is_gadget(gadget):
-        raise GadgetError("gadget failed certification")
     layout.validate(g)
     drawing = build_arc_drawing(g, layout)
     pos = layout.position()
@@ -96,27 +95,27 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     layout_prime = LinearLayout(order)
     ell = len(drawing.crossings)
     prof_out = cut_profile(g_prime, layout_prime)
-    width_out = prof_out.max_width
 
     result = PlanarizationResult(
         g_prime=g_prime, layout_prime=layout_prime,
         t_prime=t + ell * gadget.shift, crossings_replaced=ell,
-        width_in=width_in, width_out=width_out, gadget_width=gadget_width,
-        original_vertices=frozenset(range(g.n)),
+        width_in=width_in, width_out=prof_out.max_width,
+        gadget_width=gadget_width, original_vertices=frozenset(range(g.n)),
+        cut_profile=prof_out,
     )
-    _assert_invariants(result, prof_out, h, ell, g)
+    _assert_invariants(result, h, ell, g)
     return result
 
 
-def _assert_invariants(res: PlanarizationResult, prof_out, h: Graph,
-                       ell: int, g: Graph) -> None:
+def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
+                       g: Graph) -> None:
     """Hard runtime checks of the construction's guarantees; a violation
     falsifies the width argument and must never be shipped past."""
     bound = res.width_in + res.gadget_width + 4
     # per-gap claims: original-vertex gaps <= width_in, gadget gaps <= bound
     order = res.layout_prime.order
     for i, w in enumerate(order[:-1]):
-        cut = prof_out.widths[i]
+        cut = res.cut_profile.widths[i]
         original = w in res.original_vertices
         if cut > (res.width_in if original else bound):
             label = res.g_prime.labels.get(w, str(w))

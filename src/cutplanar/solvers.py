@@ -12,9 +12,12 @@ Two independent routes are provided for IS and DS:
   it handles widths up to 61 (IS) resp. 38 (DS) within
   MEMORY_BUDGET_BYTES.
 
-brute_vc is a separate edge-branching search, deliberately not derived
-from brute_is, so the IS/VC complementarity can be asserted as a real
-cross-check.
+brute_ds is the only Dominating Set search; its ``avoid`` set also
+serves the gadget lemma checks in gadgets.py.  brute_vc is a separate
+edge-branching search, deliberately not derived from brute_is, so the
+IS/VC complementarity can be asserted as a real cross-check.  Callers
+that need an optimum with vertices deleted build that graph with
+Graph.relabel and call these solvers on it.
 """
 
 from __future__ import annotations
@@ -183,17 +186,6 @@ def brute_vc(g: Graph, limit: int = BRUTE_LIMIT) -> int:
         search(alive & ~(1 << w), size + 1)
     search((1 << g.n) - 1, 0)
     return best
-
-
-def brute_vc_excluding(g: Graph, removed: set[int],
-                       limit: int = BRUTE_LIMIT) -> int:
-    """Minimum vertex cover of g with ``removed`` deleted (equivalently,
-    the non-removed part of a minimum cover containing ``removed``)."""
-    keep = [v for v in range(g.n) if v not in removed]
-    perm = {v: i for i, v in enumerate(keep)}
-    edges = [(perm[a], perm[b]) for a, b in g.edges
-             if a in perm and b in perm]
-    return brute_vc(Graph.from_edges(len(keep), edges), limit)
 
 
 # ---------------------------------------------------------------------------

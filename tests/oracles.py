@@ -102,26 +102,38 @@ def subsets_is(g: Graph) -> int:
     return best
 
 
-def subsets_ds(g: Graph, avoid=()) -> int | None:
-    """Minimum dominating set disjoint from ``avoid``; None if there is
-    none."""
+def _dominating_sets(g: Graph):
+    """Bitmasks of all dominating sets of g."""
     adj = g.adjacency_masks()
     closed = [adj[v] | (1 << v) for v in range(g.n)]
     full = (1 << g.n) - 1
-    avoid_mask = sum(1 << v for v in avoid)
-    best = None
     for mask in range(1 << g.n):
-        if mask & avoid_mask:
-            continue
         dom = 0
         mm = mask
         while mm:
             lb = mm & (-mm)
             dom |= closed[lb.bit_length() - 1]
             mm ^= lb
-        if dom == full and (best is None or mask.bit_count() < best):
-            best = mask.bit_count()
-    return best
+        if dom == full:
+            yield mask
+
+
+def subsets_ds(g: Graph, avoid=()) -> int | None:
+    """Minimum dominating set disjoint from ``avoid``; None if there is
+    none."""
+    avoid_mask = sum(1 << v for v in avoid)
+    return min((mask.bit_count() for mask in _dominating_sets(g)
+                if not mask & avoid_mask), default=None)
+
+
+def subsets_ds_covers(g: Graph, edges) -> bool:
+    """Does some minimum dominating set contain an endpoint of every edge
+    in ``edges``?"""
+    sets = list(_dominating_sets(g))
+    best = min(mask.bit_count() for mask in sets)
+    return any(mask.bit_count() == best
+               and all((mask >> a) & 1 or (mask >> b) & 1 for a, b in edges)
+               for mask in sets)
 
 
 def subsets_vc(g: Graph) -> int:

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from cutplanar.errors import PreconditionError
+from cutplanar.errors import OracleLimitError, PreconditionError
 from cutplanar.gadgets import (BoundaryFunction, CrossoverGadget,
                                boundary_function, certify_is_gadget,
                                double_path_interior, ds_crossover_gadget,
@@ -14,7 +14,10 @@ from cutplanar.gadgets import (BoundaryFunction, CrossoverGadget,
                                verify_domset_is_vc, verify_simplicial_avoidance,
                                verify_vc_crossing_bounds)
 from cutplanar.graph import Graph, LinearLayout, is_planar, random_graph
-from cutplanar.solvers import brute_ds, brute_is, dp_ds, heuristic_layout
+from cutplanar.solvers import (brute_ds, brute_is, brute_is_excluding, dp_ds,
+                               heuristic_layout)
+
+from oracles import subsets_ds_covers
 
 
 def make_gadget(n, edges, terminals, shift, problem="is"):
@@ -75,6 +78,23 @@ class TestBoundaryFunction:
         # C1 fails: h({u,v}) = 2 != 4
         assert not certify_is_gadget(gadget)
 
+    def test_gadget_over_brute_limit(self):
+        # two disjoint copies of the IS gadget (44 vertices), terminals on
+        # the first copy: each value is the first copy's plus the second's
+        small = gjs_is_gadget()
+        n = small.graph.n
+        g = Graph.from_edges(2 * n, list(small.graph.edges)
+                             + [(a + n, b + n) for a, b in small.graph.edges])
+        order = small.layout.order + tuple(v + n for v in small.layout.order)
+        big = CrossoverGadget("is", g, small.terminals, LinearLayout(order), 18)
+        h = boundary_function(big)
+        rest = brute_is(small.graph)
+        for k in range(5):
+            for F in itertools.combinations(small.terminals, k):
+                assert h[F] == brute_is_excluding(small.graph, set(F)) + rest
+        with pytest.raises(OracleLimitError):
+            brute_is_excluding(g, set(small.terminals))
+
 
 class TestIsGadget:
     def test_certified(self):
@@ -86,6 +106,13 @@ class TestIsGadget:
     def test_boundary_base_value(self):
         h = boundary_function(gjs_is_gadget())
         assert h[()] == 9
+
+    def test_boundary_matches_brute(self):
+        gadget = gjs_is_gadget()
+        h = boundary_function(gadget)
+        for k in range(5):
+            for F in itertools.combinations(gadget.terminals, k):
+                assert h[F] == brute_is_excluding(gadget.graph, set(F))
 
     def test_planar_with_cyclic_terminal_order(self):
         assert validate_crossover_shape(gjs_is_gadget())
@@ -348,3 +375,27 @@ class TestStructuralVerifiers:
             nxt += 1
         g = Graph.from_edges(nxt, edges)
         assert verify_domset_is_vc(g, {0, 1, 2, 3})
+
+    def test_domset_is_vc_against_subsets(self):
+        # random graphs whose inner edges each have a private watcher;
+        # extra vertices outside u_set never touch a watcher
+        rng = random.Random(31)
+        checked = 0
+        while checked < 25:
+            k = rng.randint(2, 5)
+            inner = [e for e in itertools.combinations(range(k), 2)
+                     if rng.random() < 0.5]
+            n = k + len(inner) + rng.randint(0, 3)
+            if n > 14:
+                continue
+            edges = list(inner)
+            for i, (a, b) in enumerate(inner):
+                edges += [(k + i, a), (k + i, b)]
+            others = list(range(k))
+            for x in range(k + len(inner), n):
+                edges += [(x, y) for y in others if rng.random() < 0.4]
+                others.append(x)
+            g = Graph.from_edges(n, edges)
+            assert (verify_domset_is_vc(g, set(range(k)))
+                    == subsets_ds_covers(g, inner))
+            checked += 1

@@ -78,6 +78,10 @@ def k4_files(tmp_path):
     return str(gpath), str(lpath)
 
 
+EDGELESS_GADGET_JSON = cio.gadget_to_json(CrossoverGadget(
+    "is", Graph.from_edges(4, []), (0, 1, 2, 3), LinearLayout.identity(4), 4))
+
+
 def run_cli(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
@@ -180,6 +184,18 @@ class TestCli:
         gpath.write_text(json.dumps(cio.gadget_to_json(bad)))
         code, rep = run_cli(capsys, ["certify", str(gpath), "--hosts", "2"])
         assert code == cli.EXIT_VERIFY
+
+    @pytest.mark.parametrize("text", [
+        json.dumps({**EDGELESS_GADGET_JSON, "problem": "xx"}),
+        json.dumps({**EDGELESS_GADGET_JSON, "terminals": [1, 2, 3, 9]}),
+        "{not json",
+    ], ids=["unknown-problem", "terminal-out-of-range", "not-json"])
+    def test_certify_malformed_gadget_exit_code(self, capsys, tmp_path, text):
+        gpath = tmp_path / "bad.json"
+        gpath.write_text(text)
+        code, rep = run_cli(capsys, ["certify", str(gpath)])
+        assert code == cli.EXIT_PARSE
+        assert rep["error"].startswith("parse error: bad gadget JSON")
 
     def test_invariant_error_exit_code(self, capsys, monkeypatch, k4_files):
         def broken(*args):
