@@ -31,13 +31,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from .errors import GadgetError, PreconditionError
-from .graph import Graph, LinearLayout, cutwidth_of_layout, is_planar
+from .graph import Graph, LinearLayout, cutwidth_of_layout, planar_rotation
 from . import solvers
 
 Edge = tuple[int, int]
+
+# rotation entry of a terminal that stands for its connector edge
+CONNECTOR = -1
 
 
 # ---------------------------------------------------------------------------
@@ -72,6 +75,43 @@ class CrossoverGadget:
     def width(self) -> int:
         return cutwidth_of_layout(self.graph, self.layout)
 
+    @cached_property
+    def rotation(self) -> tuple[tuple[int, ...], ...]:
+        """Counter-clockwise rotation system of a planar drawing of the
+        gadget whose connector edges leave u, v, u', v' in that
+        counter-clockwise order, as at a crossing whose first edge runs
+        from upper left (u) to lower right (u').  Each terminal's
+        rotation starts with CONNECTOR, the slot of its connector edge.
+
+        Taken from the embedding of the certificate graph of
+        ``validate_crossover_shape``: the apex's slot at each terminal
+        becomes the connector slot, the 4-cycle is dropped, and the whole
+        rotation is mirrored when the apex sees the terminals the other
+        way round.  Raises GadgetError when no such drawing exists.
+        """
+        g = self.graph
+        u, up, v, vp = self.terminals
+        rot = planar_rotation(_shape_certificate(self))
+        if rot is None:
+            raise GadgetError(
+                "gadget has no planar drawing with the terminals on the "
+                "outer face in the cyclic order u, v, u', v'")
+        apex = g.n
+        # seen from the apex, outside the gadget, the counter-clockwise
+        # order u, v, u', v' around the gadget reads clockwise
+        i = rot[apex].index(u)
+        if rot[apex][i:] + rot[apex][:i] != [u, vp, up, v]:
+            rot = [r[::-1] for r in rot]
+        adj = g.adjacency()
+        out = []
+        for w in range(g.n):
+            r = [x for x in rot[w] if x in adj[w] or x == apex]
+            if w in self.terminals:
+                i = r.index(apex)
+                r = [CONNECTOR] + r[i + 1:] + r[:i]
+            out.append(tuple(r))
+        return tuple(out)
+
 
 @dataclass(frozen=True)
 class BoundaryFunction:
@@ -91,18 +131,28 @@ class BoundaryFunction:
         return True
 
 
+def _shape_certificate(gadget: CrossoverGadget) -> Graph:
+    """The gadget graph plus the terminal 4-cycle u-v-u'-v' and an apex
+    (vertex n) adjacent to all four terminals."""
+    u, up, v, vp = gadget.terminals
+    g = gadget.graph
+    extra = [(u, v), (v, up), (up, vp), (vp, u),
+             (g.n, u), (g.n, v), (g.n, up), (g.n, vp)]
+    return Graph.from_edges(g.n + 1, list(g.edges) + extra)
+
+
 def validate_crossover_shape(gadget: CrossoverGadget) -> bool:
     """Certify the drawing requirements: the gadget graph together with
     the terminal 4-cycle u-v-u'-v' and an apex adjacent to all four
     terminals must remain planar.  This holds iff the gadget has a
     planar drawing with the terminals on the outer face in the cyclic
-    order u, v, u', v'."""
-    u, up, v, vp = gadget.terminals
-    g = gadget.graph
-    extra = [(u, v), (v, up), (up, vp), (vp, u),
-             (g.n, u), (g.n, v), (g.n, up), (g.n, vp)]
-    cert = Graph.from_edges(g.n + 1, list(g.edges) + extra)
-    return is_planar(cert)
+    order u, v, u', v'.  The embedding found is kept as the gadget's
+    rotation, so the planarity test runs once per gadget."""
+    try:
+        gadget.rotation
+    except GadgetError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
 
-from .errors import InvalidLayoutError, OracleLimitError
+from .errors import InvalidLayoutError, InvariantError, OracleLimitError
 
 Edge = tuple[int, int]
 
@@ -249,6 +249,82 @@ def is_planar(g: Graph) -> bool:
     """Planarity test (left-right algorithm via networkx)."""
     ok, _ = nx.check_planarity(g.to_networkx(), counterexample=False)
     return ok
+
+
+def planar_rotation(g: Graph) -> list[list[int]] | None:
+    """Counter-clockwise rotation system of some planar embedding of g
+    (left-right algorithm via networkx), or None if g is not planar."""
+    ok, emb = nx.check_planarity(g.to_networkx())
+    if not ok:
+        return None
+    return [list(emb.neighbors_cw_order(v))[::-1] for v in range(g.n)]
+
+
+def check_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> int:
+    """Prove g planar from a rotation system in O(n + m).
+
+    ``rotation[v]`` lists the neighbours of v in counter-clockwise order.
+    The faces of the rotation system are traced, and Euler's formula
+    V - E + F = 2C - I (C components, I isolated vertices) holds iff
+    every component is embedded in the sphere, i.e. the rotation system
+    is a planar embedding of g.  Returns F.  Raises InvariantError naming
+    the vertex whose rotation is not a permutation of its neighbours, or
+    giving V, E, F and C when the genus is positive.
+    """
+    n = g.n
+    if len(rotation) != n:
+        raise InvariantError(
+            f"rotation system has {len(rotation)} vertices, graph has {n}")
+    adj = g.adjacency()
+    # darts are numbered vertex by vertex in rotation order; index[v][w]
+    # is the dart v->w and succ[d] the next dart around the tail of d
+    index: list[dict[int, int]] = []
+    succ: list[int] = []
+    start = 0
+    for v, r in enumerate(rotation):
+        end = start + len(r)
+        idx = dict(zip(r, range(start, end)))
+        if len(idx) != len(r) or idx.keys() != adj[v]:
+            raise InvariantError(
+                f"rotation at vertex {g.labels.get(v, str(v))} is not a "
+                f"permutation of its {len(adj[v])} neighbours")
+        index.append(idx)
+        succ.extend(range(start + 1, end))
+        if r:
+            succ.append(start)
+        start = end
+    # the face after dart v->w continues with w->x, x the successor of v at w
+    nxt = [succ[index[w][v]] for v, r in enumerate(rotation) for w in r]
+    seen = bytearray(len(nxt))
+    faces = 0
+    for first in range(len(nxt)):
+        if not seen[first]:
+            faces += 1
+            d = first
+            while not seen[d]:
+                seen[d] = 1
+                d = nxt[d]
+    reached = bytearray(n)
+    components = isolated = 0
+    for s in range(n):
+        if reached[s]:
+            continue
+        components += 1
+        isolated += not adj[s]
+        reached[s] = 1
+        stack = [s]
+        while stack:
+            for w in rotation[stack.pop()]:
+                if not reached[w]:
+                    reached[w] = 1
+                    stack.append(w)
+    edges = len(nxt) // 2
+    if n - edges + faces != 2 * components - isolated:
+        raise InvariantError(
+            f"rotation system is not planar: V - E + F = {n} - {edges} + "
+            f"{faces} != 2C - I with C = {components} components, "
+            f"I = {isolated} isolated")
+    return faces
 
 
 def layout_to_path_decomposition(g: Graph, layout: LinearLayout

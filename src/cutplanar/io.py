@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import ParseError
+from .errors import InvalidLayoutError, ParseError
 from .gadgets import CrossoverGadget
 from .graph import Graph, LinearLayout
 
@@ -127,7 +127,7 @@ def gadget_from_json(obj: dict) -> CrossoverGadget:
         graph = graph_from_json(obj["graph"])
         layout = LinearLayout(tuple(int(v) - 1 for v in obj["layout"]))
         return CrossoverGadget(problem, graph, terminals, layout, shift)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, InvalidLayoutError) as exc:
         raise ParseError(f"bad gadget JSON: {exc}")
 
 

@@ -7,6 +7,13 @@ resulting cutwidth is at most ctw(input layout) + ctw(gadget layout) + 4,
 and the per-gap invariants behind that bound are asserted on every run:
 gaps after original vertices never exceed the input cutwidth, and gaps
 inside gadget copies never exceed input + gadget + 4.
+
+Planarity of the result is proven from the drawing itself: while G' is
+assembled, the arc positions give every host vertex its rotation, and
+each gadget copy takes the gadget's cached planar rotation with its
+connector slots filled in.  ``graph.check_embedding`` then traces the
+faces of this rotation system and checks Euler's formula in O(n' + m'),
+so no general planarity test runs on G'.
 """
 
 from __future__ import annotations
@@ -16,7 +23,8 @@ from dataclasses import dataclass
 from .drawing import build_arc_drawing, element_order
 from .errors import InvariantError, OracleLimitError
 from .gadgets import CrossoverGadget
-from .graph import CutProfile, Graph, LinearLayout, cut_profile, is_planar
+from .graph import (CutProfile, Graph, LinearLayout, check_embedding,
+                    cut_profile)
 from . import solvers
 
 
@@ -43,6 +51,10 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     original edge keeps its current left attachment vertex, advanced to
     the gadget's right-channel terminal after each of its crossings, so
     remaining crossings keep their original drawing locations.
+
+    Raises GadgetError when the gadget has no planar drawing with its
+    connectors in the crossover order, and InvariantError when a width
+    claim fails or the rotation system of G' is not planar.
     """
     layout.validate(g)
     drawing = build_arc_drawing(g, layout)
@@ -51,14 +63,33 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     gadget_width = gadget.width
 
     h = gadget.graph
+    h_rotation = gadget.rotation
     u, up, v, vp = gadget.terminals
     tails: dict[tuple[int, int], int] = {}
+    # first vertex after the left end on the chain of a crossed edge
+    heads: dict[tuple[int, int], int] = {}
     new_edges: list[tuple[int, int]] = []
     labels = dict(g.labels)
     drop: set[tuple[int, int]] = set()
     next_id = g.n
     blocks: list[list[int]] = []   # layout blocks, one per element
+    # counter-clockwise rotation of every vertex of G'; a gadget terminal
+    # keeps its connector at index 0
+    rotation: list[list[int]] = [[] for _ in range(g.n)]
     elements = element_order(drawing)
+
+    def attach(e: tuple[int, int], left: int, right: int) -> None:
+        """Route the chain of e through a gadget copy: the current tail
+        connects to the terminal ``left``, and ``right`` becomes the tail."""
+        tail = tails.get(e)
+        if tail is None:
+            heads[e] = left
+            tail = e[0]
+        else:
+            rotation[tail][0] = left
+        new_edges.append((tail, left))
+        rotation[left][0] = tail
+        tails[e] = right
 
     for el in elements:
         if el.kind == "vertex":
@@ -67,29 +98,38 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
         e1, e2 = el.crossing.edges   # position-normalized, pair sorted
         drop.add(tuple(sorted(e1)))
         drop.add(tuple(sorted(e2)))
-        a = tails.get(e1, e1[0])
-        c = tails.get(e2, e2[0])
         base = next_id
-        copy = [base + i for i in range(h.n)]
         for s, tt in h.edges:
             new_edges.append((base + s, base + tt))
         k = len(blocks)
         for w in range(h.n):
             src = h.labels.get(w, str(w))
             labels[base + w] = f"X{k}:{src}"
-        # left attachments to current tails, tails advance to u', v'
-        new_edges.append((a, base + u))
-        new_edges.append((c, base + v))
-        tails[e1] = base + up
-        tails[e2] = base + vp
+        rotation.extend([base + x for x in r] for r in h_rotation)
+        # e1 has the smaller left end, so it enters upper left and the
+        # connectors run counter-clockwise u, v, u', v'
+        attach(e1, base + u, base + up)
+        attach(e2, base + v, base + vp)
         blocks.append([base + w for w in gadget.layout.order])
         next_id += h.n
 
     # close off crossed edges with their final right segment
     for e, tail in tails.items():
         new_edges.append((tail, e[1]))
+        rotation[tail][0] = e[1]
     edges = [e for e in g.edges if e not in drop] + new_edges
     g_prime = Graph.from_edges(next_id, edges, labels)
+
+    # a host vertex sees, counter-clockwise from the east, its right-going
+    # arcs by increasing span, then its left-going arcs by decreasing span
+    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
+    for x, y in g.edges:
+        e = (x, y) if pos[x] < pos[y] else (y, x)
+        span = pos[e[1]] - pos[e[0]]
+        incident[e[0]].append((0, span, heads.get(e, e[1])))
+        incident[e[1]].append((1, -span, tails.get(e, e[0])))
+    for w, arcs in enumerate(incident):
+        rotation[w] = [end for _, _, end in sorted(arcs)]
 
     order = tuple(w for block in blocks for w in block)
     layout_prime = LinearLayout(order)
@@ -104,6 +144,7 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
         cut_profile=prof_out,
     )
     _assert_invariants(result, h, ell, g)
+    check_embedding(g_prime, rotation)
     return result
 
 
@@ -134,8 +175,6 @@ def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
         raise InvariantError("vertex count mismatch")
     if res.g_prime.m != g.m + ell * (h.m + 2):
         raise InvariantError("edge count mismatch")
-    if not is_planar(res.g_prime):
-        raise InvariantError("planarized graph is not planar")
 
 
 def verify_planarization(g: Graph, layout: LinearLayout, t: int,

@@ -1,10 +1,12 @@
+import dataclasses
 import itertools
 import random
 
+import networkx
 import pytest
 
-from cutplanar.errors import OracleLimitError, PreconditionError
-from cutplanar.gadgets import (BoundaryFunction, CrossoverGadget,
+from cutplanar.errors import GadgetError, OracleLimitError, PreconditionError
+from cutplanar.gadgets import (CONNECTOR, BoundaryFunction, CrossoverGadget,
                                boundary_function, certify_is_gadget,
                                double_path_interior, ds_crossover_gadget,
                                gjs_is_gadget, insert_double_path,
@@ -14,6 +16,8 @@ from cutplanar.gadgets import (BoundaryFunction, CrossoverGadget,
                                verify_domset_is_vc, verify_simplicial_avoidance,
                                verify_vc_crossing_bounds)
 from cutplanar.graph import Graph, LinearLayout, is_planar, random_graph
+from cutplanar.io import gadget_from_json
+from cutplanar.planarize import planarize
 from cutplanar.solvers import (brute_ds, brute_is, brute_is_excluding, dp_ds,
                                heuristic_layout)
 
@@ -52,6 +56,66 @@ class TestReplaceEdgesByGadget:
         gadget = ds_crossover_gadget()
         out = replace_edges_by_gadget(host, (0, 1), (2, 3), gadget)
         assert out.n == host.n + gadget.graph.n
+
+
+def connector_successors(gadget):
+    """For each terminal t, the terminal where the face walk that enters
+    the gadget through t's connector leaves it again.  Like the embedding
+    check, the walk continues from v->w with the successor of v in w's
+    rotation, so consecutive exits follow the counter-clockwise order of
+    the connectors."""
+    rot = gadget.rotation
+    out = {}
+    for t in gadget.terminals:
+        prev, cur = CONNECTOR, t
+        while True:
+            r = rot[cur]
+            nxt = r[(r.index(prev) + 1) % len(r)]
+            if nxt == CONNECTOR:
+                break
+            prev, cur = cur, nxt
+        out[t] = cur
+    return out
+
+
+class TestGadgetEmbedding:
+    @pytest.mark.parametrize("gadget", [gjs_is_gadget(), ds_crossover_gadget()],
+                             ids=["is", "ds"])
+    def test_connectors_run_ccw(self, gadget):
+        u, up, v, vp = gadget.terminals
+        assert connector_successors(gadget) == {u: v, v: up, up: vp, vp: u}
+        adj = gadget.graph.adjacency()
+        for w, r in enumerate(gadget.rotation):
+            slot = [CONNECTOR] if w in gadget.terminals else []
+            assert r[:len(slot)] == tuple(slot)
+            assert sorted(r[len(slot):]) == sorted(adj[w])
+
+    def test_lr_runs_once_per_gadget(self, monkeypatch):
+        calls = []
+        lr = networkx.check_planarity
+
+        def counting_lr(graph, *args, **kwargs):
+            calls.append(graph.number_of_nodes())
+            return lr(graph, *args, **kwargs)
+        monkeypatch.setattr(networkx, "check_planarity", counting_lr)
+        gadget = dataclasses.replace(gjs_is_gadget())   # nothing cached
+        k5 = Graph.from_edges(5, itertools.combinations(range(5), 2))
+        assert validate_crossover_shape(gadget)
+        planarize(k5, LinearLayout.identity(5), 0, gadget)
+        planarize(k5, LinearLayout.identity(5), 0, gadget)
+        assert calls == [gadget.graph.n + 1]
+
+    def test_bad_shape_raises_gadget_error(self):
+        # the crossing itself, edges u-u' and v-v', cannot be drawn with
+        # the terminals apart in the cyclic order u, v, u', v'
+        gadget = gadget_from_json({
+            "problem": "is", "shift": 0, "terminals": [1, 2, 3, 4],
+            "graph": {"n": 4, "edges": [[1, 2], [3, 4]]},
+            "layout": [1, 2, 3, 4]})
+        assert not validate_crossover_shape(gadget)
+        k4 = Graph.from_edges(4, itertools.combinations(range(4), 2))
+        with pytest.raises(GadgetError, match="no planar drawing"):
+            planarize(k4, LinearLayout.identity(4), 0, gadget)
 
 
 class TestBoundaryFunction:

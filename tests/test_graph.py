@@ -1,11 +1,13 @@
+import itertools
 import random
 
 import pytest
 
-from cutplanar.errors import InvalidLayoutError, OracleLimitError
-from cutplanar.graph import (Graph, LinearLayout, cut_profile, exact_cutwidth,
-                             identify_vertices, is_planar,
-                             layout_to_path_decomposition, random_graph)
+from cutplanar.errors import InvalidLayoutError, InvariantError, OracleLimitError
+from cutplanar.graph import (Graph, LinearLayout, check_embedding, cut_profile,
+                             exact_cutwidth, identify_vertices, is_planar,
+                             layout_to_path_decomposition, planar_rotation,
+                             random_graph)
 
 from oracles import brute_cutwidth, brute_planarity
 
@@ -127,6 +129,63 @@ class TestPlanarity:
             n = rng.randint(3, 10)
             g = random_graph(n, 0.3, rng)
             assert is_planar(g) == brute_planarity(g), sorted(g.edges)
+
+
+def all_rotations(g):
+    """Every rotation system of g: each vertex's neighbours in every
+    cyclic order (the smallest neighbour first)."""
+    per_vertex = []
+    for nbrs in g.adjacency():
+        ordered = sorted(nbrs)
+        per_vertex.append([tuple(ordered[:1]) + p
+                           for p in itertools.permutations(ordered[1:])])
+    return itertools.product(*per_vertex)
+
+
+class TestEmbeddingCheck:
+    def test_rejects_every_rotation_of_k5_and_k33(self):
+        for g, count in ((complete(5), 6 ** 5), (K33, 2 ** 6)):
+            tried = 0
+            for rot in all_rotations(g):
+                with pytest.raises(InvariantError, match="not planar"):
+                    check_embedding(g, rot)
+                tried += 1
+            assert tried == count
+
+    def test_k4_accepts_exactly_its_two_embeddings(self):
+        # K4 is 3-connected: its embedding is unique up to mirroring
+        g = complete(4)
+        faces = []
+        for rot in all_rotations(g):
+            try:
+                faces.append(check_embedding(g, rot))
+            except InvariantError as exc:
+                assert "V - E + F = 4 - 6 + 2 " in str(exc)
+        assert faces == [4, 4]
+
+    def test_accepts_lr_embeddings(self):
+        rng = random.Random(3)
+        for _ in range(60):
+            g = random_graph(rng.randint(1, 12), 0.3, rng)
+            rot = planar_rotation(g)
+            assert (rot is not None) == is_planar(g)
+            if rot is not None:
+                check_embedding(g, rot)
+
+    def test_components_and_isolated_vertices(self):
+        # two triangles and an isolated vertex: 7 - 6 + 4 = 2*3 - 1
+        g = Graph.from_edges(7, [(0, 1), (1, 2), (0, 2),
+                                 (3, 4), (4, 5), (3, 5)])
+        rot = [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4], []]
+        assert check_embedding(g, rot) == 4
+
+    @pytest.mark.parametrize("bad", [[2], [0, 0], [0, 2, 0], [0, 3]],
+                             ids=["missing", "duplicate", "extra", "foreign"])
+    def test_rotation_must_permute_neighbours(self, bad):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)], {1: "X0:b"})
+        with pytest.raises(InvariantError,
+                           match=r"^rotation at vertex X0:b is not a perm"):
+            check_embedding(g, [[1, 2], bad, [0, 1], []])
 
 
 class TestPathDecomposition:

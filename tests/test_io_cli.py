@@ -1,16 +1,18 @@
 import importlib
 import json
 
+import networkx
 import pytest
 
 from cutplanar import cli
 from cutplanar import io as cio
 from cutplanar.errors import InvariantError, ParseError
 from cutplanar.gadgets import gjs_is_gadget, CrossoverGadget
-from cutplanar.graph import Graph, LinearLayout, is_planar
+from cutplanar.graph import Graph, LinearLayout, check_embedding
 
 # the package exports the function planarize under the module's name
 planarize_module = importlib.import_module("cutplanar.planarize")
+lr_check_planarity = networkx.check_planarity
 
 
 def complete(n):
@@ -130,19 +132,28 @@ class TestCli:
         assert out_graph.n == 26
 
     def test_planarize_k4_verify(self, capsys, monkeypatch, k4_files, tmp_path):
-        calls = []
+        # planarity of G' is proven once per job, by the embedding check;
+        # the left-right test runs at most once, on the gadget certificate
+        checks, lr_calls = [], []
 
-        def counting_is_planar(g):
-            calls.append(g.n)
-            return is_planar(g)
-        monkeypatch.setattr(planarize_module, "is_planar", counting_is_planar)
+        def counting_check(g, rotation):
+            checks.append(g.n)
+            return check_embedding(g, rotation)
+
+        def counting_lr(graph, *args, **kwargs):
+            lr_calls.append(graph.number_of_nodes())
+            return lr_check_planarity(graph, *args, **kwargs)
+        assert not hasattr(planarize_module, "is_planar")
+        monkeypatch.setattr(planarize_module, "check_embedding", counting_check)
+        monkeypatch.setattr(networkx, "check_planarity", counting_lr)
         gpath, lpath = k4_files
         code, rep = run_cli(capsys, [
             "planarize", gpath, lpath, "--problem", "is", "--t", "1",
             "--verify", "--out-prefix", str(tmp_path / "v")])
         assert code == 0
         assert rep["results"]["verified"] is True
-        assert calls == [26]   # LR planarity runs once per job, on G'
+        assert checks == [26]
+        assert lr_calls in ([], [gjs_is_gadget().graph.n + 1])
 
     def test_planarize_k5_ds(self, capsys, tmp_path):
         g = complete(5)
@@ -189,7 +200,9 @@ class TestCli:
         json.dumps({**EDGELESS_GADGET_JSON, "problem": "xx"}),
         json.dumps({**EDGELESS_GADGET_JSON, "terminals": [1, 2, 3, 9]}),
         "{not json",
-    ], ids=["unknown-problem", "terminal-out-of-range", "not-json"])
+        json.dumps({**EDGELESS_GADGET_JSON, "layout": [1, 2, 3, 3]}),
+    ], ids=["unknown-problem", "terminal-out-of-range", "not-json",
+            "bad-layout"])
     def test_certify_malformed_gadget_exit_code(self, capsys, tmp_path, text):
         gpath = tmp_path / "bad.json"
         gpath.write_text(text)

@@ -1,13 +1,22 @@
 import dataclasses
+import importlib
+import itertools
 import random
+from fractions import Fraction
 
+import networkx as nx
 import pytest
 
+from cutplanar.drawing import build_arc_drawing
 from cutplanar.errors import InvariantError
 from cutplanar.gadgets import ds_crossover_gadget, gjs_is_gadget
-from cutplanar.graph import Graph, LinearLayout, cut_profile, is_planar, random_graph
+from cutplanar.graph import (Graph, LinearLayout, check_embedding, cut_profile,
+                             is_planar, random_graph)
 from cutplanar.planarize import _assert_invariants, planarize, verify_planarization
 from cutplanar.solvers import brute_is, dp_is
+
+# the package exports the function planarize under the module's name
+planarize_module = importlib.import_module("cutplanar.planarize")
 
 
 def complete(n):
@@ -159,3 +168,109 @@ class TestPlanarize:
             opt = dp_ds(res.g_prime, res.layout_prime).optimum
             assert opt - brute_ds(g) == 96
             found += 1
+
+
+def concurrent_triples(max_pos):
+    """Triples of pairwise crossing arcs on positions 1..max_pos that all
+    meet in one point.  Two arcs over [a, b] and [c, d] cross at
+    x = (ab - cd) / (a + b - c - d)."""
+    arcs = [(a, b) for a in range(1, max_pos + 1)
+            for b in range(a + 2, max_pos + 1)]
+    out = []
+    for trio in itertools.combinations(arcs, 3):
+        pairs = list(itertools.combinations(trio, 2))
+        if not all(a < c < b < d or c < a < d < b
+                   for (a, b), (c, d) in pairs):
+            continue
+        if len({Fraction(a * b - c * d, a + b - c - d)
+                for (a, b), (c, d) in pairs}) == 1:
+            out.append(trio)
+    return out
+
+
+def nx_embedding_is_planar(g, rotation):
+    """Independent verdict on a rotation system: networkx's own face
+    tracing and Euler check."""
+    emb = nx.PlanarEmbedding()
+    emb.set_data({v: list(r)[::-1] for v, r in enumerate(rotation)})
+    try:
+        emb.check_structure()
+    except nx.NetworkXException:
+        return False
+    return True
+
+
+def mirrored(gadget):
+    """A copy of the gadget whose rotation has the opposite orientation:
+    its connectors run clockwise u, v, u', v'."""
+    m = dataclasses.replace(gadget)
+    m.__dict__["rotation"] = tuple(r[:1] + r[:0:-1] for r in gadget.rotation)
+    return m
+
+
+def captured_embedding(monkeypatch, g, gadget):
+    """G' and the rotation system that planarize hands to the check."""
+    seen = []
+
+    def capture(g_prime, rotation):
+        seen.append((g_prime, [list(r) for r in rotation]))
+        return check_embedding(g_prime, rotation)
+    monkeypatch.setattr(planarize_module, "check_embedding", capture)
+    planarize(g, LinearLayout.identity(g.n), 0, gadget)
+    assert len(seen) == 1
+    return seen[0]
+
+
+class TestEmbedding:
+    @pytest.mark.parametrize("gadget", [gjs_is_gadget(), ds_crossover_gadget()],
+                             ids=["is", "ds"])
+    def test_concurrent_triple_crossings(self, gadget):
+        # three arcs through one point: the crossing order along each arc
+        # comes from the tiebreak, and the embedding must still close up
+        triples = concurrent_triples(13)
+        assert len(triples) == 47
+        assert ((1, 5), (2, 6), (3, 11)) in triples
+        for trio in triples:
+            n = max(b for _, b in trio)
+            g = Graph.from_edges(n, [(a - 1, b - 1) for a, b in trio])
+            assert len({c.x for c in build_arc_drawing(
+                g, LinearLayout.identity(n)).crossings}) == 1
+            res = planarize(g, LinearLayout.identity(n), 0, gadget)
+            assert res.crossings_replaced == 3
+            assert is_planar(res.g_prime)
+
+    @pytest.mark.parametrize("gadget", [gjs_is_gadget(), ds_crossover_gadget()],
+                             ids=["is", "ds"])
+    def test_mirrored_gadget_rejected(self, gadget):
+        with pytest.raises(InvariantError, match=r"V - E \+ F = .* C = 1 "):
+            planarize(complete(6), LinearLayout.identity(6), 0,
+                      mirrored(gadget))
+
+    def test_swapped_host_entries(self, monkeypatch):
+        g_prime, rot = captured_embedding(monkeypatch, complete(6),
+                                          gjs_is_gadget())
+        assert nx_embedding_is_planar(g_prime, rot)
+        rejected = 0
+        for v in range(6):
+            for i, j in itertools.combinations(range(len(rot[v])), 2):
+                bad = list(rot)
+                bad[v] = list(rot[v])
+                bad[v][i], bad[v][j] = bad[v][j], bad[v][i]
+                try:
+                    check_embedding(g_prime, bad)
+                    accepted = True
+                except InvariantError:
+                    accepted = False
+                assert accepted == nx_embedding_is_planar(g_prime, bad)
+                rejected += not accepted
+        assert rejected == 6 * 10   # every swap breaks genus 0 here
+
+    def test_missing_neighbour_names_vertex(self, monkeypatch):
+        g_prime, rot = captured_embedding(monkeypatch, complete(4),
+                                          gjs_is_gadget())
+        w = 4 + gjs_is_gadget().terminals[0]   # terminal u of copy X2
+        bad = list(rot)
+        bad[w] = rot[w][1:]
+        with pytest.raises(InvariantError,
+                           match=r"^rotation at vertex X2:u is not"):
+            check_embedding(g_prime, bad)
