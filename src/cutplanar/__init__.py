@@ -9,7 +9,6 @@ from .graph import (
     cut_profile,
     cutwidth_of_layout,
     exact_cutwidth,
-    identify_vertices,
     is_planar,
     layout_to_path_decomposition,
     random_graph,

@@ -7,6 +7,10 @@ cross exactly once, at an x-coordinate with a closed form.  All
 coordinates are exact rationals, and ties in the element order are
 broken by a deterministic lexicographic key, which corresponds to an
 infinitesimal perturbation of the drawing.
+
+The crossings are found by a sweep over left positions whose cost is
+output-sensitive, O(m log m + sum of spans + crossings), and the element
+order merges them with the vertices in linear time.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import CutplanarError, InvalidLayoutError
+from .errors import InvalidLayoutError
 from .graph import Graph, LinearLayout
 
 Edge = tuple[int, int]
@@ -26,19 +30,18 @@ class Crossing:
 
     ``edges`` holds the two crossing edges with position-normalized
     endpoints, ordered so that the pair is lexicographically sorted by
-    (left position, right position); this key doubles as the tiebreak.
+    (left position, right position).  The four positions in this order
+    break ties between crossings at equal x.
     """
 
     edges: tuple[Edge, Edge]   # ((a, b), (c, d)) as vertex ids
     x: Fraction
 
-    def tiebreak(self, pos: dict[int, int]) -> tuple:
-        (a, b), (c, d) = self.edges
-        return (pos[a], pos[b], pos[c], pos[d])
-
 
 @dataclass(frozen=True)
 class ArcDrawing:
+    """An arc diagram with its crossings sorted by (x, tiebreak)."""
+
     graph: Graph
     layout: LinearLayout
     crossings: tuple[Crossing, ...]
@@ -52,41 +55,42 @@ def _normalize(pos: dict[int, int], e: Edge) -> Edge:
     return (u, v) if pos[u] < pos[v] else (v, u)
 
 
-def _interleave(pos, e1: Edge, e2: Edge) -> bool:
-    a, b = pos[e1[0]], pos[e1[1]]
-    c, d = pos[e2[0]], pos[e2[1]]
-    return a < c < b < d or c < a < d < b
-
-
-def crossing_x(pos, e1: Edge, e2: Edge) -> Fraction:
-    """Intersection x-coordinate of the two semicircular arcs: with
-    centers m_i and radii r_i, equal heights give
-    x = (m1^2 - m2^2 + r2^2 - r1^2) / (2 (m1 - m2))."""
-    a, b = Fraction(pos[e1[0]]), Fraction(pos[e1[1]])
-    c, d = Fraction(pos[e2[0]]), Fraction(pos[e2[1]])
-    m1, r1 = (a + b) / 2, abs(b - a) / 2
-    m2, r2 = (c + d) / 2, abs(d - c) / 2
-    if m1 == m2:
-        raise CutplanarError("concentric arcs cannot properly cross")
-    return (m1 * m1 - m2 * m2 + r2 * r2 - r1 * r1) / (2 * (m1 - m2))
-
-
 def build_arc_drawing(g: Graph, layout: LinearLayout) -> ArcDrawing:
-    """All pairwise crossings of the arc diagram of (g, layout)."""
+    """All pairwise crossings of the arc diagram of (g, layout), sorted
+    by (x, tiebreak), in O(m log m + sum of spans + crossings).
+
+    The arcs over positions a < b and c < d cross iff a < c < b < d.  With
+    the right ends starting at each left position listed in descending
+    order, the arcs crossing (a, b) from the right are found by scanning
+    the left positions c strictly inside (a, b) and reading each list
+    while d > b.  Equal heights of the two semicircles,
+    (x - a)(b - x) = (x - c)(d - x), give x = (ab - cd) / (a + b - c - d);
+    the denominator is never zero because a + b < c + d.
+    """
     layout.validate(g)
     pos = layout.position()
-    edges = [_normalize(pos, e) for e in g.sorted_edges()]
-    edges.sort(key=lambda e: (pos[e[0]], pos[e[1]]))
-    crossings = []
-    for i in range(len(edges)):
-        for j in range(i + 1, len(edges)):
-            e1, e2 = edges[i], edges[j]
-            if _interleave(pos, e1, e2):
-                pair = tuple(sorted((e1, e2),
-                                    key=lambda e: (pos[e[0]], pos[e[1]])))
-                crossings.append(Crossing(pair, crossing_x(pos, e1, e2)))
-    crossings.sort(key=lambda c: (c.x, c.tiebreak(pos)))
-    return ArcDrawing(g, layout, tuple(crossings))
+    vertex = layout.order   # vertex at position p is vertex[p - 1]
+    rights: list[list[int]] = [[] for _ in range(len(vertex) + 1)]
+    for e in g.edges:
+        a, b = sorted((pos[e[0]], pos[e[1]]))
+        rights[a].append(b)
+    for ends in rights:
+        ends.sort(reverse=True)
+    found = []
+    for a, ends in enumerate(rights):
+        for b in ends:
+            for c in range(a + 1, b):
+                for d in rights[c]:
+                    if d <= b:
+                        break
+                    found.append((Fraction(a * b - c * d, a + b - c - d),
+                                  a, b, c, d))
+    found.sort()
+    crossings = tuple(
+        Crossing(((vertex[a - 1], vertex[b - 1]),
+                  (vertex[c - 1], vertex[d - 1])), x)
+        for x, a, b, c, d in found)
+    return ArcDrawing(g, layout, crossings)
 
 
 @dataclass(frozen=True)
@@ -101,16 +105,21 @@ class Element:
 
 def element_order(d: ArcDrawing) -> list[Element]:
     """Vertices and crossings in strict total order by (x, kind, tiebreak);
-    restricted to vertices this equals the layout order."""
-    pos = d.position()
-    elems = [Element("vertex", Fraction(i + 1), vertex=v)
-             for i, v in enumerate(d.layout.order)]
-    elems += [Element("crossing", c.x, crossing=c) for c in d.crossings]
-    def key(el: Element):
-        if el.kind == "vertex":
-            return (el.x, 0, (el.vertex,))
-        return (el.x, 1, el.crossing.tiebreak(pos))
-    elems.sort(key=key)
+    restricted to vertices this equals the layout order.  The crossings
+    are already in (x, tiebreak) order and vertex i + 1 sits at x = i + 1,
+    so one merge places each crossing before the first vertex right of
+    it; a crossing above a vertex comes after that vertex."""
+    elems = []
+    crossings = iter(d.crossings)
+    c = next(crossings, None)
+    for i, v in enumerate(d.layout.order):
+        while c is not None and c.x < i + 1:
+            elems.append(Element("crossing", c.x, crossing=c))
+            c = next(crossings, None)
+        elems.append(Element("vertex", Fraction(i + 1), vertex=v))
+    while c is not None:
+        elems.append(Element("crossing", c.x, crossing=c))
+        c = next(crossings, None)
     return elems
 
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
+import numpy as np
 
 from .errors import InvalidLayoutError, InvariantError, OracleLimitError
 
@@ -126,7 +127,8 @@ class LinearLayout:
         return {v: i + 1 for i, v in enumerate(self.order)}
 
     def validate(self, g: Graph) -> None:
-        if sorted(self.order) != list(range(g.n)):
+        # the length test first: g.n may come from an untrusted file
+        if len(self.order) != g.n or sorted(self.order) != list(range(g.n)):
             raise InvalidLayoutError(
                 f"layout over {len(self.order)} entries is not a permutation "
                 f"of 0..{g.n - 1}")
@@ -172,19 +174,12 @@ class PathDecomposition:
 def cut_profile(g: Graph, layout: LinearLayout) -> CutProfile:
     """Count, for every gap i, the edges {u,v} with pi(u) <= i < pi(v)."""
     layout.validate(g)
-    pos = layout.position()
-    diffs = [0] * (g.n + 1)
-    for u, v in g.edges:
-        a, b = pos[u], pos[v]
-        if a > b:
-            a, b = b, a
-        diffs[a] += 1
-        diffs[b] -= 1
-    widths = []
-    running = 0
-    for i in range(1, g.n):
-        running += diffs[i]
-        widths.append(running)
+    pos = np.empty(g.n, dtype=np.int64)
+    pos[np.array(layout.order, dtype=np.int64)] = np.arange(1, g.n + 1)
+    ends = pos[_edge_array(g)]
+    diffs = (np.bincount(ends.min(axis=1), minlength=g.n + 1)
+             - np.bincount(ends.max(axis=1), minlength=g.n + 1))
+    widths = np.cumsum(diffs[1:g.n]).tolist()
     return CutProfile(tuple(widths), max(widths) if widths else 0)
 
 
@@ -260,71 +255,122 @@ def planar_rotation(g: Graph) -> list[list[int]] | None:
     return [list(emb.neighbors_cw_order(v))[::-1] for v in range(g.n)]
 
 
+def _edge_array(g: Graph) -> np.ndarray:
+    """The edges of g as an (m, 2) int64 array."""
+    flat = np.fromiter(itertools.chain.from_iterable(g.edges), np.int64,
+                       count=2 * g.m)
+    return flat.reshape(g.m, 2)
+
+
 def check_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> int:
-    """Prove g planar from a rotation system in O(n + m).
+    """Prove g planar from a rotation system in O((n + m) log(n + m)).
 
     ``rotation[v]`` lists the neighbours of v in counter-clockwise order.
-    The faces of the rotation system are traced, and Euler's formula
+    The faces of the rotation system are counted, and Euler's formula
     V - E + F = 2C - I (C components, I isolated vertices) holds iff
     every component is embedded in the sphere, i.e. the rotation system
     is a planar embedding of g.  Returns F.  Raises InvariantError naming
-    the vertex whose rotation is not a permutation of its neighbours, or
-    giving V, E, F and C when the genus is positive.
+    the first vertex whose rotation is not a permutation of its
+    neighbours, or giving V, E, F and C when the genus is positive.
+
+    All steps are numpy passes over the darts: sorting proves the
+    permutations and pairs every dart with its reverse, faces are
+    labelled by their minimum dart through pointer doubling, and
+    components are merged in Boruvka rounds.
     """
     n = g.n
     if len(rotation) != n:
         raise InvariantError(
             f"rotation system has {len(rotation)} vertices, graph has {n}")
-    adj = g.adjacency()
-    # darts are numbered vertex by vertex in rotation order; index[v][w]
-    # is the dart v->w and succ[d] the next dart around the tail of d
-    index: list[dict[int, int]] = []
-    succ: list[int] = []
-    start = 0
-    for v, r in enumerate(rotation):
-        end = start + len(r)
-        idx = dict(zip(r, range(start, end)))
-        if len(idx) != len(r) or idx.keys() != adj[v]:
-            raise InvariantError(
-                f"rotation at vertex {g.labels.get(v, str(v))} is not a "
-                f"permutation of its {len(adj[v])} neighbours")
-        index.append(idx)
-        succ.extend(range(start + 1, end))
-        if r:
-            succ.append(start)
-        start = end
-    # the face after dart v->w continues with w->x, x the successor of v at w
-    nxt = [succ[index[w][v]] for v, r in enumerate(rotation) for w in r]
-    seen = bytearray(len(nxt))
-    faces = 0
-    for first in range(len(nxt)):
-        if not seen[first]:
-            faces += 1
-            d = first
-            while not seen[d]:
-                seen[d] = 1
-                d = nxt[d]
-    reached = bytearray(n)
-    components = isolated = 0
-    for s in range(n):
-        if reached[s]:
-            continue
-        components += 1
-        isolated += not adj[s]
-        reached[s] = 1
-        stack = [s]
-        while stack:
-            for w in rotation[stack.pop()]:
-                if not reached[w]:
-                    reached[w] = 1
-                    stack.append(w)
-    edges = len(nxt) // 2
-    if n - edges + faces != 2 * components - isolated:
+    # darts are numbered vertex by vertex in rotation order
+    lens = np.fromiter(map(len, rotation), np.int64, count=n)
+    tail = np.repeat(np.arange(n, dtype=np.int64), lens)
+    head = np.fromiter(itertools.chain.from_iterable(rotation), np.int64,
+                       count=len(tail))
+    edges = _edge_array(g)
+    deg = np.bincount(edges.ravel(), minlength=n)
+    # rotation[v] permutes v's neighbours iff its sorted dart keys equal
+    # the sorted keys of the edge darts leaving v; an entry out of range
+    # would alias another key, so it marks its vertex bad instead
+    out_of_range = (head < 0) | (head >= n)
+    key = tail * n + np.where(out_of_range, 0, head)
+    order = np.argsort(key)
+    key_sorted = key[order]
+    want = np.sort(np.concatenate((edges[:, 0] * n + edges[:, 1],
+                                   edges[:, 1] * n + edges[:, 0])))
+    start = np.cumsum(lens) - lens
+    miscount = lens != deg
+    bad = miscount.copy()
+    bad[tail[out_of_range]] = True
+    # up to the first vertex with a wrong count, the sorted darts line up
+    # with the edge darts slot by slot
+    upto = start[np.argmax(miscount)] if miscount.any() else len(key)
+    bad[tail[:upto][key_sorted[:upto] != want[:upto]]] = True
+    if bad.any():
+        v = int(np.argmax(bad))
         raise InvariantError(
-            f"rotation system is not planar: V - E + F = {n} - {edges} + "
+            f"rotation at vertex {g.labels.get(v, str(v))} is not a "
+            f"permutation of its {deg[v]} neighbours")
+    # succ[d] is the next dart around the tail of d, rev[d] the reverse of
+    # d, and the face after dart v->w continues with the successor of w->v
+    darts = len(key)
+    succ = np.arange(1, darts + 1, dtype=np.int64)
+    ends = np.flatnonzero(lens)
+    succ[start[ends] + lens[ends] - 1] = start[ends]
+    rev = order[np.searchsorted(key_sorted, head * n + tail)]
+    faces = int(np.count_nonzero(_cycle_minima(succ[rev])
+                                 == np.arange(darts)))
+    components = _component_count(n, edges)
+    isolated = int(np.count_nonzero(deg == 0))
+    m = darts // 2
+    if n - m + faces != 2 * components - isolated:
+        raise InvariantError(
+            f"rotation system is not planar: V - E + F = {n} - {m} + "
             f"{faces} != 2C - I with C = {components} components, "
             f"I = {isolated} isolated")
     return faces
+
+
+def _cycle_minima(perm: np.ndarray) -> np.ndarray:
+    """For a permutation, the smallest element of the cycle through each
+    element.  Round k takes the minimum over the next 2^k elements; once
+    a round changes nothing, that minimum is constant along each cycle."""
+    label = np.arange(len(perm), dtype=np.int64)
+    jump = perm
+    while True:
+        step = np.minimum(label, label[jump])
+        if np.array_equal(step, label):
+            return label
+        label = step
+        jump = jump[jump]
+
+
+def _component_count(n: int, edges: np.ndarray) -> int:
+    """Connected components by Boruvka rounds on root labels: every root
+    with an edge to another tree points at its smallest neighbouring root
+    (of two roots pointing at each other the smaller stays a root), and
+    paths are then compressed.  Every such tree merges in each round, so
+    O(log n) rounds suffice."""
+    parent = np.arange(n, dtype=np.int64)
+    u, v = edges[:, 0], edges[:, 1]
+    while True:
+        pu, pv = parent[u], parent[v]
+        split = pu != pv
+        if not split.any():
+            return int(np.count_nonzero(parent == np.arange(n)))
+        pu, pv = pu[split], pv[split]
+        target = np.full(n, n, dtype=np.int64)
+        np.minimum.at(target, np.concatenate((pu, pv)),
+                      np.concatenate((pv, pu)))
+        roots = np.flatnonzero(target < n)
+        to = target[roots]
+        hook = (target[to] != roots) | (roots > to)
+        parent[roots[hook]] = to[hook]
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 def layout_to_path_decomposition(g: Graph, layout: LinearLayout
@@ -351,33 +397,6 @@ def layout_to_path_decomposition(g: Graph, layout: LinearLayout
             leaves[last].append(v)
     width = max(len(b) for b in bags) - 1
     return PathDecomposition(tuple(bags), width)
-
-
-def identify_vertices(g: Graph, u: int, v: int) -> Graph:
-    """Merge u and v into a new vertex w with N(w) = N({u,v}).
-
-    Parallel edges collapse and loops are dropped, restoring the
-    simple-graph invariant.  The merged vertex keeps u's label (if any)
-    and becomes the last vertex of the result.
-    """
-    if u == v:
-        raise ValueError("cannot identify a vertex with itself")
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise ValueError("vertex out of range")
-    keep = [w for w in range(g.n) if w not in (u, v)]
-    perm = {w: i for i, w in enumerate(keep)}
-    w_new = len(keep)
-    edges = []
-    for a, b in g.edges:
-        a2 = w_new if a in (u, v) else perm[a]
-        b2 = w_new if b in (u, v) else perm[b]
-        if a2 != b2:
-            edges.append((a2, b2))
-    labels = {perm[x]: s for x, s in g.labels.items() if x in perm}
-    merged_label = g.labels.get(u, g.labels.get(v))
-    if merged_label is not None:
-        labels[w_new] = merged_label
-    return Graph.from_edges(w_new + 1, edges, labels)
 
 
 def random_graph(n: int, p: float, rng) -> Graph:

@@ -99,14 +99,20 @@ def graph_to_json(g: Graph) -> dict:
     return out
 
 
+# what int(), indexing and .items() raise on JSON of the wrong shape or an
+# infinite float; Graph and CrossoverGadget raise ValueError
+_BAD_JSON = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
 def graph_from_json(obj: dict) -> Graph:
     try:
         n = int(obj["n"])
         edges = [(int(u) - 1, int(v) - 1) for u, v in obj["edges"]]
-    except (KeyError, TypeError, ValueError) as exc:
+        labels = {int(k) - 1: str(s)
+                  for k, s in obj.get("labels", {}).items()}
+        return Graph.from_edges(n, edges, labels)
+    except _BAD_JSON as exc:
         raise ParseError(f"bad graph JSON: {exc}")
-    labels = {int(k) - 1: str(s) for k, s in obj.get("labels", {}).items()}
-    return Graph.from_edges(n, edges, labels)
 
 
 def gadget_to_json(gadget: CrossoverGadget) -> dict:
@@ -127,7 +133,7 @@ def gadget_from_json(obj: dict) -> CrossoverGadget:
         graph = graph_from_json(obj["graph"])
         layout = LinearLayout(tuple(int(v) - 1 for v in obj["layout"]))
         return CrossoverGadget(problem, graph, terminals, layout, shift)
-    except (KeyError, TypeError, ValueError, InvalidLayoutError) as exc:
+    except (*_BAD_JSON, InvalidLayoutError, ParseError) as exc:
         raise ParseError(f"bad gadget JSON: {exc}")
 
 
@@ -155,35 +161,3 @@ def write_dot(g: Graph) -> str:
     lines += [f"  {u + 1} -- {v + 1};" for u, v in g.sorted_edges()]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def parse_dot(text: str) -> Graph:
-    """Parse the subset of DOT emitted by write_dot."""
-    verts: set[int] = set()
-    labels: dict[int, str] = {}
-    edges = []
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip().rstrip(";")
-        if not line or line.startswith("graph") or line == "}":
-            continue
-        if "--" in line:
-            a, _, b = line.partition("--")
-            try:
-                u, v = int(a.strip()) - 1, int(b.strip()) - 1
-            except ValueError:
-                raise ParseError("bad edge line in DOT", ln)
-            edges.append((u, v))
-            verts |= {u, v}
-        else:
-            name, _, attr = line.partition("[")
-            try:
-                v = int(name.strip()) - 1
-            except ValueError:
-                raise ParseError("bad node line in DOT", ln)
-            verts.add(v)
-            if attr:
-                key, _, val = attr.rstrip("]").partition("=")
-                if key.strip() == "label":
-                    labels[v] = val.strip().strip('"')
-    n = max(verts) + 1 if verts else 0
-    return Graph.from_edges(n, edges, labels)

@@ -11,9 +11,9 @@ inside gadget copies never exceed input + gadget + 4.
 Planarity of the result is proven from the drawing itself: while G' is
 assembled, the arc positions give every host vertex its rotation, and
 each gadget copy takes the gadget's cached planar rotation with its
-connector slots filled in.  ``graph.check_embedding`` then traces the
-faces of this rotation system and checks Euler's formula in O(n' + m'),
-so no general planarity test runs on G'.
+connector slots filled in.  ``graph.check_embedding`` then counts the
+faces of this rotation system and checks Euler's formula with numpy
+passes over the darts, so no general planarity test runs on G'.
 """
 
 from __future__ import annotations

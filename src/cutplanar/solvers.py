@@ -28,7 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OracleLimitError, ResourceLimitError
-from .graph import Graph, LinearLayout, cut_profile, layout_to_path_decomposition
+from .graph import Graph, LinearLayout, layout_to_path_decomposition
 
 BRUTE_LIMIT = 28
 MEMORY_BUDGET_BYTES = 2 << 30
@@ -372,7 +372,13 @@ def heuristic_layout(g: Graph, seed: int = 0, restarts: int = 3) -> LinearLayout
         return order
 
     def width_of(order: list[int]) -> int:
-        return cut_profile(g, LinearLayout(tuple(order))).max_width
+        # the cut grows by the edges from v to the right minus those back
+        placed = cut = width = 0
+        for v in order:
+            cut += deg[v] - 2 * (adj[v] & placed).bit_count()
+            placed |= 1 << v
+            width = max(width, cut)
+        return width
 
     def two_opt(order: list[int]) -> list[int]:
         improved = True

@@ -5,8 +5,11 @@ dual-route check (implementation vs oracle) stays meaningful.
 """
 
 import itertools
+from fractions import Fraction
 
-from cutplanar.graph import Graph
+from cutplanar.drawing import Crossing
+from cutplanar.errors import InvariantError
+from cutplanar.graph import Graph, LinearLayout
 
 
 # ---------------------------------------------------------------------------
@@ -87,6 +90,109 @@ def brute_cutwidth(g: Graph) -> int:
         if best is None or width < best:
             best = width
     return best or 0
+
+
+def gap_cuts(g: Graph, layout: LinearLayout) -> tuple[int, ...]:
+    """Cut after each position but the last, counted edge by edge."""
+    pos = layout.position()
+    return tuple(sum(1 for u, v in g.edges
+                     if min(pos[u], pos[v]) <= i < max(pos[u], pos[v]))
+                 for i in range(1, g.n))
+
+
+# ---------------------------------------------------------------------------
+# arc crossings by testing every pair of edges
+# ---------------------------------------------------------------------------
+
+def crossing_x(pos, e1, e2) -> Fraction:
+    """Intersection x-coordinate of the two semicircular arcs: with
+    centers m_i and radii r_i, equal heights give
+    x = (m1^2 - m2^2 + r2^2 - r1^2) / (2 (m1 - m2))."""
+    a, b = Fraction(pos[e1[0]]), Fraction(pos[e1[1]])
+    c, d = Fraction(pos[e2[0]]), Fraction(pos[e2[1]])
+    m1, r1 = (a + b) / 2, abs(b - a) / 2
+    m2, r2 = (c + d) / 2, abs(d - c) / 2
+    return (m1 * m1 - m2 * m2 + r2 * r2 - r1 * r1) / (2 * (m1 - m2))
+
+
+def pairwise_crossings(g: Graph, layout: LinearLayout) -> tuple:
+    """Every pair of strictly interleaving arcs, with its semicircle
+    intersection, in (x, tiebreak) order."""
+    pos = layout.position()
+    spans = sorted(tuple(sorted(e, key=pos.get)) for e in g.edges)
+    crossings = []
+    for e1, e2 in itertools.combinations(spans, 2):
+        a, b = pos[e1[0]], pos[e1[1]]
+        c, d = pos[e2[0]], pos[e2[1]]
+        if a < c < b < d or c < a < d < b:
+            pair = tuple(sorted((e1, e2), key=lambda e: (pos[e[0]], pos[e[1]])))
+            crossings.append(Crossing(pair, crossing_x(pos, e1, e2)))
+    crossings.sort(key=lambda c: (c.x, *(pos[w] for e in c.edges for w in e)))
+    return tuple(crossings)
+
+
+# ---------------------------------------------------------------------------
+# planar embedding check by tracing faces dart by dart
+# ---------------------------------------------------------------------------
+
+def trace_faces(g: Graph, rotation) -> int:
+    """Faces of a planar rotation system, with the same InvariantError
+    texts as ``graph.check_embedding``: every face is walked dart by dart
+    and components are found by depth-first search."""
+    n = g.n
+    if len(rotation) != n:
+        raise InvariantError(
+            f"rotation system has {len(rotation)} vertices, graph has {n}")
+    adj = g.adjacency()
+    # darts are numbered vertex by vertex in rotation order; index[v][w]
+    # is the dart v->w and succ[d] the next dart around the tail of d
+    index: list[dict[int, int]] = []
+    succ: list[int] = []
+    start = 0
+    for v, r in enumerate(rotation):
+        end = start + len(r)
+        idx = dict(zip(r, range(start, end)))
+        if len(idx) != len(r) or idx.keys() != adj[v]:
+            raise InvariantError(
+                f"rotation at vertex {g.labels.get(v, str(v))} is not a "
+                f"permutation of its {len(adj[v])} neighbours")
+        index.append(idx)
+        succ.extend(range(start + 1, end))
+        if r:
+            succ.append(start)
+        start = end
+    # the face after dart v->w continues with w->x, x the successor of v at w
+    nxt = [succ[index[w][v]] for v, r in enumerate(rotation) for w in r]
+    seen = bytearray(len(nxt))
+    faces = 0
+    for first in range(len(nxt)):
+        if not seen[first]:
+            faces += 1
+            d = first
+            while not seen[d]:
+                seen[d] = 1
+                d = nxt[d]
+    reached = bytearray(n)
+    components = isolated = 0
+    for s in range(n):
+        if reached[s]:
+            continue
+        components += 1
+        isolated += not adj[s]
+        reached[s] = 1
+        stack = [s]
+        while stack:
+            for w in rotation[stack.pop()]:
+                if not reached[w]:
+                    reached[w] = 1
+                    stack.append(w)
+    edges = len(nxt) // 2
+    if n - edges + faces != 2 * components - isolated:
+        raise InvariantError(
+            f"rotation system is not planar: V - E + F = {n} - {edges} + "
+            f"{faces} != 2C - I with C = {components} components, "
+            f"I = {isolated} isolated")
+    return faces
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,9 @@
+import importlib.util
 import itertools
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -9,9 +12,23 @@ from cutplanar.drawing import (build_arc_drawing, element_order, to_svg,
 from cutplanar.errors import InvalidLayoutError
 from cutplanar.graph import Graph, LinearLayout, cut_profile, random_graph
 
+from oracles import pairwise_crossings
+
 
 def complete(n):
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
+
+
+def band24_host(seed):
+    """The banded 24-vertex host of the benchmark's verify-is workload
+    (48 edges, 140 crossings), from the benchmark's own generator."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen   # dataclasses look their module up here
+    spec.loader.exec_module(gen)
+    h = gen.banded_host(24, 48, 6, 140, seed)
+    return Graph.from_edges(h.n, h.edges), LinearLayout(h.order)
 
 
 class TestCrossings:
@@ -55,6 +72,21 @@ class TestCrossings:
                     brute += 1
             d = build_arc_drawing(g, layout)
             assert len(d.crossings) == brute
+
+    def test_matches_pairwise_oracle(self):
+        hosts = [(complete(n), LinearLayout.identity(n)) for n in range(4, 10)]
+        rng = random.Random(5)
+        for _ in range(30):
+            n = rng.randint(2, 14)
+            order = list(range(n))
+            rng.shuffle(order)
+            hosts.append((random_graph(n, rng.random(), rng),
+                          LinearLayout(tuple(order))))
+        hosts += [band24_host(1), band24_host(2)]
+        assert len(hosts[-1][1].order) == 24
+        for g, layout in hosts:
+            assert build_arc_drawing(g, layout).crossings == \
+                pairwise_crossings(g, layout)
 
     def test_crossing_x_strictly_inside_inner_interval(self):
         rng = random.Random(2)
@@ -100,6 +132,13 @@ class TestElementOrder:
         # lexicographic tiebreak on normalized position keys
         assert xs[0].edges == ((0, 3), (2, 5))
         assert xs[1].edges == ((1, 3), (2, 4))
+
+    def test_crossing_above_a_vertex_follows_it(self):
+        # arcs 1-5 and 3-7 meet above vertex 4, at x = 4
+        g = Graph.from_edges(7, [(0, 4), (2, 6)])
+        elems = element_order(build_arc_drawing(g, LinearLayout.identity(7)))
+        assert [(e.kind, e.x) for e in elems[3:5]] == [("vertex", 4),
+                                                      ("crossing", 4)]
 
     def test_restriction_to_vertices_is_layout_order(self):
         rng = random.Random(3)

@@ -4,12 +4,12 @@ import random
 import pytest
 
 from cutplanar.errors import InvalidLayoutError, InvariantError, OracleLimitError
-from cutplanar.graph import (Graph, LinearLayout, check_embedding, cut_profile,
-                             exact_cutwidth, identify_vertices, is_planar,
+from cutplanar.graph import (CutProfile, Graph, LinearLayout, check_embedding,
+                             cut_profile, exact_cutwidth, is_planar,
                              layout_to_path_decomposition, planar_rotation,
                              random_graph)
 
-from oracles import brute_cutwidth, brute_planarity
+from oracles import brute_cutwidth, brute_planarity, gap_cuts, trace_faces
 
 
 def path(n):
@@ -65,6 +65,22 @@ class TestCutProfile:
     def test_invalid_layout(self):
         with pytest.raises(InvalidLayoutError):
             cut_profile(path(3), LinearLayout((0, 1)))
+
+    def test_short_layout_of_huge_graph(self):
+        # rejected by its length, without listing 10^12 positions
+        with pytest.raises(InvalidLayoutError):
+            LinearLayout((0,)).validate(Graph.from_edges(10 ** 12, []))
+
+    def test_matches_edge_by_edge_count(self):
+        rng = random.Random(6)
+        for n in [0, 1, 2] + [rng.randint(3, 16) for _ in range(30)]:
+            g = random_graph(n, rng.random(), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            layout = LinearLayout(tuple(order))
+            widths = gap_cuts(g, layout)
+            assert cut_profile(g, layout) == CutProfile(widths,
+                                                        max(widths, default=0))
 
 
 class TestExactCutwidth:
@@ -142,6 +158,14 @@ def all_rotations(g):
     return itertools.product(*per_vertex)
 
 
+def embedding_outcome(check, g, rotation):
+    """The face count, or the InvariantError text, of a check."""
+    try:
+        return check(g, rotation)
+    except InvariantError as exc:
+        return str(exc)
+
+
 class TestEmbeddingCheck:
     def test_rejects_every_rotation_of_k5_and_k33(self):
         for g, count in ((complete(5), 6 ** 5), (K33, 2 ** 6)):
@@ -179,13 +203,44 @@ class TestEmbeddingCheck:
         rot = [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4], []]
         assert check_embedding(g, rot) == 4
 
-    @pytest.mark.parametrize("bad", [[2], [0, 0], [0, 2, 0], [0, 3]],
-                             ids=["missing", "duplicate", "extra", "foreign"])
+    @pytest.mark.parametrize("bad", [[2], [0, 0], [0, 2, 0], [0, 3],
+                                     [2, -1], [4, 2]],
+                             ids=["missing", "duplicate", "extra", "foreign",
+                                  "below", "above"])
     def test_rotation_must_permute_neighbours(self, bad):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)], {1: "X0:b"})
         with pytest.raises(InvariantError,
                            match=r"^rotation at vertex X0:b is not a perm"):
             check_embedding(g, [[1, 2], bad, [0, 1], []])
+
+    def test_out_of_range_entry_aliases_no_dart(self):
+        # as dart 1->4, the entry 4 would share the key 1 * 4 + 4 of dart
+        # 2->0, which vertex 2 omits: the darts as a whole still match
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)], {1: "X0:b"})
+        with pytest.raises(InvariantError,
+                           match=r"^rotation at vertex X0:b is not a perm"):
+            check_embedding(g, [[1, 2], [0, 2, 4], [1], []])
+
+    def test_agrees_with_face_tracer(self):
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(300):
+            n = rng.randint(1, 9)
+            g = random_graph(n, rng.random(), rng)
+            rot = [rng.sample(sorted(nbrs), len(nbrs)) for nbrs in g.adjacency()]
+            if rng.random() < 0.3:
+                # corrupt one rotation: drop, repeat or add an entry
+                v = rng.randrange(n)
+                entry = rng.choice([-1, 0, n - 1, n, rng.randrange(n)])
+                if rot[v] and rng.random() < 0.5:
+                    rot[v][rng.randrange(len(rot[v]))] = entry
+                else:
+                    rot[v].append(entry)
+            got = embedding_outcome(check_embedding, g, rot)
+            assert got == embedding_outcome(trace_faces, g, rot)
+            outcomes.add(got if isinstance(got, int) else got[:18])
+        # accepted rotations, genus errors and permutation errors all occur
+        assert {"rotation system is", "rotation at vertex"} < outcomes
 
 
 class TestPathDecomposition:
@@ -238,25 +293,3 @@ class TestPathDecomposition:
             pd = layout_to_path_decomposition(g, layout)
             assert pd.bags == expect
             pd.validate(g)
-
-
-class TestIdentifyVertices:
-    def test_path_endpoints(self):
-        g = identify_vertices(path(3), 0, 2)
-        assert g.n == 2 and g.m == 1
-
-    def test_two_disjoint_edges(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3)])
-        merged = identify_vertices(g, 1, 2)
-        # result is a path on 3 vertices
-        assert merged.n == 3 and merged.m == 2
-        degs = sorted(merged.degree(v) for v in range(3))
-        assert degs == [1, 1, 2]
-
-    def test_triangle_merges_parallel(self):
-        g = identify_vertices(complete(3), 0, 1)
-        assert g.n == 2 and g.m == 1
-
-    def test_same_vertex_rejected(self):
-        with pytest.raises(ValueError):
-            identify_vertices(path(3), 1, 1)

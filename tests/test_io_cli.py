@@ -1,12 +1,14 @@
 import importlib
 import json
+import re
 
 import networkx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutplanar import cli
 from cutplanar import io as cio
-from cutplanar.errors import InvariantError, ParseError
+from cutplanar.errors import InvalidLayoutError, InvariantError, ParseError
 from cutplanar.gadgets import gjs_is_gadget, CrossoverGadget
 from cutplanar.graph import Graph, LinearLayout, check_embedding
 
@@ -51,13 +53,6 @@ class TestGraphFormat:
         g = Graph.from_edges(3, [(0, 1)], {0: "root"})
         g2 = cio.graph_from_json(cio.graph_to_json(g))
         assert g2.edges == g.edges and g2.labels == g.labels
-
-
-class TestDot:
-    def test_round_trip(self):
-        g = Graph.from_edges(4, [(0, 1), (2, 3), (1, 2)], {0: "a"})
-        g2 = cio.parse_dot(cio.write_dot(g))
-        assert g2.n == g.n and g2.edges == g.edges and g2.labels == g.labels
 
 
 class TestGadgetJson:
@@ -235,5 +230,75 @@ class TestCli:
         code, _ = run_cli(capsys, ["export", gpath, "--format", "dot",
                                    "-o", out])
         assert code == 0
-        g = cio.parse_dot(open(out).read())
-        assert g.edges == complete(4).edges
+        text = (tmp_path / "k4.dot").read_text()
+        edges = re.findall(r"^  (\d+) -- (\d+);$", text, re.M)
+        assert {(int(u) - 1, int(v) - 1) for u, v in edges} == \
+            complete(4).edges
+
+
+# Parsers fed arbitrary input: each either raises a ParseError (a layout
+# that parses but is no permutation raises InvalidLayoutError, exit 3) or
+# returns a valid object.  Derandomized, so that every run tries the same
+# examples, and without an example database.
+fuzz = settings(max_examples=60, derandomize=True, database=None,
+                deadline=None)
+small_ints = st.integers(-2, 12)
+fields = st.one_of(small_ints.map(str), st.text(max_size=3))
+graph_lines = st.one_of(
+    st.text(max_size=12),
+    st.tuples(st.sampled_from(["p", "e", "c"]),
+              st.lists(fields, max_size=4)).map(
+        lambda t: " ".join((t[0], *t[1]))))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12)
+GADGET_JSON_PATHS = [
+    (), ("problem",), ("shift",), ("terminals",), ("terminals", 0), ("graph",),
+    ("graph", "n"), ("graph", "edges"), ("graph", "edges", 0),
+    ("graph", "edges", 0, 1), ("graph", "labels"), ("graph", "labels", "1"),
+    ("layout",), ("layout", 0)]
+
+
+class TestParserFuzz:
+    @fuzz
+    @given(st.lists(graph_lines, max_size=8).map("\n".join))
+    def test_parse_graph(self, text):
+        try:
+            g = cio.parse_graph(text)
+        except ParseError:
+            return
+        assert cio.parse_graph(cio.write_graph(g)) == g
+
+    @fuzz
+    @given(st.one_of(st.text(max_size=20),
+                     st.lists(fields, max_size=6).map(" ".join)))
+    def test_parse_layout(self, text):
+        g = complete(4)
+        try:
+            layout = cio.parse_layout(text, g)
+        except (ParseError, InvalidLayoutError):
+            return
+        assert sorted(layout.order) == [0, 1, 2, 3]
+
+    @fuzz
+    @given(st.sampled_from(GADGET_JSON_PATHS), json_values | small_ints)
+    def test_gadget_from_json(self, path, value):
+        # a valid gadget file with one entry, or all of it, replaced by
+        # arbitrary JSON
+        obj = {"root": cio.gadget_to_json(gjs_is_gadget())}
+        *parents, key = ("root", *path)
+        inner = obj
+        for k in parents:
+            inner = inner[k]
+        inner[key] = value
+        obj = obj["root"]
+        try:
+            gadget = cio.gadget_from_json(obj)
+        except ParseError:
+            return
+        assert isinstance(gadget, CrossoverGadget)
+        gadget.layout.validate(gadget.graph)
+        back = cio.gadget_from_json(cio.gadget_to_json(gadget))
+        assert back.graph == gadget.graph and back.layout == gadget.layout

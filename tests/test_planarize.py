@@ -15,6 +15,8 @@ from cutplanar.graph import (Graph, LinearLayout, check_embedding, cut_profile,
 from cutplanar.planarize import _assert_invariants, planarize, verify_planarization
 from cutplanar.solvers import brute_is, dp_is
 
+from oracles import trace_faces
+
 # the package exports the function planarize under the module's name
 planarize_module = importlib.import_module("cutplanar.planarize")
 
@@ -274,3 +276,30 @@ class TestEmbedding:
         with pytest.raises(InvariantError,
                            match=r"^rotation at vertex X2:u is not"):
             check_embedding(g_prime, bad)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_agrees_with_face_tracer(self, monkeypatch, n):
+        g_prime, rot = captured_embedding(monkeypatch, complete(n),
+                                          gjs_is_gadget())
+        rng = random.Random(n)
+        rotations = [rot]
+        for _ in range(20):
+            bad = list(rot)
+            v = rng.randrange(g_prime.n)
+            bad[v] = list(rot[v])
+            i = rng.randrange(len(bad[v]))
+            if rng.random() < 0.5:
+                j = rng.randrange(len(bad[v]))
+                bad[v][i], bad[v][j] = bad[v][j], bad[v][i]
+            else:
+                bad[v][i] = rng.choice([-1, g_prime.n, rng.randrange(g_prime.n)])
+            rotations.append(bad)
+        for r in rotations:
+            try:
+                expect = trace_faces(g_prime, r)
+            except InvariantError as exc:
+                with pytest.raises(InvariantError) as got:
+                    check_embedding(g_prime, r)
+                assert str(got.value) == str(exc)
+            else:
+                assert check_embedding(g_prime, r) == expect

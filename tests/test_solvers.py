@@ -204,3 +204,18 @@ class TestHeuristicLayout:
         rng = random.Random(16)
         g = random_graph(9, 0.4, rng)
         assert heuristic_layout(g, seed=0) == heuristic_layout(g, seed=0)
+
+    def test_no_swap_in_the_2opt_window_narrows_the_result(self):
+        # the refinement swaps positions less than 9 apart while the
+        # width, as the heuristic counts it, drops
+        rng = random.Random(17)
+        for _ in range(40):
+            g = random_graph(rng.randint(3, 14), rng.uniform(0.2, 0.7), rng)
+            order = list(heuristic_layout(g, seed=1).order)
+            width = cut_profile(g, LinearLayout(tuple(order))).max_width
+            for i in range(len(order)):
+                for j in range(i + 1, min(len(order), i + 9)):
+                    swapped = list(order)
+                    swapped[i], swapped[j] = swapped[j], swapped[i]
+                    assert cut_profile(g, LinearLayout(tuple(swapped))
+                                       ).max_width >= width
