@@ -34,6 +34,9 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
+# the largest random host of ``certify``'s host checks, per problem
+HOST_MAX_N = {"is": 9, "ds": 7}
+
 
 def _digest(path: str) -> str:
     with open(path, "rb") as f:
@@ -73,7 +76,7 @@ def cmd_cutwidth(args) -> dict:
         return {"mode": "layout", "widths": list(prof.widths),
                 "width": prof.max_width}
     if args.exact:
-        w, layout = exact_cutwidth(g, limit=args.oracle_limit)
+        w, layout = exact_cutwidth(g)
         return {"mode": "exact", "width": w,
                 "layout": [v + 1 for v in layout.order]}
     layout = solvers.heuristic_layout(g, seed=args.seed)
@@ -109,7 +112,7 @@ def cmd_planarize(args) -> dict:
         "files": {"graph": graph_out, "layout": layout_out},
     }
     if args.verify:
-        ok = verify_planarization(g, layout, args.t, res, args.problem)
+        ok = verify_planarization(g, args.t, res, args.problem)
         out["verified"] = ok
         if not ok:
             raise _VerificationFailed(out)
@@ -124,17 +127,15 @@ class _VerificationFailed(Exception):
 def cmd_solve(args) -> dict:
     g = _load_graph(args.graph)
     args._input_files = [args.graph]
+    brute, dp = solvers.SOLVERS[args.problem]
     if args.algo == "brute":
-        opt = (solvers.brute_is(g) if args.problem == "is"
-               else solvers.brute_ds(g))
-        return {"problem": args.problem, "algo": "brute", "optimum": opt}
+        return {"problem": args.problem, "algo": "brute", "optimum": brute(g)}
     if args.layout:
         args._input_files.append(args.layout)
         layout = _load_layout(args.layout, g)
     else:
         layout = solvers.heuristic_layout(g, seed=args.seed)
-    rep = (solvers.dp_is(g, layout) if args.problem == "is"
-           else solvers.dp_ds(g, layout))
+    rep = dp(g, layout)
     return {
         "problem": args.problem, "algo": "dp", "optimum": rep.optimum,
         "max_live_states": rep.max_live_states,
@@ -145,16 +146,12 @@ def cmd_solve(args) -> dict:
 def cmd_certify(args) -> dict:
     gadget = cio.load_gadget(args.gadget)
     args._input_files = [args.gadget]
-    out: dict = {"problem": gadget.problem, "shift": gadget.shift}
+    ok = validate_crossover_shape(gadget)
+    out: dict = {"problem": gadget.problem, "shift": gadget.shift,
+                 "planar_cyclic": ok}
     if gadget.problem == "is":
-        conds = is_gadget_conditions(gadget)
-        out["planar_cyclic"] = conds["planar_cyclic"]
-        out["conditions"] = conds
-        ok = all(conds[k] for k in SHIFT_CONDITIONS)
-    else:
-        out["planar_cyclic"] = validate_crossover_shape(gadget)
-        ok = True
-    ok &= out["planar_cyclic"]
+        out["conditions"] = conds = is_gadget_conditions(gadget)
+        ok &= all(conds[k] for k in SHIFT_CONDITIONS)
     out["host_checks"] = _host_shift_checks(gadget, args.hosts,
                                             random.Random(args.seed))
     ok &= out["host_checks"]["all_exact"]
@@ -166,9 +163,10 @@ def cmd_certify(args) -> dict:
 
 def _host_shift_checks(gadget, hosts: int, rng) -> dict:
     """Random host graphs with two disjoint edges; the optimum must move
-    by exactly the gadget shift under replacement."""
-    problem = gadget.problem
-    max_n = 9 if problem == "is" else 7
+    by exactly the gadget shift under replacement.  Brute force solves
+    the host, the layout DP the replaced graph under replacement_layout."""
+    brute, dp = solvers.SOLVERS[gadget.problem]
+    max_n = HOST_MAX_N[gadget.problem]
     done = 0
     checked = []
     while done < hosts:
@@ -180,15 +178,8 @@ def _host_shift_checks(gadget, hosts: int, rng) -> dict:
             continue
         e1, e2 = pairs[rng.randrange(len(pairs))]
         gp = replace_edges_by_gadget(g, e1, e2, gadget)
-        layout = replacement_layout(g, e1, e2, gadget)
-        if problem == "is":
-            before = solvers.brute_is(g)
-            after = solvers.brute_is(gp, limit=36) if gp.n <= 36 else \
-                solvers.dp_is(gp, layout).optimum
-        else:
-            before = solvers.brute_ds(g)
-            after = solvers.dp_ds(gp, layout).optimum
-        checked.append(after - before)
+        after = dp(gp, replacement_layout(g, e1, e2, gadget)).optimum
+        checked.append(after - brute(g))
         done += 1
     return {"hosts": hosts, "shifts": checked,
             "all_exact": all(s == gadget.shift for s in checked)}
@@ -223,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("graph")
     pc.add_argument("layout", nargs="?")
     pc.add_argument("--exact", action="store_true")
-    pc.add_argument("--oracle-limit", type=int, default=18)
     pc.add_argument("--seed", type=int, default=0)
     pc.set_defaults(func=cmd_cutwidth)
 

@@ -160,11 +160,11 @@ def validate_crossover_shape(gadget: CrossoverGadget) -> bool:
 # ---------------------------------------------------------------------------
 
 def replace_edges_by_gadget(g: Graph, e1: Edge, e2: Edge,
-                            gadget: CrossoverGadget,
-                            tag: str = "gadget") -> Graph:
+                            gadget: CrossoverGadget) -> Graph:
     """Replace the disjoint edges e1 = {a,b}, e2 = {c,d} by a copy of the
     gadget: remove both edges, insert the gadget graph, and add the four
-    connector edges a-u, u'-b, c-v, v'-d."""
+    connector edges a-u, u'-b, c-v, v'-d.  Copy vertices are labelled
+    ``gadget:<label>``."""
     a, b = e1
     c, d = e2
     if len({a, b, c, d}) != 4:
@@ -180,7 +180,7 @@ def replace_edges_by_gadget(g: Graph, e1: Edge, e2: Edge,
     labels = dict(g.labels)
     for w in range(gadget.graph.n):
         src = gadget.graph.labels.get(w, str(w))
-        labels[base + w] = f"{tag}:{src}"
+        labels[base + w] = f"gadget:{src}"
     return Graph.from_edges(base + gadget.graph.n, edges, labels)
 
 
@@ -278,12 +278,12 @@ def verify_vc_crossing_bounds(g: Graph, terminals: dict[str, int]) -> bool:
     return tight
 
 
-def min_vc_containing(g: Graph, required: set[int], limit: int = 28) -> int:
+def min_vc_containing(g: Graph, required: set[int]) -> int:
     """Minimum vertex cover containing all of ``required``: the required
     vertices plus a minimum cover of the graph without them."""
     keep = {w: i for i, w in enumerate(w for w in range(g.n)
                                        if w not in required)}
-    return len(required) + solvers.brute_vc(g.relabel(keep, len(keep)), limit)
+    return len(required) + solvers.brute_vc(g.relabel(keep, len(keep)))
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +646,10 @@ def certify_is_gadget(gadget: CrossoverGadget) -> bool:
 # structural verification helpers (dominating set side)
 # ---------------------------------------------------------------------------
 
+# vertex limit of the brute-force searches behind the two lemma checks
+LEMMA_LIMIT = 24
+
+
 def simplicial_degree_two_vertices(g: Graph) -> list[int]:
     adj = g.adjacency()
     out = []
@@ -657,7 +661,7 @@ def simplicial_degree_two_vertices(g: Graph) -> list[int]:
     return out
 
 
-def verify_simplicial_avoidance(g: Graph, limit: int = 24) -> bool:
+def verify_simplicial_avoidance(g: Graph) -> bool:
     """Some minimum dominating set avoids a maximal independent set of
     simplicial degree-two vertices (vacuously true when none exist)."""
     cands = simplicial_degree_two_vertices(g)
@@ -670,11 +674,11 @@ def verify_simplicial_avoidance(g: Graph, limit: int = 24) -> bool:
             blocked |= adj[v] | {v}
     if not picked:
         return True
-    opt = solvers.brute_ds(g, limit=limit)
-    return solvers.brute_ds(g, limit=limit, avoid=picked) == opt
+    opt = solvers.brute_ds(g, limit=LEMMA_LIMIT)
+    return solvers.brute_ds(g, limit=LEMMA_LIMIT, avoid=picked) == opt
 
 
-def verify_domset_is_vc(g: Graph, u_set: set[int], limit: int = 24) -> bool:
+def verify_domset_is_vc(g: Graph, u_set: set[int]) -> bool:
     """Check that some minimum dominating set restricted to u_set covers
     every edge of the induced subgraph on u_set.
 
@@ -698,5 +702,5 @@ def verify_domset_is_vc(g: Graph, u_set: set[int], limit: int = 24) -> bool:
             raise PreconditionError(
                 f"edge ({a},{b}) of the induced subgraph has no private "
                 "degree-two watcher")
-    return (solvers.brute_ds(g, limit, avoid=watchers)
-            == solvers.brute_ds(g, limit))
+    return (solvers.brute_ds(g, LEMMA_LIMIT, avoid=watchers)
+            == solvers.brute_ds(g, LEMMA_LIMIT))

@@ -59,9 +59,6 @@ class Graph:
     def m(self) -> int:
         return len(self.edges)
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
@@ -187,18 +184,19 @@ def cutwidth_of_layout(g: Graph, layout: LinearLayout) -> int:
     return cut_profile(g, layout).max_width
 
 
-def exact_cutwidth(g: Graph, limit: int = EXACT_CUTWIDTH_LIMIT
-                   ) -> tuple[int, LinearLayout]:
+def exact_cutwidth(g: Graph) -> tuple[int, LinearLayout]:
     """Exact cutwidth by dynamic programming over vertex subsets.
 
     State = set of already-placed vertices; the cut of a state is the
     number of edges from placed to unplaced vertices, which depends only
     on the set.  Independent of every other module, so it serves as the
-    cutwidth oracle in tests.
+    cutwidth oracle in tests.  The three tables hold 2^n entries each, so
+    graphs over EXACT_CUTWIDTH_LIMIT vertices raise OracleLimitError.
     """
-    if g.n > limit:
+    if g.n > EXACT_CUTWIDTH_LIMIT:
         raise OracleLimitError(
-            f"graph has {g.n} vertices, exact cutwidth limit is {limit}")
+            f"graph has {g.n} vertices, exact cutwidth limit is "
+            f"{EXACT_CUTWIDTH_LIMIT}")
     n = g.n
     if n == 0:
         return 0, LinearLayout(())
@@ -288,32 +286,25 @@ def check_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> int:
     head = np.fromiter(itertools.chain.from_iterable(rotation), np.int64,
                        count=len(tail))
     edges = _edge_array(g)
-    deg = np.bincount(edges.ravel(), minlength=n)
-    # rotation[v] permutes v's neighbours iff its sorted dart keys equal
-    # the sorted keys of the edge darts leaving v; an entry out of range
-    # would alias another key, so it marks its vertex bad instead
-    out_of_range = (head < 0) | (head >= n)
-    key = tail * n + np.where(out_of_range, 0, head)
+    # every rotation permutes its vertex's neighbours iff every head is a
+    # vertex and the sorted dart keys equal the sorted keys of the 2m edge
+    # darts (array_equal also compares the dart count)
+    key = tail * n + head
     order = np.argsort(key)
     key_sorted = key[order]
     want = np.sort(np.concatenate((edges[:, 0] * n + edges[:, 1],
                                    edges[:, 1] * n + edges[:, 0])))
-    start = np.cumsum(lens) - lens
-    miscount = lens != deg
-    bad = miscount.copy()
-    bad[tail[out_of_range]] = True
-    # up to the first vertex with a wrong count, the sorted darts line up
-    # with the edge darts slot by slot
-    upto = start[np.argmax(miscount)] if miscount.any() else len(key)
-    bad[tail[:upto][key_sorted[:upto] != want[:upto]]] = True
-    if bad.any():
-        v = int(np.argmax(bad))
+    if not (((head >= 0) & (head < n)).all()
+            and np.array_equal(key_sorted, want)):
+        adj = g.adjacency()
+        v = next(v for v in range(n) if sorted(rotation[v]) != sorted(adj[v]))
         raise InvariantError(
             f"rotation at vertex {g.labels.get(v, str(v))} is not a "
-            f"permutation of its {deg[v]} neighbours")
+            f"permutation of its {len(adj[v])} neighbours")
     # succ[d] is the next dart around the tail of d, rev[d] the reverse of
     # d, and the face after dart v->w continues with the successor of w->v
     darts = len(key)
+    start = np.cumsum(lens) - lens
     succ = np.arange(1, darts + 1, dtype=np.int64)
     ends = np.flatnonzero(lens)
     succ[start[ends] + lens[ends] - 1] = start[ends]
@@ -321,7 +312,7 @@ def check_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> int:
     faces = int(np.count_nonzero(_cycle_minima(succ[rev])
                                  == np.arange(darts)))
     components = _component_count(n, edges)
-    isolated = int(np.count_nonzero(deg == 0))
+    isolated = int(np.count_nonzero(lens == 0))
     m = darts // 2
     if n - m + faces != 2 * components - isolated:
         raise InvariantError(

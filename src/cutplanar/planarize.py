@@ -27,6 +27,9 @@ from .graph import (CutProfile, Graph, LinearLayout, check_embedding,
                     cut_profile)
 from . import solvers
 
+# the largest host verify_planarization solves by brute force
+VERIFY_HOST_LIMIT = 24
+
 
 @dataclass(frozen=True)
 class PlanarizationResult:
@@ -177,28 +180,23 @@ def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
         raise InvariantError("edge count mismatch")
 
 
-def verify_planarization(g: Graph, layout: LinearLayout, t: int,
-                         result: PlanarizationResult, problem: str,
-                         brute_limit: int = 24) -> bool:
+def verify_planarization(g: Graph, t: int, result: PlanarizationResult,
+                         problem: str) -> bool:
     """Check the cutwidth inequality and the optimum shift
     opt(G') = opt(G) + crossings * shift using brute force on the input
-    and the layout DP on the output.
+    (at most VERIFY_HOST_LIMIT vertices) and the layout DP on the output.
 
     Planarity of G' is not tested again: ``planarize`` proves it before
     returning and raises InvariantError otherwise.
     """
     if result.width_out > result.width_in + result.gadget_width + 4:
         return False
-    if g.n > brute_limit:
+    if g.n > VERIFY_HOST_LIMIT:
         raise OracleLimitError(
             f"host graph too large for the brute-force oracle ({g.n})")
-    shift_total = result.t_prime - t
-    if problem == "is":
-        before = solvers.brute_is(g, limit=brute_limit)
-        after = solvers.dp_is(result.g_prime, result.layout_prime).optimum
-    elif problem == "ds":
-        before = solvers.brute_ds(g, limit=brute_limit)
-        after = solvers.dp_ds(result.g_prime, result.layout_prime).optimum
-    else:
+    if problem not in solvers.SOLVERS:
         raise ValueError(f"unknown problem {problem!r}")
-    return after == before + shift_total
+    brute, dp = solvers.SOLVERS[problem]
+    before = brute(g)
+    after = dp(result.g_prime, result.layout_prime).optimum
+    return after == before + result.t_prime - t

@@ -1,7 +1,9 @@
 """Exact optimization oracles for Independent Set, Dominating Set and
 Vertex Cover.
 
-Two independent routes are provided for IS and DS:
+Two independent routes are provided for IS and DS, and SOLVERS maps
+each problem to its pair (brute, dp), so callers pick a solver by
+indexing it instead of branching on the problem:
 
 * brute_* : branch-and-bound over vertex bitmasks, exact for small n.
 * dp_*    : dynamic programming over the path decomposition derived from
@@ -31,6 +33,7 @@ from .errors import OracleLimitError, ResourceLimitError
 from .graph import Graph, LinearLayout, layout_to_path_decomposition
 
 BRUTE_LIMIT = 28
+HEURISTIC_RESTARTS = 3
 MEMORY_BUDGET_BYTES = 2 << 30
 
 
@@ -335,12 +338,17 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     return DPReport(int(costs.min()), max_live, len(decomp.bags), decomp.width)
 
 
+# the exact solvers of each problem: (brute force, layout DP)
+SOLVERS = {"is": (brute_is, dp_is), "ds": (brute_ds, dp_ds)}
+
+
 # ---------------------------------------------------------------------------
 # heuristic layouts
 # ---------------------------------------------------------------------------
 
-def heuristic_layout(g: Graph, seed: int = 0, restarts: int = 3) -> LinearLayout:
-    """Greedy min-incremental-cut insertion with 2-opt refinement.
+def heuristic_layout(g: Graph, seed: int = 0) -> LinearLayout:
+    """Greedy min-incremental-cut insertion with 2-opt refinement, from
+    the vertex of least degree and HEURISTIC_RESTARTS - 1 random starts.
 
     Deterministic for fixed (graph, seed).  No optimality guarantee; the
     result is a valid layout whose width the caller can measure.
@@ -399,7 +407,7 @@ def heuristic_layout(g: Graph, seed: int = 0, restarts: int = 3) -> LinearLayout
         return order
 
     starts = [min(range(g.n), key=lambda v: (deg[v], v))]
-    for _ in range(max(0, restarts - 1)):
+    for _ in range(HEURISTIC_RESTARTS - 1):
         starts.append(rng.randrange(g.n))
     best_order, best_w = None, None
     for s in starts:

@@ -418,7 +418,7 @@ class TestStructuralVerifiers:
             edges += [(nxt, a), (nxt, b)]
             nxt += 1
         g = Graph.from_edges(nxt, edges)
-        assert verify_simplicial_avoidance(g, limit=24)
+        assert verify_simplicial_avoidance(g)
 
     def test_domset_is_vc_minimal(self):
         g = Graph.from_edges(3, [(0, 1), (2, 0), (2, 1)])

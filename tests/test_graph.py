@@ -97,7 +97,7 @@ class TestExactCutwidth:
 
     def test_limit(self):
         with pytest.raises(OracleLimitError):
-            exact_cutwidth(Graph.from_edges(19, []), limit=18)
+            exact_cutwidth(Graph.from_edges(19, []))
 
     def test_witness_and_value_match_brute(self):
         rng = random.Random(3)
@@ -203,15 +203,29 @@ class TestEmbeddingCheck:
         rot = [[1, 2], [2, 0], [0, 1], [4, 5], [5, 3], [3, 4], []]
         assert check_embedding(g, rot) == 4
 
-    @pytest.mark.parametrize("bad", [[2], [0, 0], [0, 2, 0], [0, 3],
-                                     [2, -1], [4, 2]],
-                             ids=["missing", "duplicate", "extra", "foreign",
-                                  "below", "above"])
-    def test_rotation_must_permute_neighbours(self, bad):
+    # vertex 1 is the first bad one; in the "later" cases vertex 2 or 3 is
+    # bad as well, by a wrong count or an out-of-range entry
+    @pytest.mark.parametrize("rotation", [
+        [[1, 2], [2], [0, 1], []],
+        [[1, 2], [0, 0], [0, 1], []],
+        [[1, 2], [0, 2, 0], [0, 1], []],
+        [[1, 2], [0, 3], [0, 1], []],
+        [[1, 2], [2, -1], [0, 1], []],
+        [[1, 2], [4, 2], [0, 1], []],
+        [[1, 2], [0, 3], [0], []],
+        [[1, 2], [0, 0], [0, 1, 3], []],
+        [[1, 2], [0, 0], [0, -1], []],
+        [[1, 2], [2, 3], [0, 4], []],
+        [[1, 2], [0, 3], [0, 1], [4]],
+        [[1, 2], [2], [0, 3], []],
+    ], ids=["missing", "duplicate", "extra", "foreign", "below", "above",
+            "later-missing", "later-extra", "later-below", "later-above",
+            "later-out-of-range-count", "miscount-then-wrong-entry"])
+    def test_rotation_must_permute_neighbours(self, rotation):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)], {1: "X0:b"})
         with pytest.raises(InvariantError,
                            match=r"^rotation at vertex X0:b is not a perm"):
-            check_embedding(g, [[1, 2], bad, [0, 1], []])
+            check_embedding(g, rotation)
 
     def test_out_of_range_entry_aliases_no_dart(self):
         # as dart 1->4, the entry 4 would share the key 1 * 4 + 4 of dart

@@ -112,6 +112,16 @@ class TestCli:
         code, rep = run_cli(capsys, ["cutwidth", str(big), "--exact"])
         assert code == cli.EXIT_RESOURCE
 
+    def test_oracle_limit_is_not_an_option(self, capsys, k4_files):
+        # the exact cutwidth limit is fixed, so no input can ask the
+        # subset DP for 2^n-entry tables beyond it
+        gpath, _ = k4_files
+        with pytest.raises(SystemExit) as ei:
+            cli.build_parser().parse_args(
+                ["cutwidth", gpath, "--exact", "--oracle-limit", "30"])
+        assert ei.value.code == 2
+        assert "--oracle-limit" in capsys.readouterr().err
+
     def test_planarize_k4_is(self, capsys, k4_files, tmp_path):
         gpath, lpath = k4_files
         prefix = str(tmp_path / "out")
