@@ -57,13 +57,11 @@ def _report(args, results: dict, t0: float, seed: int | None = None) -> dict:
 
 
 def _load_graph(path: str) -> Graph:
-    with open(path) as f:
-        return cio.parse_graph(f.read())
+    return cio.parse_graph(cio.read_text(path))
 
 
 def _load_layout(path: str, g: Graph) -> LinearLayout:
-    with open(path) as f:
-        return cio.parse_layout(f.read(), g)
+    return cio.parse_layout(cio.read_text(path), g)
 
 
 def cmd_cutwidth(args) -> dict:
@@ -204,6 +202,13 @@ def cmd_export(args) -> dict:
     return {"format": args.format, "file": out_path, "bytes": len(content)}
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cutplanar",
@@ -236,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pg = sub.add_parser("certify", help="certify a gadget JSON file")
     pg.add_argument("gadget")
-    pg.add_argument("--hosts", type=int, default=25)
+    pg.add_argument("--hosts", type=_positive_int, default=25)
     pg.add_argument("--seed", type=int, default=0)
     pg.set_defaults(func=cmd_certify)
 
@@ -270,7 +275,7 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(json.dumps({"schema": 1, "error": f"invariant: {exc}"}))
         return EXIT_VERIFY
-    except FileNotFoundError as exc:
+    except FileNotFoundError as exc:   # an output path in a missing directory
         print(json.dumps({"schema": 1, "error": f"parse error: {exc}"}))
         return EXIT_PARSE
     except CutplanarError as exc:

@@ -137,12 +137,21 @@ def gadget_from_json(obj: dict) -> CrossoverGadget:
         raise ParseError(f"bad gadget JSON: {exc}")
 
 
+def read_text(path: str) -> str:
+    """The text of an input file; a file that cannot be opened, read or
+    decoded (missing, a directory, binary bytes) raises ParseError."""
+    try:
+        with open(path) as f:
+            return f.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParseError(f"cannot read {path}: {exc}")
+
+
 def load_gadget(path: str) -> CrossoverGadget:
-    with open(path) as f:
-        try:
-            obj = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"bad gadget JSON: {exc}")
+    try:
+        obj = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad gadget JSON: {exc}")
     return gadget_from_json(obj)
 
 

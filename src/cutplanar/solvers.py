@@ -12,7 +12,12 @@ indexing it instead of branching on the problem:
   cutwidth w.  Both run on one engine that keeps only the live states,
   as sorted int64 keys (base 2 resp. 3) with sound dominance pruning, so
   it handles widths up to 61 (IS) resp. 38 (DS) within
-  MEMORY_BUDGET_BYTES.
+  MEMORY_BUDGET_BYTES.  Pruning has two forms chosen by table size: a
+  table of N keys over s bag slots with N * s <= _VECTOR_PRUNE_CELLS
+  (2^15) is pruned in one numpy pass over all slots, a larger one slot
+  by slot.  Both mark the same states dead; the one-pass form saves the
+  fixed cost of about eight numpy calls per slot that dominates small
+  tables, the per-slot form keeps large tables free of s x N temporaries.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the gadget lemma checks in gadgets.py.  brute_vc is a separate
@@ -35,6 +40,8 @@ from .graph import Graph, LinearLayout, layout_to_path_decomposition
 BRUTE_LIMIT = 28
 HEURISTIC_RESTARTS = 3
 MEMORY_BUDGET_BYTES = 2 << 30
+# the largest N * s (live keys times bag slots) pruned in one numpy pass
+_VECTOR_PRUNE_CELLS = 1 << 15
 
 
 # ---------------------------------------------------------------------------
@@ -259,10 +266,32 @@ def _introduce_ds(keys, costs, top, back_weights):
             np.concatenate([costs + 1, costs]))
 
 
-def _digit(keys: np.ndarray, weight: int, base: int) -> np.ndarray:
+def _digit(keys: np.ndarray, weight: int | np.ndarray,
+           base: int) -> np.ndarray:
     """keys // weight % base for non-negative keys (numpy's % is slower)."""
     high = keys // weight
     return high - high // base * base
+
+
+def _prune_candidates(keys: np.ndarray, nslots: int, base: int):
+    """Yield (idx, weight) pairs covering every (state, slot) whose digit
+    is base - 1: idx indexes ``keys`` and weight is the slot's digit
+    weight (a scalar or an array parallel to idx).
+
+    A table of N keys over s slots with N * s <= _VECTOR_PRUNE_CELLS
+    yields one pair for all slots, from an s x N digit matrix; its
+    slot-major nonzero order keeps each slot's twin queries sorted, which
+    searchsorted runs fastest on.  Larger tables yield one pair per slot,
+    so no temporary outgrows the table.
+    """
+    if keys.size * nslots <= _VECTOR_PRUNE_CELLS:
+        w = base ** np.arange(nslots, dtype=np.int64)
+        cols, idx = np.nonzero(_digit(keys, w[:, None], base) == base - 1)
+        yield idx, w[cols]
+        return
+    for i in range(nslots):
+        weight = base ** i
+        yield np.flatnonzero(_digit(keys, weight, base) == base - 1), weight
 
 
 def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
@@ -286,7 +315,17 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     is base - 1 when its twin with digit base - 2 costs no more: that twin
     allows every extension the state does (an out vertex allows all an in
     vertex does for IS; a dominated vertex all an undominated one does for
-    DS).
+    DS).  All twins are looked up in the table before any state is
+    removed, so the dead set does not depend on the slot order.
+
+    Tables of N keys over s slots with N * s <= _VECTOR_PRUNE_CELLS find
+    every (state, slot) candidate in one pass over an s x N digit matrix
+    (see _prune_candidates); larger tables loop over the slots.  The
+    one-pass form adds a few arrays of at most 2^15 elements (under
+    1 MiB together); that fixed amount does not grow with the table, and
+    above the threshold the loop's temporaries are no larger than the
+    table, so the 96 n-byte check still bounds every allocation that
+    scales with the state count.
     """
     layout.validate(g)
     if g.n == 0:
@@ -327,9 +366,8 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
         # prune states whose digit-(base - 2) twin at some slot is no more
         # expensive
         dead = np.zeros(keys.size, dtype=bool)
-        for i in range(len(slots)):
-            idx = np.flatnonzero(_digit(keys, base ** i, base) == base - 1)
-            twin_key = keys[idx] - base ** i
+        for idx, weight in _prune_candidates(keys, len(slots), base):
+            twin_key = keys[idx] - weight
             twin = np.searchsorted(keys, twin_key)    # < idx: in range
             hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
             dead[idx[hit]] = True

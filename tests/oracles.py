@@ -1,11 +1,16 @@
-"""Independent brute-force oracles used only by the tests.
+"""Independent brute-force oracles used only by the tests, and the
+benchmark's hosts.
 
 These deliberately avoid the library's own algorithms so that each
 dual-route check (implementation vs oracle) stays meaningful.
 """
 
+import functools
+import importlib.util
 import itertools
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from cutplanar.drawing import Crossing
 from cutplanar.errors import InvariantError
@@ -283,3 +288,35 @@ def connected_graph_classes(max_n: int):
             if nx.is_connected(g.to_networkx()):
                 out.append(g)
     return out
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's hosts
+# ---------------------------------------------------------------------------
+
+@functools.cache
+def _perfbench_gen():
+    """perfbench/gen.py, the benchmark's seeded generators; it imports
+    nothing from the library."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    gen = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = gen   # dataclasses look their module up here
+    spec.loader.exec_module(gen)
+    return gen
+
+
+def _as_instance(h) -> tuple[Graph, LinearLayout]:
+    return Graph.from_edges(h.n, h.edges), LinearLayout(h.order)
+
+
+def band24_host(seed: int) -> tuple[Graph, LinearLayout]:
+    """The banded 24-vertex host of the benchmark's verify-is workload
+    (48 edges, 140 crossings)."""
+    return _as_instance(_perfbench_gen().banded_host(24, 48, 6, 140, seed))
+
+
+def single_crossing_host(seed: int) -> tuple[Graph, LinearLayout]:
+    """A host of the benchmark's verify-ds workload: one crossing, at
+    most four edges over it."""
+    return _as_instance(_perfbench_gen().single_crossing_host(seed))

@@ -1,9 +1,6 @@
-import importlib.util
 import itertools
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 
@@ -12,23 +9,11 @@ from cutplanar.drawing import (build_arc_drawing, element_order, to_svg,
 from cutplanar.errors import InvalidLayoutError
 from cutplanar.graph import Graph, LinearLayout, cut_profile, random_graph
 
-from oracles import pairwise_crossings
+from oracles import band24_host, pairwise_crossings
 
 
 def complete(n):
     return Graph.from_edges(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
-
-
-def band24_host(seed):
-    """The banded 24-vertex host of the benchmark's verify-is workload
-    (48 edges, 140 crossings), from the benchmark's own generator."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
-    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
-    gen = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = gen   # dataclasses look their module up here
-    spec.loader.exec_module(gen)
-    h = gen.banded_host(24, 48, 6, 140, seed)
-    return Graph.from_edges(h.n, h.edges), LinearLayout(h.order)
 
 
 class TestCrossings:

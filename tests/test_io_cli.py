@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from cutplanar import cli
 from cutplanar import io as cio
 from cutplanar.errors import InvalidLayoutError, InvariantError, ParseError
-from cutplanar.gadgets import gjs_is_gadget, CrossoverGadget
+from cutplanar.gadgets import builtin_gadget, gjs_is_gadget, CrossoverGadget
 from cutplanar.graph import Graph, LinearLayout, check_embedding
 
 # the package exports the function planarize under the module's name
@@ -214,6 +214,38 @@ class TestCli:
         code, rep = run_cli(capsys, ["certify", str(gpath)])
         assert code == cli.EXIT_PARSE
         assert rep["error"].startswith("parse error: bad gadget JSON")
+
+    def test_certify_needs_at_least_one_host(self, capsys, tmp_path):
+        # the DS verdict rests on the host checks alone, so without hosts
+        # a gadget with a wrong shift would pass
+        gpath = tmp_path / "ds47.json"
+        gpath.write_text(json.dumps(
+            {**cio.gadget_to_json(builtin_gadget("ds")), "shift": 47}))
+        for hosts in ("0", "-3"):
+            with pytest.raises(SystemExit) as ei:
+                cli.main(["certify", str(gpath), "--hosts", hosts])
+            assert ei.value.code == cli.EXIT_PARSE
+            assert "--hosts" in capsys.readouterr().err
+        code, rep = run_cli(capsys, ["certify", str(gpath), "--hosts", "1"])
+        assert code == cli.EXIT_VERIFY
+        assert rep["results"]["verdict"] == "FAIL"
+
+    @pytest.mark.parametrize("kind", ["directory", "binary"])
+    @pytest.mark.parametrize("role", ["graph", "layout", "gadget"])
+    def test_unreadable_input_exit_code(self, capsys, tmp_path, k4_files,
+                                        kind, role):
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        else:
+            bad.write_bytes(b"p 4 0\n\xff\xfe\x80\n")
+        gpath, _ = k4_files
+        argv = {"graph": ["solve", str(bad), "--problem", "is"],
+                "layout": ["solve", gpath, str(bad), "--problem", "is"],
+                "gadget": ["certify", str(bad)]}[role]
+        code, rep = run_cli(capsys, argv)
+        assert code == cli.EXIT_PARSE
+        assert rep["error"].startswith(f"parse error: cannot read {bad}")
 
     def test_invariant_error_exit_code(self, capsys, monkeypatch, k4_files):
         def broken(*args):

@@ -9,10 +9,12 @@ from cutplanar.errors import OracleLimitError, ResourceLimitError
 from cutplanar.gadgets import builtin_gadget
 from cutplanar.graph import (Graph, LinearLayout, cut_profile,
                              layout_to_path_decomposition, random_graph)
+from cutplanar.planarize import planarize
 from cutplanar.solvers import (brute_ds, brute_is, brute_vc, dp_ds, dp_is,
                                heuristic_layout)
 
-from oracles import subsets_ds, subsets_is, subsets_vc
+from oracles import (band24_host, single_crossing_host, subsets_ds,
+                     subsets_is, subsets_vc)
 
 
 def cycle(n):
@@ -187,6 +189,50 @@ class TestDsEngine:
         monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES", budget)
         with pytest.raises(ResourceLimitError):
             dp(gadget.graph, gadget.layout)
+
+
+class TestPruneForms:
+    """Twin pruning runs as one numpy pass over all bag slots on small
+    tables and as a per-slot loop on large ones; both must mark the same
+    states dead, so every DPReport agrees."""
+
+    @staticmethod
+    def reports(monkeypatch, problem, g, layout):
+        dp = solvers.SOLVERS[problem][1]
+        out = []
+        for cells in (0, 1 << 62):   # always the loop, always one pass
+            monkeypatch.setattr(solvers, "_VECTOR_PRUNE_CELLS", cells)
+            out.append(dp(g, layout))
+        return out
+
+    @pytest.mark.parametrize("problem, make", [
+        ("is", lambda: (complete(5), LinearLayout.identity(5))),
+        ("is", lambda: (complete(6), LinearLayout.identity(6))),
+        ("is", lambda: (complete(7), LinearLayout.identity(7))),
+        ("is", lambda: band24_host(1)),
+        ("is", lambda: band24_host(2)),
+        ("ds", lambda: single_crossing_host(6)),
+        ("ds", lambda: single_crossing_host(8)),
+    ], ids=["K5-is", "K6-is", "K7-is", "band24-1-is", "band24-2-is",
+            "sc-6-ds", "sc-8-ds"])
+    def test_planarized_hosts(self, monkeypatch, problem, make):
+        g, layout = make()
+        res = planarize(g, layout, 0, builtin_gadget(problem))
+        loop, one_pass = self.reports(monkeypatch, problem, res.g_prime,
+                                      res.layout_prime)
+        assert loop == one_pass
+
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    def test_random_graphs(self, monkeypatch, problem):
+        rng = random.Random(23)
+        for _ in range(120):
+            n = rng.randint(1, 14)
+            g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            loop, one_pass = self.reports(monkeypatch, problem, g,
+                                          LinearLayout(tuple(order)))
+            assert loop == one_pass, (sorted(g.edges), order)
 
 
 class TestHeuristicLayout:
