@@ -3,9 +3,9 @@
 Commands: cutwidth, planarize, solve, certify, export.  Every command
 prints a JSON run report (schema 1) to stdout; files are written next to
 the inputs or to the requested paths.  Exit codes: 0 success, 2 parse
-error, 3 precondition violation, 4 resource/oracle limit,
-5 verification failure, including a broken construction invariant
-(InvariantError).
+error, 3 precondition violation (also an output file that cannot be
+written), 4 resource/oracle limit, 5 verification failure, including a
+broken construction invariant (InvariantError).
 """
 
 from __future__ import annotations
@@ -92,10 +92,8 @@ def cmd_planarize(args) -> dict:
     prefix = args.out_prefix or args.graph
     graph_out = prefix + ".planarized"
     layout_out = prefix + ".planarized.layout"
-    with open(graph_out, "w") as f:
-        f.write(cio.write_graph(res.g_prime))
-    with open(layout_out, "w") as f:
-        f.write(cio.write_layout(res.layout_prime))
+    cio.write_text(graph_out, cio.write_graph(res.g_prime))
+    cio.write_text(layout_out, cio.write_layout(res.layout_prime))
     out = {
         "problem": args.problem,
         "crossings_replaced": res.crossings_replaced,
@@ -197,8 +195,7 @@ def cmd_export(args) -> dict:
         content = to_svg(build_arc_drawing(g, layout))
         default_out = args.graph + ".svg"
     out_path = args.out or default_out
-    with open(out_path, "w") as f:
-        f.write(content)
+    cio.write_text(out_path, content)
     return {"format": args.format, "file": out_path, "bytes": len(content)}
 
 
@@ -275,9 +272,6 @@ def main(argv=None) -> int:
     except InvariantError as exc:
         print(json.dumps({"schema": 1, "error": f"invariant: {exc}"}))
         return EXIT_VERIFY
-    except FileNotFoundError as exc:   # an output path in a missing directory
-        print(json.dumps({"schema": 1, "error": f"parse error: {exc}"}))
-        return EXIT_PARSE
     except CutplanarError as exc:
         print(json.dumps({"schema": 1, "error": str(exc)}))
         return EXIT_PRECONDITION

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import networkx as nx
@@ -25,49 +26,62 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
+
+    The edges are stored once, as ``edge_array``: a read-only (m, 2)
+    int64 array of rows (u, v) with u < v, strictly sorted, so two graphs
+    with the same edges hold equal arrays.  Construction accepts any
+    pairs or (k, 2) array, in either orientation and with repeats, and
+    normalizes them with numpy.  The frozenset ``edges`` is built from the
+    array when first used.
 
     ``labels`` optionally tracks provenance of vertices through
     transformations (e.g. which gadget copy a vertex came from).
     """
 
     n: int
-    edges: frozenset[Edge]
+    edge_array: np.ndarray
     labels: Mapping[int, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        for u, v in self.edges:
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            if not (0 <= u < self.n and 0 <= v < self.n):
-                raise ValueError(f"edge ({u},{v}) out of range for n={self.n}")
-            if u > v:
-                raise ValueError(f"edge ({u},{v}) not normalized")
+        object.__setattr__(self, "edge_array",
+                           _canonical_edges(self.n, self.edge_array))
         for v in self.labels:
             if not (0 <= v < self.n):
                 raise ValueError(f"label on unknown vertex {v}")
 
     @staticmethod
-    def from_edges(n: int, edges: Iterable[tuple[int, int]],
+    def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                    labels: Mapping[int, str] | None = None) -> "Graph":
-        es = frozenset(_norm_edge(u, v) for u, v in edges)
-        return Graph(n, es, dict(labels) if labels else {})
+        return Graph(n, edges, dict(labels) if labels else {})
+
+    def __eq__(self, other):
+        if not isinstance(other, Graph):
+            return NotImplemented
+        return (self.n == other.n
+                and np.array_equal(self.edge_array, other.edge_array)
+                and self.labels == other.labels)
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(self.sorted_edges())
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return len(self.edge_array)
 
     def has_edge(self, u: int, v: int) -> bool:
         return _norm_edge(u, v) in self.edges
 
     def neighbors(self, v: int) -> set[int]:
-        return {b if a == v else a for a, b in self.edges if v in (a, b)}
+        a = self.edge_array
+        return set(a[a[:, 0] == v, 1].tolist()) | set(a[a[:, 1] == v, 0].tolist())
 
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
-        for u, v in self.edges:
+        for u, v in self.edge_array.tolist():
             adj[u].add(v)
             adj[v].add(u)
         return adj
@@ -75,21 +89,22 @@ class Graph:
     def adjacency_masks(self) -> list[int]:
         """Neighborhoods as bitmasks; the workhorse for brute-force solvers."""
         adj = [0] * self.n
-        for u, v in self.edges:
+        for u, v in self.edge_array.tolist():
             adj[u] |= 1 << v
             adj[v] |= 1 << u
         return adj
 
     def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
+        return int(np.count_nonzero(self.edge_array == v))
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        a = self.edge_array
+        return list(zip(a[:, 0].tolist(), a[:, 1].tolist()))
 
     def relabel(self, perm: Mapping[int, int], n: int | None = None) -> "Graph":
         """Map vertex u to perm[u]; vertices absent from perm are dropped."""
         new_n = self.n if n is None else n
-        edges = [(perm[u], perm[v]) for u, v in self.edges
+        edges = [(perm[u], perm[v]) for u, v in self.edge_array.tolist()
                  if u in perm and v in perm]
         labels = {perm[v]: s for v, s in self.labels.items() if v in perm}
         return Graph.from_edges(new_n, edges, labels)
@@ -97,8 +112,39 @@ class Graph:
     def to_networkx(self) -> nx.Graph:
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
-        g.add_edges_from(self.edges)
+        g.add_edges_from(self.edge_array.tolist())
         return g
+
+
+def _canonical_edges(n: int, edges) -> np.ndarray:
+    """Pairs or a (k, 2) array as the sorted, de-duplicated, read-only
+    (m, 2) int64 array of rows (u, v), u < v.  Raises ValueError on a
+    self-loop or an endpoint outside 0..n-1, naming the first in input
+    order."""
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    try:
+        a = np.array(edges, dtype=np.int64)
+    except OverflowError as exc:
+        raise ValueError(f"edge endpoint out of range for n={n}") from exc
+    if a.size == 0:
+        a = a.reshape(0, 2)
+    if a.ndim != 2 or a.shape[1] != 2:
+        raise ValueError(f"edges must be pairs, got shape {a.shape}")
+    lo, hi = a.min(axis=1), a.max(axis=1)
+    bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
+    if bad.size:
+        u, v = a[bad[0]].tolist()
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        raise ValueError(f"edge ({u},{v}) out of range for n={n}")
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    keep = np.ones(len(lo), dtype=bool)
+    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    out = np.stack((lo[keep], hi[keep]), axis=1)
+    out.flags.writeable = False
+    return out
 
 
 @dataclass(frozen=True)
@@ -173,7 +219,7 @@ def cut_profile(g: Graph, layout: LinearLayout) -> CutProfile:
     layout.validate(g)
     pos = np.empty(g.n, dtype=np.int64)
     pos[np.array(layout.order, dtype=np.int64)] = np.arange(1, g.n + 1)
-    ends = pos[_edge_array(g)]
+    ends = pos[g.edge_array]
     diffs = (np.bincount(ends.min(axis=1), minlength=g.n + 1)
              - np.bincount(ends.max(axis=1), minlength=g.n + 1))
     widths = np.cumsum(diffs[1:g.n]).tolist()
@@ -253,23 +299,28 @@ def planar_rotation(g: Graph) -> list[list[int]] | None:
     return [list(emb.neighbors_cw_order(v))[::-1] for v in range(g.n)]
 
 
-def _edge_array(g: Graph) -> np.ndarray:
-    """The edges of g as an (m, 2) int64 array."""
-    flat = np.fromiter(itertools.chain.from_iterable(g.edges), np.int64,
-                       count=2 * g.m)
-    return flat.reshape(g.m, 2)
-
-
 def check_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> int:
+    """``check_embedding_arrays`` on a rotation system given as one
+    sequence of neighbours per vertex."""
+    lens = np.fromiter(map(len, rotation), np.int64, count=len(rotation))
+    heads = np.fromiter(itertools.chain.from_iterable(rotation), np.int64,
+                        count=int(lens.sum()))
+    return check_embedding_arrays(g, lens, heads)
+
+
+def check_embedding_arrays(g: Graph, lens: np.ndarray,
+                           heads: np.ndarray) -> int:
     """Prove g planar from a rotation system in O((n + m) log(n + m)).
 
-    ``rotation[v]`` lists the neighbours of v in counter-clockwise order.
-    The faces of the rotation system are counted, and Euler's formula
-    V - E + F = 2C - I (C components, I isolated vertices) holds iff
-    every component is embedded in the sphere, i.e. the rotation system
-    is a planar embedding of g.  Returns F.  Raises InvariantError naming
-    the first vertex whose rotation is not a permutation of its
-    neighbours, or giving V, E, F and C when the genus is positive.
+    The rotation system is flat: vertex v lists ``lens[v]`` neighbours in
+    counter-clockwise order, and these lists follow one another in
+    ``heads`` (int64 arrays both).  The faces of the rotation system are
+    counted, and Euler's formula V - E + F = 2C - I (C components, I
+    isolated vertices) holds iff every component is embedded in the
+    sphere, i.e. the rotation system is a planar embedding of g.
+    Returns F.  Raises InvariantError naming the first vertex whose
+    rotation is not a permutation of its neighbours, or giving V, E, F
+    and C when the genus is positive.
 
     All steps are numpy passes over the darts: sorting proves the
     permutations and pairs every dart with its reverse, faces are
@@ -277,38 +328,37 @@ def check_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> int:
     components are merged in Boruvka rounds.
     """
     n = g.n
-    if len(rotation) != n:
+    if len(lens) != n:
         raise InvariantError(
-            f"rotation system has {len(rotation)} vertices, graph has {n}")
+            f"rotation system has {len(lens)} vertices, graph has {n}")
     # darts are numbered vertex by vertex in rotation order
-    lens = np.fromiter(map(len, rotation), np.int64, count=n)
     tail = np.repeat(np.arange(n, dtype=np.int64), lens)
-    head = np.fromiter(itertools.chain.from_iterable(rotation), np.int64,
-                       count=len(tail))
-    edges = _edge_array(g)
+    edges = g.edge_array
+    start = np.cumsum(lens) - lens
     # every rotation permutes its vertex's neighbours iff every head is a
     # vertex and the sorted dart keys equal the sorted keys of the 2m edge
     # darts (array_equal also compares the dart count)
-    key = tail * n + head
+    key = tail * n + heads
     order = np.argsort(key)
     key_sorted = key[order]
     want = np.sort(np.concatenate((edges[:, 0] * n + edges[:, 1],
                                    edges[:, 1] * n + edges[:, 0])))
-    if not (((head >= 0) & (head < n)).all()
+    if not (((heads >= 0) & (heads < n)).all()
             and np.array_equal(key_sorted, want)):
         adj = g.adjacency()
-        v = next(v for v in range(n) if sorted(rotation[v]) != sorted(adj[v]))
+        flat = heads.tolist()
+        v = next(v for v, (s, k) in enumerate(zip(start.tolist(), lens.tolist()))
+                 if sorted(flat[s:s + k]) != sorted(adj[v]))
         raise InvariantError(
             f"rotation at vertex {g.labels.get(v, str(v))} is not a "
             f"permutation of its {len(adj[v])} neighbours")
     # succ[d] is the next dart around the tail of d, rev[d] the reverse of
     # d, and the face after dart v->w continues with the successor of w->v
     darts = len(key)
-    start = np.cumsum(lens) - lens
     succ = np.arange(1, darts + 1, dtype=np.int64)
     ends = np.flatnonzero(lens)
     succ[start[ends] + lens[ends] - 1] = start[ends]
-    rev = order[np.searchsorted(key_sorted, head * n + tail)]
+    rev = order[np.searchsorted(key_sorted, heads * n + tail)]
     faces = int(np.count_nonzero(_cycle_minima(succ[rev])
                                  == np.arange(darts)))
     components = _component_count(n, edges)

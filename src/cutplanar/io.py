@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 
-from .errors import InvalidLayoutError, ParseError
+from .errors import InvalidLayoutError, ParseError, PreconditionError
 from .gadgets import CrossoverGadget
 from .graph import Graph, LinearLayout
 
@@ -67,10 +67,13 @@ def parse_graph(text: str) -> Graph:
     return g
 
 
+def _one_based(g: Graph) -> tuple[int, ...]:
+    """The sorted edges of g, flattened and 1-based, for %-formatting."""
+    return tuple((g.edge_array + 1).ravel().tolist())
+
+
 def write_graph(g: Graph) -> str:
-    lines = [f"p {g.n} {g.m}"]
-    lines += [f"e {u + 1} {v + 1}" for u, v in g.sorted_edges()]
-    return "\n".join(lines) + "\n"
+    return f"p {g.n} {g.m}\n" + ("e %d %d\n" * g.m) % _one_based(g)
 
 
 def parse_layout(text: str, g: Graph) -> LinearLayout:
@@ -93,7 +96,7 @@ def write_layout(layout: LinearLayout) -> str:
 # ---------------------------------------------------------------------------
 
 def graph_to_json(g: Graph) -> dict:
-    out = {"n": g.n, "edges": [[u + 1, v + 1] for u, v in g.sorted_edges()]}
+    out = {"n": g.n, "edges": (g.edge_array + 1).tolist()}
     if g.labels:
         out["labels"] = {str(v + 1): s for v, s in sorted(g.labels.items())}
     return out
@@ -147,6 +150,16 @@ def read_text(path: str) -> str:
         raise ParseError(f"cannot read {path}: {exc}")
 
 
+def write_text(path: str, text: str) -> None:
+    """Write an output file; a path that cannot be opened or written (a
+    directory, a missing parent directory) raises PreconditionError."""
+    try:
+        with open(path, "w") as f:
+            f.write(text)
+    except OSError as exc:
+        raise PreconditionError(f"cannot write {path}: {exc}")
+
+
 def load_gadget(path: str) -> CrossoverGadget:
     try:
         obj = json.loads(read_text(path))
@@ -167,6 +180,5 @@ def write_dot(g: Graph) -> str:
             lines.append(f'  {v + 1} [label="{label}"];')
         else:
             lines.append(f"  {v + 1};")
-    lines += [f"  {u + 1} -- {v + 1};" for u, v in g.sorted_edges()]
-    lines.append("}")
+    lines.append(("  %d -- %d;\n" * g.m) % _one_based(g) + "}")
     return "\n".join(lines) + "\n"

@@ -11,19 +11,23 @@ inside gadget copies never exceed input + gadget + 4.
 Planarity of the result is proven from the drawing itself: while G' is
 assembled, the arc positions give every host vertex its rotation, and
 each gadget copy takes the gadget's cached planar rotation with its
-connector slots filled in.  ``graph.check_embedding`` then counts the
-faces of this rotation system and checks Euler's formula with numpy
-passes over the darts, so no general planarity test runs on G'.
+connector slots filled in.  ``graph.check_embedding_arrays`` then
+counts the faces of this rotation system, handed over as flat arrays,
+and checks Euler's formula with numpy passes over the darts, so no
+general planarity test runs on G'.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 from .drawing import build_arc_drawing, element_order
 from .errors import InvariantError, OracleLimitError
 from .gadgets import CrossoverGadget
-from .graph import (CutProfile, Graph, LinearLayout, check_embedding,
+from .graph import (CutProfile, Graph, LinearLayout, check_embedding_arrays,
                     cut_profile)
 from . import solvers
 
@@ -53,7 +57,10 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     Per-edge tail tracking realizes the left-to-right replacement: each
     original edge keeps its current left attachment vertex, advanced to
     the gadget's right-channel terminal after each of its crossings, so
-    remaining crossings keep their original drawing locations.
+    remaining crossings keep their original drawing locations.  Only
+    this chain bookkeeping runs per crossing; the edges, rotations,
+    labels and layout blocks of all gadget copies are laid down at once
+    by broadcasting the gadget's arrays over the copies' base ids.
 
     Raises GadgetError when the gadget has no planar drawing with its
     connectors in the crossover order, and InvariantError when a width
@@ -63,23 +70,22 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     drawing = build_arc_drawing(g, layout)
     pos = layout.position()
     width_in = cut_profile(g, layout).max_width
-    gadget_width = gadget.width
 
     h = gadget.graph
-    h_rotation = gadget.rotation
     u, up, v, vp = gadget.terminals
+    elements = element_order(drawing)
+    # copy c of the gadget replaces the c-th crossing, which is element
+    # cross_at[c], and takes the ids base + 0 .. base + h.n - 1
+    cross_at = [k for k, el in enumerate(elements) if el.kind == "crossing"]
+    ell = len(cross_at)
+    bases = g.n + h.n * np.arange(ell, dtype=np.int64)
     tails: dict[tuple[int, int], int] = {}
     # first vertex after the left end on the chain of a crossed edge
     heads: dict[tuple[int, int], int] = {}
-    new_edges: list[tuple[int, int]] = []
-    labels = dict(g.labels)
-    drop: set[tuple[int, int]] = set()
-    next_id = g.n
-    blocks: list[list[int]] = []   # layout blocks, one per element
-    # counter-clockwise rotation of every vertex of G'; a gadget terminal
-    # keeps its connector at index 0
-    rotation: list[list[int]] = [[] for _ in range(g.n)]
-    elements = element_order(drawing)
+    # connector edges (tail, terminal) and, per gadget terminal, the
+    # neighbour that fills its connector slot
+    chain: list[tuple[int, int]] = []
+    slots: list[tuple[int, int]] = []
 
     def attach(e: tuple[int, int], left: int, right: int) -> None:
         """Route the chain of e through a gadget copy: the current tail
@@ -89,65 +95,79 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
             heads[e] = left
             tail = e[0]
         else:
-            rotation[tail][0] = left
-        new_edges.append((tail, left))
-        rotation[left][0] = tail
+            slots.append((tail, left))
+        chain.append((tail, left))
+        slots.append((left, tail))
         tails[e] = right
 
-    for el in elements:
-        if el.kind == "vertex":
-            blocks.append([el.vertex])
-            continue
-        e1, e2 = el.crossing.edges   # position-normalized, pair sorted
-        drop.add(tuple(sorted(e1)))
-        drop.add(tuple(sorted(e2)))
-        base = next_id
-        for s, tt in h.edges:
-            new_edges.append((base + s, base + tt))
-        k = len(blocks)
-        for w in range(h.n):
-            src = h.labels.get(w, str(w))
-            labels[base + w] = f"X{k}:{src}"
-        rotation.extend([base + x for x in r] for r in h_rotation)
+    for base, k in zip(bases.tolist(), cross_at):
+        e1, e2 = elements[k].crossing.edges   # position-normalized, pair sorted
         # e1 has the smaller left end, so it enters upper left and the
         # connectors run counter-clockwise u, v, u', v'
         attach(e1, base + u, base + up)
         attach(e2, base + v, base + vp)
-        blocks.append([base + w for w in gadget.layout.order])
-        next_id += h.n
-
     # close off crossed edges with their final right segment
     for e, tail in tails.items():
-        new_edges.append((tail, e[1]))
-        rotation[tail][0] = e[1]
-    edges = [e for e in g.edges if e not in drop] + new_edges
-    g_prime = Graph.from_edges(next_id, edges, labels)
+        chain.append((tail, e[1]))
+        slots.append((tail, e[1]))
+
+    drop = {tuple(sorted(e)) for e in tails}
+    kept = [e for e in g.sorted_edges() if e not in drop]
+    copies = (bases[:, None, None] + h.edge_array).reshape(-1, 2)
+    edges = np.concatenate((np.array(kept, dtype=np.int64).reshape(-1, 2),
+                            copies,
+                            np.array(chain, dtype=np.int64).reshape(-1, 2)))
+    names = [h.labels.get(w, str(w)) for w in range(h.n)]
+    labels = dict(g.labels)
+    labels.update(zip(range(g.n, g.n + ell * h.n),
+                      (f"X{k}:{name}" for k in cross_at for name in names)))
+    g_prime = Graph.from_edges(g.n + ell * h.n, edges, labels)
 
     # a host vertex sees, counter-clockwise from the east, its right-going
     # arcs by increasing span, then its left-going arcs by decreasing span
     incident: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for x, y in g.edges:
+    for x, y in g.sorted_edges():
         e = (x, y) if pos[x] < pos[y] else (y, x)
         span = pos[e[1]] - pos[e[0]]
         incident[e[0]].append((0, span, heads.get(e, e[1])))
         incident[e[1]].append((1, -span, tails.get(e, e[0])))
-    for w, arcs in enumerate(incident):
-        rotation[w] = [end for _, _, end in sorted(arcs)]
+    host_rotation = [end for arcs in incident for _, _, end in sorted(arcs)]
+    # counter-clockwise rotation of every vertex of G': the host vertices,
+    # then the gadget's rotation per copy, whose connector slots (index 0
+    # of a terminal's rotation) are filled from the chain
+    h_lens = np.fromiter(map(len, gadget.rotation), np.int64, count=h.n)
+    h_heads = np.fromiter(itertools.chain.from_iterable(gadget.rotation),
+                          np.int64, count=int(h_lens.sum()))
+    lens = np.concatenate((np.fromiter(map(len, incident), np.int64,
+                                       count=g.n),
+                           np.tile(h_lens, ell)))
+    rotation = np.concatenate((np.array(host_rotation, dtype=np.int64),
+                               (bases[:, None] + h_heads).ravel()))
+    filled = np.array(slots, dtype=np.int64).reshape(-1, 2)
+    rotation[(np.cumsum(lens) - lens)[filled[:, 0]]] = filled[:, 1]
 
-    order = tuple(w for block in blocks for w in block)
-    layout_prime = LinearLayout(order)
-    ell = len(drawing.crossings)
+    # one layout block per element: a host vertex (these come in layout
+    # order), or a gadget copy laid out by the gadget's layout
+    is_cross = np.zeros(len(elements), dtype=bool)
+    is_cross[cross_at] = True
+    sizes = np.where(is_cross, h.n, 1)
+    first = np.cumsum(sizes) - sizes
+    order = np.empty(g_prime.n, dtype=np.int64)
+    order[first[~is_cross]] = layout.order
+    order[first[is_cross][:, None] + np.arange(h.n)] = (
+        bases[:, None] + np.array(gadget.layout.order, dtype=np.int64))
+    layout_prime = LinearLayout(tuple(order.tolist()))
     prof_out = cut_profile(g_prime, layout_prime)
 
     result = PlanarizationResult(
         g_prime=g_prime, layout_prime=layout_prime,
         t_prime=t + ell * gadget.shift, crossings_replaced=ell,
         width_in=width_in, width_out=prof_out.max_width,
-        gadget_width=gadget_width, original_vertices=frozenset(range(g.n)),
+        gadget_width=gadget.width, original_vertices=frozenset(range(g.n)),
         cut_profile=prof_out,
     )
     _assert_invariants(result, h, ell, g)
-    check_embedding(g_prime, rotation)
+    check_embedding_arrays(g_prime, lens, rotation)
     return result
 
 
@@ -157,19 +177,24 @@ def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
     falsifies the width argument and must never be shipped past."""
     bound = res.width_in + res.gadget_width + 4
     # per-gap claims: original-vertex gaps <= width_in, gadget gaps <= bound
-    order = res.layout_prime.order
-    for i, w in enumerate(order[:-1]):
+    order = np.array(res.layout_prime.order[:-1], dtype=np.int64)
+    original = np.zeros(res.g_prime.n, dtype=bool)
+    original[list(res.original_vertices)] = True
+    limit = np.where(original[order], res.width_in, bound)
+    over = np.flatnonzero(np.array(res.cut_profile.widths, dtype=np.int64)
+                          > limit)
+    if over.size:
+        i = int(over[0])
         cut = res.cut_profile.widths[i]
-        original = w in res.original_vertices
-        if cut > (res.width_in if original else bound):
-            label = res.g_prime.labels.get(w, str(w))
-            if original:
-                raise InvariantError(
-                    f"gap {i}: cut after original vertex {label} is {cut} "
-                    f"> input width {res.width_in}")
+        w = res.layout_prime.order[i]
+        label = res.g_prime.labels.get(w, str(w))
+        if original[w]:
             raise InvariantError(
-                f"gap {i}: cut after vertex {label} of gadget copy "
-                f"{label.split(':')[0]} is {cut} > bound {bound}")
+                f"gap {i}: cut after original vertex {label} is {cut} "
+                f"> input width {res.width_in}")
+        raise InvariantError(
+            f"gap {i}: cut after vertex {label} of gadget copy "
+            f"{label.split(':')[0]} is {cut} > bound {bound}")
     if res.width_out > bound:
         raise InvariantError(
             f"cutwidth bound violated: {res.width_out} > {bound}")

@@ -201,6 +201,39 @@ def trace_faces(g: Graph, rotation) -> int:
 
 
 # ---------------------------------------------------------------------------
+# file writers that format the sorted tuple edge set line by line
+# ---------------------------------------------------------------------------
+
+def write_graph_by_tuples(g: Graph) -> str:
+    """The graph text format, as io.write_graph must produce it."""
+    lines = [f"p {g.n} {g.m}"]
+    lines += [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges)]
+    return "\n".join(lines) + "\n"
+
+
+def write_dot_by_tuples(g: Graph) -> str:
+    """DOT, as io.write_dot must produce it."""
+    lines = ["graph G {"]
+    for v in range(g.n):
+        label = g.labels.get(v)
+        if label:
+            lines.append(f'  {v + 1} [label="{label}"];')
+        else:
+            lines.append(f"  {v + 1};")
+    lines += [f"  {u + 1} -- {v + 1};" for u, v in sorted(g.edges)]
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def graph_to_json_by_tuples(g: Graph) -> dict:
+    """The JSON mirror, as io.graph_to_json must produce it."""
+    out = {"n": g.n, "edges": [[u + 1, v + 1] for u, v in sorted(g.edges)]}
+    if g.labels:
+        out["labels"] = {str(v + 1): s for v, s in sorted(g.labels.items())}
+    return out
+
+
+# ---------------------------------------------------------------------------
 # tiny exhaustive set-problem oracles (subset enumeration, no pruning)
 # ---------------------------------------------------------------------------
 

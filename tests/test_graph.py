@@ -1,7 +1,9 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from cutplanar.errors import InvalidLayoutError, InvariantError, OracleLimitError
 from cutplanar.graph import (CutProfile, Graph, LinearLayout, check_embedding,
@@ -43,6 +45,58 @@ class TestGraphBasics:
     def test_neighbors(self):
         g = cycle(4)
         assert g.neighbors(0) == {1, 3}
+
+
+@st.composite
+def edge_lists(draw):
+    """n and up to 40 pairs over 0..n-1: shuffled, either orientation,
+    repeats allowed, possibly empty; no self-loops."""
+    n = draw(st.integers(2, 12))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1))
+                          .filter(lambda p: p[0] != p[1]), max_size=40))
+    return n, pairs
+
+
+def both_kinds(pairs):
+    """The same pairs as a list of tuples and as an int64 array."""
+    return [pairs, np.array(pairs, dtype=np.int64).reshape(-1, 2)]
+
+
+class TestConstruction:
+    # derandomized, so every run tries the same examples, and without an
+    # example database
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(edge_lists())
+    def test_pairs_and_arrays_agree(self, case):
+        n, pairs = case
+        as_list, as_array = (Graph.from_edges(n, e) for e in both_kinds(pairs))
+        assert as_list == as_array
+        expect = {(min(u, v), max(u, v)) for u, v in pairs}
+        for g in (as_list, as_array):
+            assert g.edges == expect
+            a = g.edge_array
+            assert a.dtype == np.int64 and a.shape == (len(expect), 2)
+            assert not a.flags.writeable
+            # strictly increasing rows
+            assert all(tuple(x) < tuple(y) for x, y in zip(a[:-1], a[1:]))
+            assert a.tolist() == [list(e) for e in sorted(g.edges)]
+
+    @settings(max_examples=100, derandomize=True, database=None,
+              deadline=None)
+    @given(edge_lists(), st.data())
+    def test_bad_pairs_rejected_for_both_kinds(self, case, data):
+        n, pairs = case
+        v = data.draw(st.integers(-3, n + 3))
+        w = data.draw(st.integers(-3, n + 3))
+        bad = (v, v) if data.draw(st.booleans()) else (v, w)
+        assume(bad[0] == bad[1] or not (0 <= v < n and 0 <= w < n))
+        at = data.draw(st.integers(0, len(pairs)))
+        edges = pairs[:at] + [bad] + pairs[at:]
+        for e in both_kinds(edges):
+            with pytest.raises(ValueError):
+                Graph.from_edges(n, e)
 
 
 class TestCutProfile:

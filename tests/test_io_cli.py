@@ -1,5 +1,6 @@
 import importlib
 import json
+import random
 import re
 
 import networkx
@@ -10,7 +11,12 @@ from cutplanar import cli
 from cutplanar import io as cio
 from cutplanar.errors import InvalidLayoutError, InvariantError, ParseError
 from cutplanar.gadgets import builtin_gadget, gjs_is_gadget, CrossoverGadget
-from cutplanar.graph import Graph, LinearLayout, check_embedding
+from cutplanar.graph import (Graph, LinearLayout, check_embedding_arrays,
+                             cut_profile, random_graph)
+from cutplanar.planarize import planarize
+
+from oracles import (graph_to_json_by_tuples, write_dot_by_tuples,
+                     write_graph_by_tuples)
 
 # the package exports the function planarize under the module's name
 planarize_module = importlib.import_module("cutplanar.planarize")
@@ -53,6 +59,60 @@ class TestGraphFormat:
         g = Graph.from_edges(3, [(0, 1)], {0: "root"})
         g2 = cio.graph_from_json(cio.graph_to_json(g))
         assert g2.edges == g.edges and g2.labels == g.labels
+
+
+def planarized(n, problem):
+    return planarize(complete(n), LinearLayout.identity(n), 0,
+                     builtin_gadget(problem)).g_prime
+
+
+class TestWriters:
+    """The writers format the sorted edge array; they must give the bytes
+    of the line-by-line formatters over the sorted tuple set."""
+
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_planarized_complete_graphs(self, n, problem):
+        self.assert_same_bytes(planarized(n, problem))
+
+    def test_random_and_empty_graphs(self):
+        rng = random.Random(4)
+        graphs = [Graph.from_edges(0, []), Graph.from_edges(5, []),
+                  Graph.from_edges(3, [], {1: "b"})]
+        graphs += [random_graph(rng.randint(1, 30), rng.random(), rng)
+                   for _ in range(30)]
+        for g in graphs:
+            self.assert_same_bytes(g)
+
+    @staticmethod
+    def assert_same_bytes(g):
+        assert cio.write_graph(g) == write_graph_by_tuples(g)
+        assert cio.write_dot(g) == write_dot_by_tuples(g)
+        assert (json.dumps(cio.graph_to_json(g))
+                == json.dumps(graph_to_json_by_tuples(g)))
+
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    def test_pipeline_never_builds_the_edge_set_of_g_prime(self, monkeypatch,
+                                                           problem):
+        # planarize, its cut profile and both output files work on the
+        # edge array; only the small host may be seen as tuples
+        seen = []
+        as_set, as_list = Graph.edges.func, Graph.sorted_edges
+
+        def recording(method):
+            def wrapper(g):
+                seen.append(g)
+                return method(g)
+            return wrapper
+        monkeypatch.setattr(Graph, "edges", property(recording(as_set)))
+        monkeypatch.setattr(Graph, "sorted_edges", recording(as_list))
+        g = complete(6)
+        res = planarize(g, LinearLayout.identity(6), 0,
+                        builtin_gadget(problem))
+        cut_profile(res.g_prime, res.layout_prime)
+        cio.write_graph(res.g_prime)
+        cio.write_layout(res.layout_prime)
+        assert seen and all(x is g for x in seen)
 
 
 class TestGadgetJson:
@@ -141,15 +201,16 @@ class TestCli:
         # the left-right test runs at most once, on the gadget certificate
         checks, lr_calls = [], []
 
-        def counting_check(g, rotation):
+        def counting_check(g, lens, heads):
             checks.append(g.n)
-            return check_embedding(g, rotation)
+            return check_embedding_arrays(g, lens, heads)
 
         def counting_lr(graph, *args, **kwargs):
             lr_calls.append(graph.number_of_nodes())
             return lr_check_planarity(graph, *args, **kwargs)
         assert not hasattr(planarize_module, "is_planar")
-        monkeypatch.setattr(planarize_module, "check_embedding", counting_check)
+        monkeypatch.setattr(planarize_module, "check_embedding_arrays",
+                            counting_check)
         monkeypatch.setattr(networkx, "check_planarity", counting_lr)
         gpath, lpath = k4_files
         code, rep = run_cli(capsys, [
@@ -246,6 +307,28 @@ class TestCli:
         code, rep = run_cli(capsys, argv)
         assert code == cli.EXIT_PARSE
         assert rep["error"].startswith(f"parse error: cannot read {bad}")
+
+    @pytest.mark.parametrize("kind", ["directory", "missing parent"])
+    @pytest.mark.parametrize("command", ["planarize", "export"])
+    def test_unwritable_output_exit_code(self, capsys, tmp_path, k4_files,
+                                         kind, command):
+        gpath, lpath = k4_files
+        if kind == "directory":
+            target = tmp_path / "out"
+            target.mkdir()
+            # planarize appends ".planarized" to its prefix
+            (tmp_path / "out.planarized").mkdir()
+        else:
+            target = tmp_path / "missing" / "out"
+        argv = {"planarize": ["planarize", gpath, lpath, "--problem", "is",
+                              "--t", "1", "--out-prefix", str(target)],
+                "export": ["export", gpath, "--format", "dot",
+                           "-o", str(target)]}[command]
+        written = {"planarize": f"{target}.planarized",
+                   "export": str(target)}[command]
+        code, rep = run_cli(capsys, argv)
+        assert code == cli.EXIT_PRECONDITION
+        assert rep["error"].startswith(f"precondition: cannot write {written}")
 
     def test_invariant_error_exit_code(self, capsys, monkeypatch, k4_files):
         def broken(*args):

@@ -5,14 +5,16 @@ import random
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cutplanar.drawing import build_arc_drawing
 from cutplanar.errors import InvariantError
 from cutplanar.gadgets import builtin_gadget, ds_crossover_gadget, gjs_is_gadget
-from cutplanar.graph import (Graph, LinearLayout, check_embedding, cut_profile,
-                             is_planar, random_graph)
+from cutplanar.graph import (Graph, LinearLayout, check_embedding,
+                             check_embedding_arrays, cut_profile, is_planar,
+                             random_graph)
 from cutplanar.planarize import _assert_invariants, planarize, verify_planarization
 from cutplanar.solvers import brute_is, dp_is
 
@@ -247,13 +249,15 @@ def mirrored(gadget):
 
 
 def captured_embedding(monkeypatch, g, gadget):
-    """G' and the rotation system that planarize hands to the check."""
+    """G' and the rotation system that planarize hands to the check, as
+    one neighbour list per vertex."""
     seen = []
 
-    def capture(g_prime, rotation):
-        seen.append((g_prime, [list(r) for r in rotation]))
-        return check_embedding(g_prime, rotation)
-    monkeypatch.setattr(planarize_module, "check_embedding", capture)
+    def capture(g_prime, lens, heads):
+        rotation = np.split(heads, np.cumsum(lens)[:-1])
+        seen.append((g_prime, [r.tolist() for r in rotation]))
+        return check_embedding_arrays(g_prime, lens, heads)
+    monkeypatch.setattr(planarize_module, "check_embedding_arrays", capture)
     planarize(g, LinearLayout.identity(g.n), 0, gadget)
     assert len(seen) == 1
     return seen[0]
