@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import random
 import sys
 import time
 
@@ -22,10 +21,8 @@ from .drawing import build_arc_drawing, to_svg
 from .errors import (CutplanarError, InvalidLayoutError, InvariantError,
                      OracleLimitError, ParseError, PreconditionError,
                      ResourceLimitError)
-from .gadgets import (SHIFT_CONDITIONS, builtin_gadget, is_gadget_conditions,
-                      replace_edges_by_gadget, replacement_layout,
-                      validate_crossover_shape)
-from .graph import Graph, LinearLayout, cut_profile, exact_cutwidth, random_graph
+from .gadgets import builtin_gadget, certify_gadget
+from .graph import Graph, LinearLayout, cut_profile, exact_cutwidth
 from .planarize import planarize, verify_planarization
 from . import solvers
 
@@ -34,19 +31,17 @@ EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
-# the largest random host of ``certify``'s host checks, per problem
-HOST_MAX_N = {"is": 9, "ds": 7}
-
 
 def _digest(path: str) -> str:
     with open(path, "rb") as f:
         return hashlib.sha256(f.read()).hexdigest()[:16]
 
 
-def _report(args, results: dict, t0: float, seed: int | None = None) -> dict:
+def _report(argv: list[str], args, results: dict, t0: float,
+            seed: int | None = None) -> dict:
     rep = {
         "schema": 1,
-        "command": " ".join(sys.argv[1:]),
+        "command": " ".join(argv),
         "inputs": {p: _digest(p) for p in getattr(args, "_input_files", [])},
         "results": results,
         "wall_time_s": round(time.perf_counter() - t0, 3),
@@ -142,43 +137,10 @@ def cmd_solve(args) -> dict:
 def cmd_certify(args) -> dict:
     gadget = cio.load_gadget(args.gadget)
     args._input_files = [args.gadget]
-    ok = validate_crossover_shape(gadget)
-    out: dict = {"problem": gadget.problem, "shift": gadget.shift,
-                 "planar_cyclic": ok}
-    if gadget.problem == "is":
-        out["conditions"] = conds = is_gadget_conditions(gadget)
-        ok &= all(conds[k] for k in SHIFT_CONDITIONS)
-    out["host_checks"] = _host_shift_checks(gadget, args.hosts,
-                                            random.Random(args.seed))
-    ok &= out["host_checks"]["all_exact"]
-    out["verdict"] = "PASS" if ok else "FAIL"
-    if not ok:
+    out = certify_gadget(gadget, args.hosts, args.seed)
+    if out["verdict"] != "PASS":
         raise _VerificationFailed(out)
     return out
-
-
-def _host_shift_checks(gadget, hosts: int, rng) -> dict:
-    """Random host graphs with two disjoint edges; the optimum must move
-    by exactly the gadget shift under replacement.  Brute force solves
-    the host, the layout DP the replaced graph under replacement_layout."""
-    brute, dp = solvers.SOLVERS[gadget.problem]
-    max_n = HOST_MAX_N[gadget.problem]
-    done = 0
-    checked = []
-    while done < hosts:
-        n = rng.randint(4, max_n)
-        g = random_graph(n, 0.35, rng)
-        pairs = [(e1, e2) for e1 in g.sorted_edges() for e2 in g.sorted_edges()
-                 if e1 < e2 and not set(e1) & set(e2)]
-        if not pairs:
-            continue
-        e1, e2 = pairs[rng.randrange(len(pairs))]
-        gp = replace_edges_by_gadget(g, e1, e2, gadget)
-        after = dp(gp, replacement_layout(g, e1, e2, gadget)).optimum
-        checked.append(after - brute(g))
-        done += 1
-    return {"hosts": hosts, "shifts": checked,
-            "all_exact": all(s == gadget.shift for s in checked)}
 
 
 def cmd_export(args) -> dict:
@@ -251,7 +213,9 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def main(argv=None) -> int:
+def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
@@ -275,7 +239,7 @@ def main(argv=None) -> int:
     except CutplanarError as exc:
         print(json.dumps({"schema": 1, "error": str(exc)}))
         return EXIT_PRECONDITION
-    print(json.dumps(_report(args, results, t0,
+    print(json.dumps(_report(argv, args, results, t0,
                              seed=getattr(args, "seed", None)), indent=2))
     return code
 

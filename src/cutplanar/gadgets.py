@@ -30,11 +30,13 @@ cover) compute their optima with the exact solvers of solvers.py.
 from __future__ import annotations
 
 import itertools
+import random
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
 from .errors import GadgetError, PreconditionError
-from .graph import Graph, LinearLayout, cutwidth_of_layout, planar_rotation
+from .graph import (Graph, LinearLayout, cutwidth_of_layout, planar_rotation,
+                    random_graph)
 from . import solvers
 
 Edge = tuple[int, int]
@@ -632,7 +634,7 @@ def is_gadget_conditions(gadget: CrossoverGadget) -> dict[str, bool]:
     }
 
 
-# the keys of is_gadget_conditions that certify_is_gadget requires
+# the keys of is_gadget_conditions that an IS gadget's verdict requires
 SHIFT_CONDITIONS = ("C1_legal_patterns", "C2_single_pair", "C3_both_pairs")
 
 
@@ -640,6 +642,53 @@ def certify_is_gadget(gadget: CrossoverGadget) -> bool:
     """True iff the boundary-function conditions C1-C3 hold."""
     cond = is_gadget_conditions(gadget)
     return all(cond[k] for k in SHIFT_CONDITIONS)
+
+
+# the largest random host of certify_gadget's host checks, per problem
+HOST_MAX_N = {"is": 9, "ds": 7}
+
+
+def certify_gadget(gadget: CrossoverGadget, hosts: int, seed: int) -> dict:
+    """The certification report of a gadget, ending in its ``"verdict"``.
+
+    PASS iff the gadget has a planar drawing with its terminals in the
+    crossover order, an IS gadget meets C1-C3, and the optimum moves by
+    exactly the shift on ``hosts`` random host graphs drawn from ``seed``.
+    """
+    ok = validate_crossover_shape(gadget)
+    out: dict = {"problem": gadget.problem, "shift": gadget.shift,
+                 "planar_cyclic": ok}
+    if gadget.problem == "is":
+        out["conditions"] = conds = is_gadget_conditions(gadget)
+        ok &= all(conds[k] for k in SHIFT_CONDITIONS)
+    out["host_checks"] = _host_shift_checks(gadget, hosts, random.Random(seed))
+    ok &= out["host_checks"]["all_exact"]
+    out["verdict"] = "PASS" if ok else "FAIL"
+    return out
+
+
+def _host_shift_checks(gadget, hosts: int, rng) -> dict:
+    """Random host graphs with two disjoint edges; the optimum must move
+    by exactly the gadget shift under replacement.  Brute force solves
+    the host, the layout DP the replaced graph under replacement_layout."""
+    brute, dp = solvers.SOLVERS[gadget.problem]
+    max_n = HOST_MAX_N[gadget.problem]
+    done = 0
+    checked = []
+    while done < hosts:
+        n = rng.randint(4, max_n)
+        g = random_graph(n, 0.35, rng)
+        pairs = [(e1, e2) for e1 in g.sorted_edges() for e2 in g.sorted_edges()
+                 if e1 < e2 and not set(e1) & set(e2)]
+        if not pairs:
+            continue
+        e1, e2 = pairs[rng.randrange(len(pairs))]
+        gp = replace_edges_by_gadget(g, e1, e2, gadget)
+        after = dp(gp, replacement_layout(g, e1, e2, gadget)).optimum
+        checked.append(after - brute(g))
+        done += 1
+    return {"hosts": hosts, "shifts": checked,
+            "all_exact": all(s == gadget.shift for s in checked)}
 
 
 # ---------------------------------------------------------------------------

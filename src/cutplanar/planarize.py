@@ -44,8 +44,6 @@ class PlanarizationResult:
     width_in: int
     width_out: int
     gadget_width: int
-    # vertex ids of g_prime that came from the input graph
-    original_vertices: frozenset[int]
     # per-gap cuts of layout_prime on g_prime
     cut_profile: CutProfile
 
@@ -54,13 +52,15 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
               gadget: CrossoverGadget) -> PlanarizationResult:
     """Replace all crossings of the arc drawing by gadget copies.
 
-    Per-edge tail tracking realizes the left-to-right replacement: each
-    original edge keeps its current left attachment vertex, advanced to
-    the gadget's right-channel terminal after each of its crossings, so
-    remaining crossings keep their original drawing locations.  Only
-    this chain bookkeeping runs per crossing; the edges, rotations,
-    labels and layout blocks of all gadget copies are laid down at once
-    by broadcasting the gadget's arrays over the copies' base ids.
+    Each crossed edge is routed left to right through the copies of its
+    crossings, so remaining crossings keep their original drawing
+    locations.  The route is the edge's stop list: its left end, the
+    entry and exit terminal of every copy it passes, its right end.
+    Only the stop lists grow per crossing; the connector edges, slot
+    fills and host rotation are read off them, and the edges,
+    rotations, labels and layout blocks of all gadget copies are laid
+    down at once by broadcasting the gadget's arrays over the copies'
+    base ids.
 
     Raises GadgetError when the gadget has no planar drawing with its
     connectors in the crossover order, and InvariantError when a width
@@ -79,44 +79,26 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     cross_at = [k for k, el in enumerate(elements) if el.kind == "crossing"]
     ell = len(cross_at)
     bases = g.n + h.n * np.arange(ell, dtype=np.int64)
-    tails: dict[tuple[int, int], int] = {}
-    # first vertex after the left end on the chain of a crossed edge
-    heads: dict[tuple[int, int], int] = {}
-    # connector edges (tail, terminal) and, per gadget terminal, the
-    # neighbour that fills its connector slot
-    chain: list[tuple[int, int]] = []
-    slots: list[tuple[int, int]] = []
-
-    def attach(e: tuple[int, int], left: int, right: int) -> None:
-        """Route the chain of e through a gadget copy: the current tail
-        connects to the terminal ``left``, and ``right`` becomes the tail."""
-        tail = tails.get(e)
-        if tail is None:
-            heads[e] = left
-            tail = e[0]
-        else:
-            slots.append((tail, left))
-        chain.append((tail, left))
-        slots.append((left, tail))
-        tails[e] = right
-
+    # stop list of each crossed edge e (position-normalized): e[0], the
+    # entry and exit terminal of each copy on its route, then e[1]; stops
+    # 0-1, 2-3, ... are its connector edges
+    stops: dict[tuple[int, int], list[int]] = {}
     for base, k in zip(bases.tolist(), cross_at):
         e1, e2 = elements[k].crossing.edges   # position-normalized, pair sorted
         # e1 has the smaller left end, so it enters upper left and the
         # connectors run counter-clockwise u, v, u', v'
-        attach(e1, base + u, base + up)
-        attach(e2, base + v, base + vp)
-    # close off crossed edges with their final right segment
-    for e, tail in tails.items():
-        chain.append((tail, e[1]))
-        slots.append((tail, e[1]))
+        stops.setdefault(e1, [e1[0]]).extend((base + u, base + up))
+        stops.setdefault(e2, [e2[0]]).extend((base + v, base + vp))
+    for e, route in stops.items():
+        route.append(e[1])
+    chain = np.array([w for route in stops.values() for w in route],
+                     dtype=np.int64).reshape(-1, 2)
 
-    drop = {tuple(sorted(e)) for e in tails}
+    drop = {tuple(sorted(e)) for e in stops}
     kept = [e for e in g.sorted_edges() if e not in drop]
     copies = (bases[:, None, None] + h.edge_array).reshape(-1, 2)
     edges = np.concatenate((np.array(kept, dtype=np.int64).reshape(-1, 2),
-                            copies,
-                            np.array(chain, dtype=np.int64).reshape(-1, 2)))
+                            copies, chain))
     names = [h.labels.get(w, str(w)) for w in range(h.n)]
     labels = dict(g.labels)
     labels.update(zip(range(g.n, g.n + ell * h.n),
@@ -129,12 +111,15 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     for x, y in g.sorted_edges():
         e = (x, y) if pos[x] < pos[y] else (y, x)
         span = pos[e[1]] - pos[e[0]]
-        incident[e[0]].append((0, span, heads.get(e, e[1])))
-        incident[e[1]].append((1, -span, tails.get(e, e[0])))
+        # the first and last chain vertex, or e itself when uncrossed
+        route = stops.get(e, e)
+        incident[e[0]].append((0, span, route[1]))
+        incident[e[1]].append((1, -span, route[-2]))
     host_rotation = [end for arcs in incident for _, _, end in sorted(arcs)]
     # counter-clockwise rotation of every vertex of G': the host vertices,
     # then the gadget's rotation per copy, whose connector slots (index 0
-    # of a terminal's rotation) are filled from the chain
+    # of a terminal's rotation) hold the other end of the terminal's
+    # connector edge
     h_lens = np.fromiter(map(len, gadget.rotation), np.int64, count=h.n)
     h_heads = np.fromiter(itertools.chain.from_iterable(gadget.rotation),
                           np.int64, count=int(h_lens.sum()))
@@ -143,7 +128,9 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
                            np.tile(h_lens, ell)))
     rotation = np.concatenate((np.array(host_rotation, dtype=np.int64),
                                (bases[:, None] + h_heads).ravel()))
-    filled = np.array(slots, dtype=np.int64).reshape(-1, 2)
+    # every connector end with an id from g.n on is a gadget terminal
+    ends = np.concatenate((chain, chain[:, ::-1]))
+    filled = ends[ends[:, 0] >= g.n]
     rotation[(np.cumsum(lens) - lens)[filled[:, 0]]] = filled[:, 1]
 
     # one layout block per element: a host vertex (these come in layout
@@ -163,8 +150,7 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
         g_prime=g_prime, layout_prime=layout_prime,
         t_prime=t + ell * gadget.shift, crossings_replaced=ell,
         width_in=width_in, width_out=prof_out.max_width,
-        gadget_width=gadget.width, original_vertices=frozenset(range(g.n)),
-        cut_profile=prof_out,
+        gadget_width=gadget.width, cut_profile=prof_out,
     )
     _assert_invariants(result, h, ell, g)
     check_embedding_arrays(g_prime, lens, rotation)
@@ -178,9 +164,8 @@ def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
     bound = res.width_in + res.gadget_width + 4
     # per-gap claims: original-vertex gaps <= width_in, gadget gaps <= bound
     order = np.array(res.layout_prime.order[:-1], dtype=np.int64)
-    original = np.zeros(res.g_prime.n, dtype=bool)
-    original[list(res.original_vertices)] = True
-    limit = np.where(original[order], res.width_in, bound)
+    # the ids below g.n are the original vertices
+    limit = np.where(order < g.n, res.width_in, bound)
     over = np.flatnonzero(np.array(res.cut_profile.widths, dtype=np.int64)
                           > limit)
     if over.size:
@@ -188,7 +173,7 @@ def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
         cut = res.cut_profile.widths[i]
         w = res.layout_prime.order[i]
         label = res.g_prime.labels.get(w, str(w))
-        if original[w]:
+        if w < g.n:
             raise InvariantError(
                 f"gap {i}: cut after original vertex {label} is {cut} "
                 f"> input width {res.width_in}")

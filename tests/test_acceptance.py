@@ -348,7 +348,7 @@ def test_criterion_6_planarization_invariants():
             assert res.width_out <= bound
             prof = cut_profile(res.g_prime, res.layout_prime)
             for i, v in enumerate(res.layout_prime.order[:-1]):
-                if v in res.original_vertices:
+                if v < g.n:
                     assert prof.widths[i] <= res.width_in
                 else:
                     assert prof.widths[i] <= bound

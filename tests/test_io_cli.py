@@ -2,6 +2,7 @@ import importlib
 import json
 import random
 import re
+import sys
 
 import networkx
 import pytest
@@ -146,6 +147,15 @@ def run_cli(capsys, argv):
 
 
 class TestCli:
+    def test_report_command_is_main_argv(self, capsys, monkeypatch, k4_files):
+        # an in-process caller's own arguments must not leak into the report
+        monkeypatch.setattr(sys, "argv", ["x.py", "--some-flag"])
+        gpath, lpath = k4_files
+        argv = ["planarize", gpath, lpath, "--problem", "is", "--t", "1"]
+        code, rep = run_cli(capsys, argv)
+        assert code == 0
+        assert rep["command"] == " ".join(argv)
+
     def test_cutwidth_layout(self, capsys, k4_files):
         gpath, lpath = k4_files
         code, rep = run_cli(capsys, ["cutwidth", gpath, lpath])

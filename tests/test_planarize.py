@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import importlib
 import itertools
 import random
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cutplanar import io as cio
 from cutplanar.drawing import build_arc_drawing
 from cutplanar.errors import InvariantError
 from cutplanar.gadgets import builtin_gadget, ds_crossover_gadget, gjs_is_gadget
@@ -79,7 +81,7 @@ class TestPlanarize:
             prof = cut_profile(res.g_prime, res.layout_prime)
             bound = res.width_in + res.gadget_width + 4
             for i, v in enumerate(res.layout_prime.order[:-1]):
-                if v in res.original_vertices:
+                if v < g.n:
                     assert prof.widths[i] <= res.width_in
                 else:
                     assert prof.widths[i] <= bound
@@ -228,6 +230,13 @@ def concurrent_triples(max_pos):
     return out
 
 
+def triple_hosts():
+    """The hosts of the 47 concurrent triple crossings, on positions 1..13."""
+    return [Graph.from_edges(max(b for _, b in trio),
+                             [(a - 1, b - 1) for a, b in trio])
+            for trio in concurrent_triples(13)]
+
+
 def nx_embedding_is_planar(g, rotation):
     """Independent verdict on a rotation system: networkx's own face
     tracing and Euler check."""
@@ -272,12 +281,10 @@ class TestEmbedding:
         triples = concurrent_triples(13)
         assert len(triples) == 47
         assert ((1, 5), (2, 6), (3, 11)) in triples
-        for trio in triples:
-            n = max(b for _, b in trio)
-            g = Graph.from_edges(n, [(a - 1, b - 1) for a, b in trio])
+        for g in triple_hosts():
             assert len({c.x for c in build_arc_drawing(
-                g, LinearLayout.identity(n)).crossings}) == 1
-            res = planarize(g, LinearLayout.identity(n), 0, gadget)
+                g, LinearLayout.identity(g.n)).crossings}) == 1
+            res = planarize(g, LinearLayout.identity(g.n), 0, gadget)
             assert res.crossings_replaced == 3
             assert is_planar(res.g_prime)
 
@@ -343,3 +350,45 @@ class TestEmbedding:
                 assert str(got.value) == str(exc)
             else:
                 assert check_embedding(g_prime, r) == expect
+
+
+# sha256 (first 16 hex digits) of the rotation arrays (lens, heads) that
+# planarize hands to the embedding check, of write_graph(G') and of
+# write_layout(layout'), each taken over the hosts in order
+PINNED = {
+    ("K5", "is"): ("66e8d1c63bea6f76", "7554eaa8c9b2bfc6", "0128b5ea20dc223b"),
+    ("K6", "is"): ("13d7093a86f944c4", "1eaa741e283ed522", "93bf51525ff2a6d3"),
+    ("K7", "is"): ("f155e437242d003b", "e477478bec94ad38", "ac667d477567535e"),
+    ("triples", "is"): ("56459201677588b5", "eb60da6626b2f982",
+                        "4335138fdebe750d"),
+    ("K5", "ds"): ("4130df288c5ac384", "2355a5ed574e8b42", "e8e3f0ffa584cecb"),
+    ("K6", "ds"): ("3800fedda7a9ae7d", "f7dc0a13a53be3cf", "b42ad01776b15d14"),
+    ("K7", "ds"): ("af3c3fa95f4cae99", "c940e9bfab75ecc1", "7a4a0bb4a072ba35"),
+    ("triples", "ds"): ("e5aaf241436cfe94", "2576e30f3a193f2f",
+                        "0cd56456178ac602"),
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("hosts,problem", sorted(PINNED),
+                             ids=[f"{h}-{p}" for h, p in sorted(PINNED)])
+    def test_rotation_graph_and_layout_bytes(self, monkeypatch, hosts,
+                                             problem):
+        # G', its layout and its rotation system are part of the output
+        # contract: a refactor of planarize must keep them byte-identical
+        graphs = (triple_hosts() if hosts == "triples"
+                  else [complete(int(hosts[1:]))])
+        rotation, graph, layout = (hashlib.sha256() for _ in range(3))
+
+        def capture(g_prime, lens, heads):
+            rotation.update(np.asarray(lens, dtype=np.int64).tobytes())
+            rotation.update(np.asarray(heads, dtype=np.int64).tobytes())
+            return check_embedding_arrays(g_prime, lens, heads)
+        monkeypatch.setattr(planarize_module, "check_embedding_arrays", capture)
+        gadget = builtin_gadget(problem)
+        for g in graphs:
+            res = planarize(g, LinearLayout.identity(g.n), 0, gadget)
+            graph.update(cio.write_graph(res.g_prime).encode())
+            layout.update(cio.write_layout(res.layout_prime).encode())
+        got = tuple(d.hexdigest()[:16] for d in (rotation, graph, layout))
+        assert got == PINNED[hosts, problem]
