@@ -37,8 +37,6 @@ from .gadgets import (
     replace_triangle_crossing,
     validate_crossover_shape,
     vc_crossing_core,
-    verify_domset_is_vc,
-    verify_simplicial_avoidance,
     verify_vc_crossing_bounds,
 )
 from .planarize import PlanarizationResult, planarize, verify_planarization

@@ -1,11 +1,12 @@
 """Command-line front end.
 
 Commands: cutwidth, planarize, solve, certify, export.  Every command
-prints a JSON run report (schema 1) to stdout; files are written next to
-the inputs or to the requested paths.  Exit codes: 0 success, 2 parse
-error, 3 precondition violation (also an output file that cannot be
-written), 4 resource/oracle limit, 5 verification failure, including a
-broken construction invariant (InvariantError).
+prints a JSON run report (schema 1) to stdout as one line of compact
+JSON; files are written next to the inputs or to the requested paths.
+Exit codes: 0 success, 2 parse error, 3 precondition violation (also an
+output file that cannot be written), 4 resource/oracle limit, 5
+verification failure, including a broken construction invariant
+(InvariantError).  FAILURES maps each error family to its exit code.
 """
 
 from __future__ import annotations
@@ -213,6 +214,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+# (error types, exit code, message prefix) of each failure family; the
+# first row that matches wins
+FAILURES = (
+    (ParseError, EXIT_PARSE, "parse error: "),
+    ((PreconditionError, InvalidLayoutError), EXIT_PRECONDITION,
+     "precondition: "),
+    ((OracleLimitError, ResourceLimitError), EXIT_RESOURCE,
+     "resource limit: "),
+    (InvariantError, EXIT_VERIFY, "invariant: "),
+    (CutplanarError, EXIT_PRECONDITION, ""),
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
@@ -224,23 +238,13 @@ def main(argv: list[str] | None = None) -> int:
     except _VerificationFailed as exc:
         results = exc.report
         code = EXIT_VERIFY
-    except ParseError as exc:
-        print(json.dumps({"schema": 1, "error": f"parse error: {exc}"}))
-        return EXIT_PARSE
-    except (PreconditionError, InvalidLayoutError) as exc:
-        print(json.dumps({"schema": 1, "error": f"precondition: {exc}"}))
-        return EXIT_PRECONDITION
-    except (OracleLimitError, ResourceLimitError) as exc:
-        print(json.dumps({"schema": 1, "error": f"resource limit: {exc}"}))
-        return EXIT_RESOURCE
-    except InvariantError as exc:
-        print(json.dumps({"schema": 1, "error": f"invariant: {exc}"}))
-        return EXIT_VERIFY
     except CutplanarError as exc:
-        print(json.dumps({"schema": 1, "error": str(exc)}))
-        return EXIT_PRECONDITION
+        code, prefix = next(row[1:] for row in FAILURES
+                            if isinstance(exc, row[0]))
+        print(json.dumps({"schema": 1, "error": f"{prefix}{exc}"}))
+        return code
     print(json.dumps(_report(argv, args, results, t0,
-                             seed=getattr(args, "seed", None)), indent=2))
+                             seed=getattr(args, "seed", None))))
     return code
 
 

@@ -21,10 +21,11 @@ Both gadgets carry layouts frozen by vertex label.  Every construction
 in this module is validated by tests against brute-force optimum
 oracles; the structural facts used by the correctness arguments
 (disjoint closed neighborhoods, interior cover bounds, domination
-patterns) are asserted in the test suite rather than trusted.  The
-certification and lemma checks here (boundary function, minimum covers
-with required vertices, simplicial avoidance, domination as vertex
-cover) compute their optima with the exact solvers of solvers.py.
+patterns) are asserted in the test suite rather than trusted; the lemma
+checks of the dominating-set argument live with the test oracles.  The
+certification here (boundary function, minimum covers with required
+vertices, host-shift checks) computes its optima with the exact solvers
+of solvers.py.
 """
 
 from __future__ import annotations
@@ -689,67 +690,3 @@ def _host_shift_checks(gadget, hosts: int, rng) -> dict:
         done += 1
     return {"hosts": hosts, "shifts": checked,
             "all_exact": all(s == gadget.shift for s in checked)}
-
-
-# ---------------------------------------------------------------------------
-# structural verification helpers (dominating set side)
-# ---------------------------------------------------------------------------
-
-# vertex limit of the brute-force searches behind the two lemma checks
-LEMMA_LIMIT = 24
-
-
-def simplicial_degree_two_vertices(g: Graph) -> list[int]:
-    adj = g.adjacency()
-    out = []
-    for v in range(g.n):
-        if len(adj[v]) == 2:
-            a, b = sorted(adj[v])
-            if g.has_edge(a, b):
-                out.append(v)
-    return out
-
-
-def verify_simplicial_avoidance(g: Graph) -> bool:
-    """Some minimum dominating set avoids a maximal independent set of
-    simplicial degree-two vertices (vacuously true when none exist)."""
-    cands = simplicial_degree_two_vertices(g)
-    picked: set[int] = set()
-    blocked: set[int] = set()
-    adj = g.adjacency()
-    for v in cands:
-        if v not in blocked:
-            picked.add(v)
-            blocked |= adj[v] | {v}
-    if not picked:
-        return True
-    opt = solvers.brute_ds(g, limit=LEMMA_LIMIT)
-    return solvers.brute_ds(g, limit=LEMMA_LIMIT, avoid=picked) == opt
-
-
-def verify_domset_is_vc(g: Graph, u_set: set[int]) -> bool:
-    """Check that some minimum dominating set restricted to u_set covers
-    every edge of the induced subgraph on u_set.
-
-    Precondition: each such edge has a private watcher outside u_set
-    whose open neighborhood is exactly that edge.
-
-    Decided as: some minimum dominating set avoids the watchers W (the
-    vertices outside u_set whose open neighborhood is an inner edge).  A
-    watcher w of edge ab has N[w] within N[b], so any minimum dominating
-    set can swap w for b and keep its size.  A dominating set that
-    avoids W must dominate each watcher through a or b, so it covers
-    every inner edge.
-    """
-    adj = g.adjacency()
-    inner = [(a, b) for a, b in g.edges if a in u_set and b in u_set]
-    inner_set = {frozenset(e) for e in inner}
-    watchers = {w for w in range(g.n)
-                if w not in u_set and frozenset(adj[w]) in inner_set}
-    for a, b in inner:
-        if not any(adj[w] == {a, b} for w in watchers):
-            raise PreconditionError(
-                f"edge ({a},{b}) of the induced subgraph has no private "
-                "degree-two watcher")
-    return (solvers.brute_ds(g, LEMMA_LIMIT, avoid=watchers)
-            == solvers.brute_ds(g, LEMMA_LIMIT))

@@ -196,23 +196,6 @@ class PathDecomposition:
     bags: tuple[frozenset[int], ...]
     width: int
 
-    def validate(self, g: Graph) -> None:
-        """Check the three path-decomposition invariants structurally."""
-        covered = set().union(*self.bags) if self.bags else set()
-        if covered != set(range(g.n)):
-            raise ValueError("bags do not cover the vertex set")
-        for v in range(g.n):
-            positions = [i for i, b in enumerate(self.bags) if v in b]
-            if not positions:
-                raise ValueError(f"vertex {v} in no bag")
-            if positions != list(range(positions[0], positions[-1] + 1)):
-                raise ValueError(f"vertex {v} not contiguous in bags")
-        for u, v in g.edges:
-            if not any(u in b and v in b for b in self.bags):
-                raise ValueError(f"edge ({u},{v}) in no bag")
-        if self.width != max(len(b) for b in self.bags) - 1:
-            raise ValueError("width inconsistent with bags")
-
 
 def cut_profile(g: Graph, layout: LinearLayout) -> CutProfile:
     """Count, for every gap i, the edges {u,v} with pi(u) <= i < pi(v)."""
@@ -414,29 +397,51 @@ def _component_count(n: int, edges: np.ndarray) -> int:
             parent = grand
 
 
+def bag_steps(g: Graph, layout: LinearLayout
+              ) -> tuple[list[tuple[int, list[int], list[int]]], int]:
+    """One sweep of a layout into the steps of its path decomposition, and
+    the width; validates the layout.  Step i is (v at position i, the
+    earlier neighbours of v in vertex order, the vertices that leave the
+    bag after position i in position order).  Bag i holds v and every
+    earlier vertex with a neighbour at position >= i, so the width never
+    exceeds the layout's cutwidth."""
+    layout.validate(g)
+    pos = dict(zip(layout.order, range(g.n)))
+    adj = g.adjacency()
+    # a vertex stays in the bags up to its last neighbour's position,
+    # whose leave list holds it
+    leaves: list[list[int]] = [[] for _ in range(g.n)]
+    steps = []
+    active = width = 0
+    for i, v in enumerate(layout.order):
+        width = max(width, active)   # bag i holds the active vertices and v
+        forget = leaves[i]
+        active -= len(forget)
+        back, last = [], i
+        for u in adj[v]:
+            if pos[u] < i:
+                back.append(u)
+            elif pos[u] > last:
+                last = pos[u]
+        back.sort()
+        if last > i:
+            leaves[last].append(v)
+            active += 1
+        else:
+            forget.append(v)
+        steps.append((v, back, forget))
+    return steps, width
+
+
 def layout_to_path_decomposition(g: Graph, layout: LinearLayout
                                  ) -> PathDecomposition:
-    """Bag i = {vertex at position i} plus every earlier vertex that still
-    has a neighbor at position >= i.  Width never exceeds the layout's
-    cutwidth."""
-    layout.validate(g)
-    if g.n == 0:
-        return PathDecomposition((), 0)
-    pos = {v: i for i, v in enumerate(layout.order)}
-    adj = g.adjacency()
-    # One sweep: a vertex joins the active set after its own position and
-    # leaves it after the position of its last neighbor.
-    leaves: list[list[int]] = [[] for _ in range(g.n)]
-    active: set[int] = set()
-    bags = []
-    for i, v in enumerate(layout.order):
-        bags.append(frozenset(active | {v}))
-        active.difference_update(leaves[i])
-        last = max((pos[u] for u in adj[v]), default=i)
-        if last > i:
-            active.add(v)
-            leaves[last].append(v)
-    width = max(len(b) for b in bags) - 1
+    """The bags of ``bag_steps`` as frozensets."""
+    steps, width = bag_steps(g, layout)
+    bags, live = [], set()
+    for v, _, forget in steps:
+        live.add(v)
+        bags.append(frozenset(live))
+        live.difference_update(forget)
     return PathDecomposition(tuple(bags), width)
 
 

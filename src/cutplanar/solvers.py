@@ -9,20 +9,15 @@ indexing it instead of branching on the problem:
 * dp_*    : dynamic programming over the path decomposition derived from
   a linear layout, with 2 states per bag vertex for IS and 3 for DS.
   Peak live states stay within 2^(w+1) resp. 3^(w+1) for a layout of
-  cutwidth w.  Both run on one engine that keeps only the live states,
-  as sorted int64 keys (base 2 resp. 3) with sound dominance pruning, so
-  it handles widths up to 61 (IS) resp. 38 (DS) within
-  MEMORY_BUDGET_BYTES.  Pruning has two forms chosen by table size: a
-  table of N keys over s bag slots with N * s <= _VECTOR_PRUNE_CELLS
-  (2^15) is pruned in one numpy pass over all slots, a larger one slot
-  by slot.  Both mark the same states dead; the one-pass form saves the
-  fixed cost of about eight numpy calls per slot that dominates small
-  tables, the per-slot form keeps large tables free of s x N temporaries.
+  cutwidth w.  Both run on one engine, _bag_dp, that keeps only the
+  live states, as sorted int64 keys (base 2 resp. 3) with sound
+  dominance pruning, so it handles widths up to 61 (IS) resp. 38 (DS)
+  within MEMORY_BUDGET_BYTES.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
-serves the gadget lemma checks in gadgets.py.  brute_vc is a separate
-edge-branching search, deliberately not derived from brute_is, so the
-IS/VC complementarity can be asserted as a real cross-check.  Callers
+serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
+separate edge-branching search, deliberately not derived from brute_is,
+so the IS/VC complementarity can be asserted as a real cross-check.  Callers
 that need an optimum with vertices deleted build that graph with
 Graph.relabel and call these solvers on it.
 """
@@ -35,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import OracleLimitError, ResourceLimitError
-from .graph import Graph, LinearLayout, layout_to_path_decomposition
+from .graph import Graph, LinearLayout, bag_steps
 
 BRUTE_LIMIT = 28
 HEURISTIC_RESTARTS = 3
@@ -210,21 +205,6 @@ class DPReport:
     width_used: int
 
 
-def _bag_steps(g: Graph, layout: LinearLayout):
-    """Yield (vertex, back_edges, forget_after) per layout position, where
-    back_edges lists already-introduced neighbors and forget_after lists
-    vertices leaving the bag after this position."""
-    decomp = layout_to_path_decomposition(g, layout)
-    bags = decomp.bags + (frozenset(),)
-    adj = g.adjacency()
-    pos = layout.position()
-    steps = []
-    for i, v in enumerate(layout.order):
-        back = sorted(u for u in adj[v] if pos[u] <= i)
-        steps.append((v, back, sorted(bags[i] - bags[i + 1])))
-    return steps, decomp
-
-
 def dp_is(g: Graph, layout: LinearLayout) -> DPReport:
     """Maximum independent set via 2-state DP over the layout's bags.
 
@@ -279,10 +259,12 @@ def _prune_candidates(keys: np.ndarray, nslots: int, base: int):
     weight (a scalar or an array parallel to idx).
 
     A table of N keys over s slots with N * s <= _VECTOR_PRUNE_CELLS
-    yields one pair for all slots, from an s x N digit matrix; its
-    slot-major nonzero order keeps each slot's twin queries sorted, which
-    searchsorted runs fastest on.  Larger tables yield one pair per slot,
-    so no temporary outgrows the table.
+    yields one pair for all slots, from an s x N digit matrix, which saves
+    the fixed cost of about eight numpy calls per slot that dominates
+    small tables; its slot-major nonzero order keeps each slot's twin
+    queries sorted, which searchsorted runs fastest on.  Larger tables
+    yield one pair per slot, so no temporary outgrows the table.  Both
+    forms mark the same states dead.
     """
     if keys.size * nslots <= _VECTOR_PRUNE_CELLS:
         w = base ** np.arange(nslots, dtype=np.int64)
@@ -297,7 +279,9 @@ def _prune_candidates(keys: np.ndarray, nslots: int, base: int):
 def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
             reject_on_forget: int | None) -> DPReport:
     """Minimum-cost DP over the layout's bags with ``base`` states per bag
-    vertex, shared by dp_is and dp_ds.
+    vertex, shared by dp_is and dp_ds.  It runs one step of
+    graph.bag_steps per position: introduce the vertex with its back
+    edges, then forget the vertices that leave the bag.
 
     The table is a sorted, unique int64 array of base-``base`` keys, digit
     i holding the state of bag slot i (an introduced vertex takes the top
@@ -305,7 +289,9 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     top, back_weights)`` returns the states with the new top digit set and
     the back edges applied; ``back_weights`` are the digit weights of the
     earlier neighbors.  Forgetting a vertex drops the states whose digit
-    is ``reject_on_forget`` and removes the digit.
+    is ``reject_on_forget`` and removes the digit.  The forgets of a step
+    commute and the dedupe follows the last of them, so their order does
+    not change the table.
 
     A bag of w + 1 digits needs base^(w+1) < 2^63, so a decomposition of
     width 62 (IS) or 39 (DS) or more raises ResourceLimitError.  So does a
@@ -318,22 +304,18 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     DS).  All twins are looked up in the table before any state is
     removed, so the dead set does not depend on the slot order.
 
-    Tables of N keys over s slots with N * s <= _VECTOR_PRUNE_CELLS find
-    every (state, slot) candidate in one pass over an s x N digit matrix
-    (see _prune_candidates); larger tables loop over the slots.  The
-    one-pass form adds a few arrays of at most 2^15 elements (under
-    1 MiB together); that fixed amount does not grow with the table, and
-    above the threshold the loop's temporaries are no larger than the
-    table, so the 96 n-byte check still bounds every allocation that
-    scales with the state count.
+    The one-pass prune of small tables (_prune_candidates) adds a few
+    arrays of at most 2^15 elements (under 1 MiB together); that fixed
+    amount does not grow with the table, and above the threshold the
+    per-slot temporaries are no larger than the table, so the 96 n-byte
+    check still bounds every allocation that scales with the state count.
     """
-    layout.validate(g)
+    steps, width = bag_steps(g, layout)
     if g.n == 0:
         return DPReport(0, 1, 0, 0)
-    steps, decomp = _bag_steps(g, layout)
-    if base ** (decomp.width + 1) > np.iinfo(np.int64).max:
+    if base ** (width + 1) > np.iinfo(np.int64).max:
         raise ResourceLimitError(
-            f"DP state keys of width {decomp.width} do not fit in int64")
+            f"DP state keys of width {width} do not fit in int64")
     keys = np.zeros(1, dtype=np.int64)
     costs = np.zeros(1, dtype=np.int64)
     slots: list[int] = []
@@ -346,7 +328,7 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
         if need > MEMORY_BUDGET_BYTES:
             raise ResourceLimitError(
                 f"DP step of {2 * keys.size} states needs {need} bytes, over "
-                f"the {MEMORY_BUDGET_BYTES}-byte budget (width {decomp.width})")
+                f"the {MEMORY_BUDGET_BYTES}-byte budget (width {width})")
         keys, costs = introduce(keys, costs, base ** len(slots),
                                 [base ** slots.index(u) for u in back])
         slots.append(v)
@@ -373,7 +355,7 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
             dead[idx[hit]] = True
         keys, costs = keys[~dead], costs[~dead]
         max_live = max(max_live, keys.size)
-    return DPReport(int(costs.min()), max_live, len(decomp.bags), decomp.width)
+    return DPReport(int(costs.min()), max_live, g.n, width)
 
 
 # the exact solvers of each problem: (brute force, layout DP)

@@ -1,8 +1,10 @@
-"""Independent brute-force oracles used only by the tests, and the
-benchmark's hosts.
+"""Independent brute-force oracles used only by the tests, the lemma
+checks of the dominating-set gadget, and the benchmark's hosts.
 
-These deliberately avoid the library's own algorithms so that each
-dual-route check (implementation vs oracle) stays meaningful.
+The oracles deliberately avoid the library's own algorithms so that
+each dual-route check (implementation vs oracle) stays meaningful.  The
+lemma checks decide facts of the gadget's correctness argument, not the
+library's results, so they run the library's brute_ds.
 """
 
 import functools
@@ -13,8 +15,9 @@ from fractions import Fraction
 from pathlib import Path
 
 from cutplanar.drawing import Crossing
-from cutplanar.errors import InvariantError
+from cutplanar.errors import InvariantError, PreconditionError
 from cutplanar.graph import Graph, LinearLayout
+from cutplanar.solvers import brute_ds
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +106,29 @@ def gap_cuts(g: Graph, layout: LinearLayout) -> tuple[int, ...]:
     return tuple(sum(1 for u, v in g.edges
                      if min(pos[u], pos[v]) <= i < max(pos[u], pos[v]))
                  for i in range(1, g.n))
+
+
+# ---------------------------------------------------------------------------
+# path decompositions by their definition
+# ---------------------------------------------------------------------------
+
+def validate_path_decomposition(g: Graph, pd) -> None:
+    """Check the three path-decomposition invariants structurally, and the
+    width; raises ValueError naming the first violation."""
+    covered = set().union(*pd.bags) if pd.bags else set()
+    if covered != set(range(g.n)):
+        raise ValueError("bags do not cover the vertex set")
+    for v in range(g.n):
+        positions = [i for i, b in enumerate(pd.bags) if v in b]
+        if not positions:
+            raise ValueError(f"vertex {v} in no bag")
+        if positions != list(range(positions[0], positions[-1] + 1)):
+            raise ValueError(f"vertex {v} not contiguous in bags")
+    for u, v in g.edges:
+        if not any(u in b and v in b for b in pd.bags):
+            raise ValueError(f"edge ({u},{v}) in no bag")
+    if pd.width != max(len(b) for b in pd.bags) - 1:
+        raise ValueError("width inconsistent with bags")
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +312,70 @@ def subsets_vc(g: Graph) -> int:
         if all((mask >> u) & 1 or (mask >> v) & 1 for u, v in g.edges):
             best = min(best, mask.bit_count())
     return best
+
+
+# ---------------------------------------------------------------------------
+# lemma checks of the dominating-set gadget's correctness argument
+# ---------------------------------------------------------------------------
+
+# vertex limit of the brute-force searches behind the two lemma checks
+LEMMA_LIMIT = 24
+
+
+def simplicial_degree_two_vertices(g: Graph) -> list[int]:
+    adj = g.adjacency()
+    out = []
+    for v in range(g.n):
+        if len(adj[v]) == 2:
+            a, b = sorted(adj[v])
+            if g.has_edge(a, b):
+                out.append(v)
+    return out
+
+
+def verify_simplicial_avoidance(g: Graph) -> bool:
+    """Some minimum dominating set avoids a maximal independent set of
+    simplicial degree-two vertices (vacuously true when none exist)."""
+    cands = simplicial_degree_two_vertices(g)
+    picked: set[int] = set()
+    blocked: set[int] = set()
+    adj = g.adjacency()
+    for v in cands:
+        if v not in blocked:
+            picked.add(v)
+            blocked |= adj[v] | {v}
+    if not picked:
+        return True
+    opt = brute_ds(g, limit=LEMMA_LIMIT)
+    return brute_ds(g, limit=LEMMA_LIMIT, avoid=picked) == opt
+
+
+def verify_domset_is_vc(g: Graph, u_set: set[int]) -> bool:
+    """Check that some minimum dominating set restricted to u_set covers
+    every edge of the induced subgraph on u_set.
+
+    Precondition: each such edge has a private watcher outside u_set
+    whose open neighborhood is exactly that edge.
+
+    Decided as: some minimum dominating set avoids the watchers W (the
+    vertices outside u_set whose open neighborhood is an inner edge).  A
+    watcher w of edge ab has N[w] within N[b], so any minimum dominating
+    set can swap w for b and keep its size.  A dominating set that
+    avoids W must dominate each watcher through a or b, so it covers
+    every inner edge.
+    """
+    adj = g.adjacency()
+    inner = [(a, b) for a, b in g.edges if a in u_set and b in u_set]
+    inner_set = {frozenset(e) for e in inner}
+    watchers = {w for w in range(g.n)
+                if w not in u_set and frozenset(adj[w]) in inner_set}
+    for a, b in inner:
+        if not any(adj[w] == {a, b} for w in watchers):
+            raise PreconditionError(
+                f"edge ({a},{b}) of the induced subgraph has no private "
+                "degree-two watcher")
+    return (brute_ds(g, LEMMA_LIMIT, avoid=watchers)
+            == brute_ds(g, LEMMA_LIMIT))
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from cutplanar.gadgets import (CONNECTOR, BoundaryFunction, CrossoverGadget,
                                is_gadget_conditions, replace_edges_by_gadget,
                                replace_triangle_crossing,
                                validate_crossover_shape, vc_crossing_core,
-                               verify_domset_is_vc, verify_simplicial_avoidance,
                                verify_vc_crossing_bounds)
 from cutplanar.graph import Graph, LinearLayout, is_planar, random_graph
 from cutplanar.io import gadget_from_json
@@ -21,7 +20,8 @@ from cutplanar.planarize import planarize
 from cutplanar.solvers import (brute_ds, brute_is, brute_is_excluding, dp_ds,
                                heuristic_layout)
 
-from oracles import subsets_ds_covers
+from oracles import (subsets_ds_covers, verify_domset_is_vc,
+                     verify_simplicial_avoidance)
 
 
 def make_gadget(n, edges, terminals, shift, problem="is"):

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cutplanar.errors import InvalidLayoutError, InvariantError, OracleLimitError
-from cutplanar.graph import (CutProfile, Graph, LinearLayout, check_embedding,
-                             cut_profile, exact_cutwidth, is_planar,
-                             layout_to_path_decomposition, planar_rotation,
-                             random_graph)
+from cutplanar.graph import (CutProfile, Graph, LinearLayout, bag_steps,
+                             check_embedding, cut_profile, exact_cutwidth,
+                             is_planar, layout_to_path_decomposition,
+                             planar_rotation, random_graph)
 
-from oracles import brute_cutwidth, brute_planarity, gap_cuts, trace_faces
+from oracles import (brute_cutwidth, brute_planarity, gap_cuts, trace_faces,
+                     validate_path_decomposition)
 
 
 def path(n):
@@ -317,7 +318,7 @@ class TestPathDecomposition:
         pd = layout_to_path_decomposition(g, LinearLayout.identity(3))
         assert pd.bags == (frozenset({0}), frozenset({0, 1}), frozenset({1, 2}))
         assert pd.width == 1
-        pd.validate(g)
+        validate_path_decomposition(g, pd)
 
     def test_edgeless(self):
         g = Graph.from_edges(4, [])
@@ -329,7 +330,7 @@ class TestPathDecomposition:
         g = cycle(4)
         pd = layout_to_path_decomposition(g, LinearLayout.identity(4))
         assert pd.width == 2
-        pd.validate(g)
+        validate_path_decomposition(g, pd)
 
     def test_width_bounded_by_cutwidth_random(self):
         rng = random.Random(6)
@@ -340,7 +341,7 @@ class TestPathDecomposition:
             rng.shuffle(order)
             layout = LinearLayout(tuple(order))
             pd = layout_to_path_decomposition(g, layout)
-            pd.validate(g)
+            validate_path_decomposition(g, pd)
             assert pd.width <= cut_profile(g, layout).max_width
 
     def test_sweep_matches_definition(self):
@@ -360,4 +361,16 @@ class TestPathDecomposition:
                 for i in range(1, n + 1))
             pd = layout_to_path_decomposition(g, layout)
             assert pd.bags == expect
-            pd.validate(g)
+            validate_path_decomposition(g, pd)
+            # the steps behind the bags: back lists are the earlier
+            # neighbours, forget lists the vertices of bag i not in bag i + 1
+            steps, width = bag_steps(g, layout)
+            assert width == pd.width
+            assert [v for v, _, _ in steps] == order
+            bags = expect + (frozenset(),)
+            for i, (v, back, forget) in enumerate(steps):
+                assert back == sorted(u for u in g.neighbors(v)
+                                      if pos[u] < pos[v])
+                assert len(forget) == len(set(forget))
+                assert set(forget) == bags[i] - bags[i + 1]
+                assert forget == sorted(forget, key=pos.get)

@@ -10,7 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 from cutplanar import cli
 from cutplanar import io as cio
-from cutplanar.errors import InvalidLayoutError, InvariantError, ParseError
+from cutplanar.errors import (CutplanarError, GadgetError, InvalidLayoutError,
+                              InvariantError, OracleLimitError, ParseError,
+                              PreconditionError, ResourceLimitError)
 from cutplanar.gadgets import builtin_gadget, gjs_is_gadget, CrossoverGadget
 from cutplanar.graph import (Graph, LinearLayout, check_embedding_arrays,
                              cut_profile, random_graph)
@@ -349,6 +351,28 @@ class TestCli:
                                      "is", "--t", "1"])
         assert code == cli.EXIT_VERIFY
         assert "gadget copy X2" in rep["error"]
+
+    @pytest.mark.parametrize("error, code, text", [
+        (ParseError("bad token", line=3), 2, "parse error: line 3: bad token"),
+        (PreconditionError("no layout"), 3, "precondition: no layout"),
+        (InvalidLayoutError("not a permutation"), 3,
+         "precondition: not a permutation"),
+        (OracleLimitError("too big"), 4, "resource limit: too big"),
+        (ResourceLimitError("over budget"), 4, "resource limit: over budget"),
+        (InvariantError("gap 3"), 5, "invariant: gap 3"),
+        (GadgetError("no drawing"), 3, "no drawing"),
+        (CutplanarError("other"), 3, "other"),
+    ], ids=lambda x: type(x).__name__ if isinstance(x, Exception) else None)
+    def test_failure_families(self, capsys, monkeypatch, k4_files, error,
+                              code, text):
+        # every error family maps to one exit code and one message prefix
+        def failing(args):
+            raise error
+        monkeypatch.setattr(cli, "cmd_cutwidth", failing)
+        got = cli.main(["cutwidth", k4_files[0]])
+        assert got == code
+        assert capsys.readouterr().out == json.dumps(
+            {"schema": 1, "error": text}) + "\n"
 
     def test_export_svg(self, capsys, tmp_path, k4_files):
         gpath, lpath = k4_files

@@ -205,22 +205,26 @@ class TestPruneForms:
             out.append(dp(g, layout))
         return out
 
-    @pytest.mark.parametrize("problem, make", [
-        ("is", lambda: (complete(5), LinearLayout.identity(5))),
-        ("is", lambda: (complete(6), LinearLayout.identity(6))),
-        ("is", lambda: (complete(7), LinearLayout.identity(7))),
-        ("is", lambda: band24_host(1)),
-        ("is", lambda: band24_host(2)),
-        ("ds", lambda: single_crossing_host(6)),
-        ("ds", lambda: single_crossing_host(8)),
+    # expected (optimum, max_live_states, bag_count, width_used) on G'
+    @pytest.mark.parametrize("problem, make, expect", [
+        ("is", lambda: (complete(5), LinearLayout.identity(5)),
+         (46, 79, 115, 12)),
+        ("is", lambda: (complete(6), LinearLayout.identity(6)),
+         (136, 130, 336, 15)),
+        ("is", lambda: (complete(7), LinearLayout.identity(7)),
+         (316, 294, 777, 18)),
+        ("is", lambda: band24_host(1), (1270, 2340, 3104, 17)),
+        ("is", lambda: band24_host(2), (1271, 3195, 3104, 19)),
+        ("ds", lambda: single_crossing_host(6), (52, 47616, 222, 15)),
+        ("ds", lambda: single_crossing_host(8), (52, 47616, 222, 15)),
     ], ids=["K5-is", "K6-is", "K7-is", "band24-1-is", "band24-2-is",
             "sc-6-ds", "sc-8-ds"])
-    def test_planarized_hosts(self, monkeypatch, problem, make):
+    def test_planarized_hosts(self, monkeypatch, problem, make, expect):
         g, layout = make()
         res = planarize(g, layout, 0, builtin_gadget(problem))
         loop, one_pass = self.reports(monkeypatch, problem, res.g_prime,
                                       res.layout_prime)
-        assert loop == one_pass
+        assert loop == one_pass == solvers.DPReport(*expect)
 
     @pytest.mark.parametrize("problem", ["is", "ds"])
     def test_random_graphs(self, monkeypatch, problem):
