@@ -10,9 +10,10 @@ indexing it instead of branching on the problem:
   a linear layout, with 2 states per bag vertex for IS and 3 for DS.
   Peak live states stay within 2^(w+1) resp. 3^(w+1) for a layout of
   cutwidth w.  Both run on one engine, _bag_dp, that keeps only the
-  live states, as sorted int64 keys (base 2 resp. 3) with sound
-  dominance pruning, so it handles widths up to 61 (IS) resp. 38 (DS)
-  within MEMORY_BUDGET_BYTES.
+  live states, as sorted int64 keys (base 2 resp. 3), and drops a state
+  when a twin with a lower digit at one bag slot costs no more (the
+  digit order is the dominance order of both problems), so it handles
+  widths up to 61 (IS) resp. 38 (DS) within MEMORY_BUDGET_BYTES.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
@@ -254,26 +255,32 @@ def _digit(keys: np.ndarray, weight: int | np.ndarray,
 
 
 def _prune_candidates(keys: np.ndarray, nslots: int, base: int):
-    """Yield (idx, weight) pairs covering every (state, slot) whose digit
-    is base - 1: idx indexes ``keys`` and weight is the slot's digit
-    weight (a scalar or an array parallel to idx).
+    """Yield (idx, shift) pairs covering every (state, slot, k) with
+    1 <= k <= the state's digit at the slot: idx indexes ``keys`` and
+    ``keys[idx] - shift`` is the twin whose digit there is k lower (shift
+    is k times the slot's digit weight, a scalar or an array parallel to
+    idx).
 
     A table of N keys over s slots with N * s <= _VECTOR_PRUNE_CELLS
-    yields one pair for all slots, from an s x N digit matrix, which saves
-    the fixed cost of about eight numpy calls per slot that dominates
-    small tables; its slot-major nonzero order keeps each slot's twin
-    queries sorted, which searchsorted runs fastest on.  Larger tables
-    yield one pair per slot, so no temporary outgrows the table.  Both
-    forms mark the same states dead.
+    yields one pair per k for all slots, from an s x N digit matrix, which
+    saves the fixed cost of about eight numpy calls per slot that
+    dominates small tables; its slot-major nonzero order keeps each
+    slot's twin queries sorted, which searchsorted runs fastest on.
+    Larger tables yield one pair per slot and k, so no temporary outgrows
+    the table.  Both forms mark the same states dead.
     """
     if keys.size * nslots <= _VECTOR_PRUNE_CELLS:
         w = base ** np.arange(nslots, dtype=np.int64)
-        cols, idx = np.nonzero(_digit(keys, w[:, None], base) == base - 1)
-        yield idx, w[cols]
+        digits = _digit(keys, w[:, None], base)
+        for k in range(1, base):
+            cols, idx = np.nonzero(digits >= k)
+            yield idx, w[cols] if k == 1 else k * w[cols]
         return
     for i in range(nslots):
         weight = base ** i
-        yield np.flatnonzero(_digit(keys, weight, base) == base - 1), weight
+        digit = _digit(keys, weight, base)
+        for k in range(1, base):
+            yield np.flatnonzero(digit >= k), k * weight
 
 
 def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
@@ -297,15 +304,24 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     width 62 (IS) or 39 (DS) or more raises ResourceLimitError.  So does a
     step that starts from n states when 96 n bytes (six int64 arrays of
     the 2n introduced states) exceed MEMORY_BUDGET_BYTES; both are checked
-    before allocating.  Every step drops a state whose digit at some slot
-    is base - 1 when its twin with digit base - 2 costs no more: that twin
-    allows every extension the state does (an out vertex allows all an in
-    vertex does for IS; a dominated vertex all an undominated one does for
-    DS).  All twins are looked up in the table before any state is
-    removed, so the dead set does not depend on the slot order.
+    before allocating.
 
-    The one-pass prune of small tables (_prune_candidates) adds a few
-    arrays of at most 2^15 elements (under 1 MiB together); that fixed
+    Every step drops a state when its twin with a lower digit at some slot
+    costs no more.  In both problems the digit order is the dominance
+    order: a lower digit allows every extension a higher one does, at no
+    extra cost to come.  For IS, out (0) allows all that in (1) does.  For
+    DS, in the set (0) passes the forget rule, dominates every later
+    neighbour at introduce and has its cost already paid, so it allows
+    all that dominated (1) or undominated (2) does; dominated allows all
+    that undominated does.  Introduce and forget keep this order slot by
+    slot, so a dropped state's twin keeps an extension at least as cheap
+    as each of the state's.  All twins are looked up in the table before
+    any state is removed, so the dead set does not depend on the slot
+    order.  A twin's key is strictly lower than its state's, so every
+    chain of dead states ends at a survivor that costs no more.
+
+    The one-pass prune of small tables (_prune_candidates) adds about a
+    dozen arrays of at most 2^15 elements (a few MiB together); that fixed
     amount does not grow with the table, and above the threshold the
     per-slot temporaries are no larger than the table, so the 96 n-byte
     check still bounds every allocation that scales with the state count.
@@ -340,16 +356,19 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
             high = keys // du
             keys = keys - (high - high // base) * du   # higher digits move down
             slots.remove(u)
-        # dedupe, keeping the cheapest cost of each key
-        order = np.argsort(keys, kind="stable")
-        keys, costs = keys[order], costs[order]
-        starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
-        keys, costs = keys[starts], np.minimum.reduceat(costs, starts)
-        # prune states whose digit-(base - 2) twin at some slot is no more
-        # expensive
+        # dedupe, keeping the cheapest cost of each key, unless the step
+        # forgot nothing and introduce left the keys sorted and unique
+        if forget or not (keys[1:] > keys[:-1]).all():
+            order = np.argsort(keys, kind="stable")
+            keys, costs = keys[order], costs[order]
+            starts = np.flatnonzero(
+                np.concatenate([[True], keys[1:] != keys[:-1]]))
+            keys, costs = keys[starts], np.minimum.reduceat(costs, starts)
+        # prune states whose twin with a lower digit at some slot is no
+        # more expensive
         dead = np.zeros(keys.size, dtype=bool)
-        for idx, weight in _prune_candidates(keys, len(slots), base):
-            twin_key = keys[idx] - weight
+        for idx, shift in _prune_candidates(keys, len(slots), base):
+            twin_key = keys[idx] - shift
             twin = np.searchsorted(keys, twin_key)    # < idx: in range
             hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
             dead[idx[hit]] = True

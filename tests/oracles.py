@@ -16,7 +16,7 @@ from pathlib import Path
 
 from cutplanar.drawing import Crossing
 from cutplanar.errors import InvariantError, PreconditionError
-from cutplanar.graph import Graph, LinearLayout
+from cutplanar.graph import Graph, LinearLayout, bag_steps
 from cutplanar.solvers import brute_ds
 
 
@@ -312,6 +312,80 @@ def subsets_vc(g: Graph) -> int:
         if all((mask >> u) & 1 or (mask >> v) & 1 for u, v in g.edges):
             best = min(best, mask.bit_count())
     return best
+
+
+# ---------------------------------------------------------------------------
+# layout DP over dicts of named states (no integer keys)
+# ---------------------------------------------------------------------------
+
+# each problem's bag-vertex states, a state before every state it dominates
+REFERENCE_STATES = {"is": ("out", "in"),
+                    "ds": ("in", "dominated", "undominated")}
+
+
+def reference_dp(g: Graph, layout: LinearLayout, problem: str,
+                 prune: bool = False) -> tuple[int, int]:
+    """(maximum independent set ("is") or minimum dominating set ("ds"),
+    peak live states) by a DP over the steps of graph.bag_steps: a dict
+    from the bag's states, a frozenset of (vertex, state) pairs, to the
+    best set size.  States are those of REFERENCE_STATES; forgetting drops
+    "undominated".  Without ``prune`` every state is kept.  With it, each
+    step then drops the states that a twin with an earlier state at one
+    vertex matches or beats, every twin looked up before any removal."""
+    steps, _ = bag_steps(g, layout)
+    better = max if problem == "is" else min
+    table = {frozenset(): 0}
+    peak = 1
+    for v, back, forget in steps:
+        grown = {}
+        for bag, size in table.items():
+            state = dict(bag)
+            for choice, extended, gain in _reference_choices(problem, state,
+                                                             back):
+                extended[v] = choice
+                key = frozenset(extended.items())
+                grown[key] = better(grown.get(key, size + gain), size + gain)
+        table = {}
+        for bag, size in grown.items():
+            state = dict(bag)
+            if any(state[u] == "undominated" for u in forget):
+                continue
+            key = frozenset((u, s) for u, s in bag if u not in forget)
+            table[key] = better(table.get(key, size), size)
+        if prune:
+            table = {bag: size for bag, size in table.items()
+                     if not _reference_dominated(problem, table, bag, size)}
+        peak = max(peak, len(table))
+    return better(table.values()), peak
+
+
+def _reference_dominated(problem: str, table: dict, bag: frozenset,
+                         size: int) -> bool:
+    better = max if problem == "is" else min
+    states = REFERENCE_STATES[problem]
+    for u, s in bag:
+        for lower in states[:states.index(s)]:
+            twin = (bag - {(u, s)}) | {(u, lower)}
+            if twin in table and better(table[twin], size) == table[twin]:
+                return True
+    return False
+
+
+def _reference_choices(problem: str, state: dict, back: list[int]):
+    """(state of the new vertex, bag states after its back edges, set
+    size gain) for each choice the new vertex has."""
+    if problem == "is":
+        yield "out", dict(state), 0
+        if all(state[u] == "out" for u in back):
+            yield "in", dict(state), 1
+        return
+    dominated = dict(state)
+    for u in back:
+        if dominated[u] == "undominated":
+            dominated[u] = "dominated"
+    yield "in", dominated, 1
+    seen = any(state[u] == "in" for u in back)
+    yield ("dominated" if seen else "undominated"), dict(state), 0
 
 
 # ---------------------------------------------------------------------------

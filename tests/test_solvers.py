@@ -1,7 +1,10 @@
+import itertools
 import json
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cutplanar import cli, solvers
 from cutplanar import io as cio
@@ -13,8 +16,8 @@ from cutplanar.planarize import planarize
 from cutplanar.solvers import (brute_ds, brute_is, brute_vc, dp_ds, dp_is,
                                heuristic_layout)
 
-from oracles import (band24_host, single_crossing_host, subsets_ds,
-                     subsets_is, subsets_vc)
+from oracles import (band24_host, reference_dp, single_crossing_host,
+                     subsets_ds, subsets_is, subsets_vc)
 
 
 def cycle(n):
@@ -215,8 +218,8 @@ class TestPruneForms:
          (316, 294, 777, 18)),
         ("is", lambda: band24_host(1), (1270, 2340, 3104, 17)),
         ("is", lambda: band24_host(2), (1271, 3195, 3104, 19)),
-        ("ds", lambda: single_crossing_host(6), (52, 47616, 222, 15)),
-        ("ds", lambda: single_crossing_host(8), (52, 47616, 222, 15)),
+        ("ds", lambda: single_crossing_host(6), (52, 5616, 222, 15)),
+        ("ds", lambda: single_crossing_host(8), (52, 5616, 222, 15)),
     ], ids=["K5-is", "K6-is", "K7-is", "band24-1-is", "band24-2-is",
             "sc-6-ds", "sc-8-ds"])
     def test_planarized_hosts(self, monkeypatch, problem, make, expect):
@@ -237,6 +240,73 @@ class TestPruneForms:
             loop, one_pass = self.reports(monkeypatch, problem, g,
                                           LinearLayout(tuple(order)))
             assert loop == one_pass, (sorted(g.edges), order)
+
+
+def previous_rule_candidates(keys, nslots, base):
+    """The prune rule before the full dominance order: digit base - 1
+    against its digit-(base - 2) twin only, slot by slot."""
+    for i in range(nslots):
+        weight = base ** i
+        yield (np.flatnonzero(solvers._digit(keys, weight, base) == base - 1),
+               weight)
+
+
+class TestDominanceOrder:
+    """A state dies when a twin with a lower digit at one slot costs no
+    more.  Optima must match an unpruned reference DP and brute force
+    under both prune forms."""
+
+    @staticmethod
+    def assert_exact(monkeypatch, g, layout):
+        """Both prune forms give the optimum of brute force and of the
+        unpruned reference DP, and the peak of the reference DP pruned by
+        the same rule."""
+        brute = {"is": brute_is(g), "ds": brute_ds(g)}
+        for problem in ("is", "ds"):
+            assert reference_dp(g, layout, problem)[0] == brute[problem]
+            expect = reference_dp(g, layout, problem, prune=True)
+            assert expect[0] == brute[problem]
+            for rep in TestPruneForms.reports(monkeypatch, problem, g, layout):
+                assert (rep.optimum, rep.max_live_states) == expect, (
+                    problem, sorted(g.edges), layout.order)
+
+    def test_random_graphs(self, monkeypatch):
+        rng = random.Random(29)
+        for _ in range(80):
+            n = rng.randint(0, 10)
+            g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            self.assert_exact(monkeypatch, g, LinearLayout(tuple(order)))
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(st.integers(0, 10).flatmap(lambda n: st.tuples(
+        st.lists(st.booleans(), min_size=n * (n - 1) // 2,
+                 max_size=n * (n - 1) // 2),
+        st.permutations(range(n)))))
+    def test_random_graphs_hypothesis(self, host):
+        mask, order = host
+        n = len(order)
+        pairs = itertools.combinations(range(n), 2)
+        g = Graph.from_edges(n, [e for e, keep in zip(pairs, mask) if keep])
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            self.assert_exact(monkeypatch, g, LinearLayout(tuple(order)))
+
+    @pytest.mark.parametrize("make", [
+        lambda: single_crossing_host(6),
+        lambda: single_crossing_host(8),
+        lambda: (complete(4), LinearLayout.identity(4)),
+    ], ids=["sc-6", "sc-8", "K4"])
+    def test_ds_peak_not_above_previous_rule(self, monkeypatch, make):
+        g, layout = make()
+        res = planarize(g, layout, 0, builtin_gadget("ds"))
+        full = dp_ds(res.g_prime, res.layout_prime)
+        monkeypatch.setattr(solvers, "_prune_candidates",
+                            previous_rule_candidates)
+        previous = dp_ds(res.g_prime, res.layout_prime)
+        assert full.optimum == previous.optimum
+        assert full.max_live_states <= previous.max_live_states
 
 
 class TestHeuristicLayout:
