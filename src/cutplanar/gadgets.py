@@ -17,27 +17,35 @@ Two gadget families are provided:
   structures (+6 each) whose four strand-triangle crossings are replaced
   by the vertex-cover crossing core (+9 each).
 
-Both gadgets carry layouts frozen by vertex label.  Every construction
-in this module is validated by tests against brute-force optimum
-oracles; the structural facts used by the correctness arguments
-(disjoint closed neighborhoods, interior cover bounds, domination
-patterns) are asserted in the test suite rather than trusted; the lemma
-checks of the dominating-set argument live with the test oracles.  The
-certification here (boundary function, minimum covers with required
-vertices, host-shift checks) computes its optima with the exact solvers
-of solvers.py.
+Both gadgets carry a layout frozen by vertex label and a rotation system
+(a planar drawing) frozen by layout position.  The rotation is proven
+when the gadget is built, by checking it as an embedding of the shape
+certificate of validate_crossover_shape, so the built-in pipeline runs
+no general planarity test and never imports networkx; a gadget read
+from a file, which carries no rotation, gets one from networkx's
+left-right test and the same proof.
+
+Every construction in this module is validated by tests against
+brute-force optimum oracles; the structural facts used by the
+correctness arguments (disjoint closed neighborhoods, interior cover
+bounds, domination patterns) are asserted in the test suite rather than
+trusted; the lemma checks of the dominating-set argument live with the
+test oracles.  The certification here (boundary function, minimum covers
+with required vertices, host-shift checks) computes its optima with the
+exact solvers of solvers.py.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import Sequence
 
-from .errors import GadgetError, PreconditionError
-from .graph import (Graph, LinearLayout, cutwidth_of_layout, planar_rotation,
-                    random_graph)
+from .errors import GadgetError, InvariantError, PreconditionError
+from .graph import (Graph, LinearLayout, check_embedding, cutwidth_of_layout,
+                    planar_rotation, random_graph)
 from . import solvers
 
 Edge = tuple[int, int]
@@ -56,6 +64,10 @@ class CrossoverGadget:
 
     ``problem`` is "is" or "ds".  The layout is any valid layout of the
     gadget graph; its cutwidth feeds the planarizer's width bound.
+    ``frozen_rotation``, if given, is ``rotation`` keyed by layout
+    position: entry i lists the positions of the neighbours of the
+    vertex at position i, in the same order.  The built-in gadgets
+    carry one.
     """
 
     problem: str
@@ -63,6 +75,8 @@ class CrossoverGadget:
     terminals: tuple[int, int, int, int]  # u, u', v, v'
     layout: LinearLayout
     shift: int
+    frozen_rotation: tuple[tuple[int, ...], ...] | None = field(
+        default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if self.problem not in ("is", "ds"):
@@ -86,34 +100,24 @@ class CrossoverGadget:
         from upper left (u) to lower right (u').  Each terminal's
         rotation starts with CONNECTOR, the slot of its connector edge.
 
-        Taken from the embedding of the certificate graph of
-        ``validate_crossover_shape``: the apex's slot at each terminal
-        becomes the connector slot, the 4-cycle is dropped, and the whole
-        rotation is mirrored when the apex sees the terminals the other
-        way round.  Raises GadgetError when no such drawing exists.
+        A built-in gadget translates its frozen rotation, and proves it
+        when the gadget is built; any other gadget derives one with the
+        left-right planarity test (networkx, imported then).  Either way
+        the rotation is proven before it is returned
+        (``_proven_rotation``), and GadgetError is raised when no such
+        drawing exists or the frozen rotation is not one.
         """
-        g = self.graph
-        u, up, v, vp = self.terminals
-        rot = planar_rotation(_shape_certificate(self))
-        if rot is None:
-            raise GadgetError(
-                "gadget has no planar drawing with the terminals on the "
-                "outer face in the cyclic order u, v, u', v'")
-        apex = g.n
-        # seen from the apex, outside the gadget, the counter-clockwise
-        # order u, v, u', v' around the gadget reads clockwise
-        i = rot[apex].index(u)
-        if rot[apex][i:] + rot[apex][:i] != [u, vp, up, v]:
-            rot = [r[::-1] for r in rot]
-        adj = g.adjacency()
-        out = []
-        for w in range(g.n):
-            r = [x for x in rot[w] if x in adj[w] or x == apex]
-            if w in self.terminals:
-                i = r.index(apex)
-                r = [CONNECTOR] + r[i + 1:] + r[:i]
-            out.append(tuple(r))
-        return tuple(out)
+        if self.frozen_rotation is None:
+            return _proven_rotation(self, _lr_rotation(self))
+        order = self.layout.order
+        rot: list = [()] * len(order)
+        try:
+            for w, r in zip(order, self.frozen_rotation, strict=True):
+                rot[w] = tuple(x if x == CONNECTOR else order[x] for x in r)
+        except (IndexError, ValueError) as exc:
+            raise GadgetError("frozen rotation does not fit the gadget's "
+                              "layout") from exc
+        return _proven_rotation(self, rot)
 
 
 @dataclass(frozen=True)
@@ -144,13 +148,79 @@ def _shape_certificate(gadget: CrossoverGadget) -> Graph:
     return Graph.from_edges(g.n + 1, list(g.edges) + extra)
 
 
+_SHAPE = ("with the terminals on the outer face in the cyclic order "
+          "u, v, u', v'")
+
+
+def _lr_rotation(gadget: CrossoverGadget) -> list[list[int]]:
+    """A rotation of the gadget taken from the left-right embedding of
+    its shape certificate: the apex's slot at each terminal becomes the
+    connector slot, the 4-cycle is dropped, and the whole rotation is
+    mirrored when the apex sees the terminals the other way round."""
+    g = gadget.graph
+    u, up, v, vp = gadget.terminals
+    rot = planar_rotation(_shape_certificate(gadget))
+    if rot is None:
+        raise GadgetError(f"gadget has no planar drawing {_SHAPE}")
+    apex = g.n
+    # seen from the apex, outside the gadget, the counter-clockwise
+    # order u, v, u', v' around the gadget reads clockwise
+    i = rot[apex].index(u)
+    if rot[apex][i:] + rot[apex][:i] != [u, vp, up, v]:
+        rot = [r[::-1] for r in rot]
+    adj = g.adjacency()
+    out = []
+    for w in range(g.n):
+        r = [x for x in rot[w] if x in adj[w] or x == apex]
+        if w in gadget.terminals:
+            i = r.index(apex)
+            r = [CONNECTOR] + r[i + 1:] + r[:i]
+        out.append(r)
+    return out
+
+
+def _proven_rotation(gadget: CrossoverGadget, rot: Sequence[Sequence[int]]
+                     ) -> tuple[tuple[int, ...], ...]:
+    """``rot`` as tuples, once proven to be the rotation that
+    ``CrossoverGadget.rotation`` describes; raises GadgetError if not.
+
+    The proof extends ``rot`` to a rotation of the shape certificate and
+    runs ``check_embedding`` on it, in O(n log n).  At each terminal the
+    connector slot becomes the terminal's predecessor in the cyclic
+    order u, v, u', v', then the apex, then its successor (at u:
+    v', apex, v), and the apex sees u, v', u', v counter-clockwise.  A
+    planar embedding of the certificate is what
+    ``validate_crossover_shape`` claims; the mirrored orientation fails.
+    """
+    u, up, v, vp = gadget.terminals
+    apex = gadget.graph.n
+    ring = (u, v, up, vp)
+    ext = [list(r) for r in rot] + [[u, vp, up, v]]
+    for i, t in enumerate(ring):
+        if ext[t][:1] != [CONNECTOR]:
+            raise GadgetError(
+                f"rotation of terminal {gadget.graph.labels.get(t, str(t))} "
+                f"does not start with its connector slot")
+        ext[t][:1] = [ring[i - 1], apex, ring[(i + 1) % 4]]
+    try:
+        check_embedding(_shape_certificate(gadget), ext)
+    except InvariantError as exc:
+        raise GadgetError(
+            f"rotation is not a planar drawing of the gadget {_SHAPE}: "
+            f"{exc}") from exc
+    return tuple(map(tuple, rot))
+
+
 def validate_crossover_shape(gadget: CrossoverGadget) -> bool:
     """Certify the drawing requirements: the gadget graph together with
     the terminal 4-cycle u-v-u'-v' and an apex adjacent to all four
     terminals must remain planar.  This holds iff the gadget has a
     planar drawing with the terminals on the outer face in the cyclic
-    order u, v, u', v'.  The embedding found is kept as the gadget's
-    rotation, so the planarity test runs once per gadget."""
+    order u, v, u', v'.  The proof is the gadget's rotation extended to
+    this certificate graph and checked as its embedding: the built-in
+    gadgets carry frozen rotations, proven when they are built, and any
+    other gadget takes one from the left-right planarity test, once per
+    gadget, and proves it the same way."""
     try:
         gadget.rotation
     except GadgetError:
@@ -409,6 +479,20 @@ _IS_GADGET_LAYOUT_LABELS = (
     "p", "v", "e1", "a2", "a1", "a3", "b2", "b3", "b1", "x", "u",
 )
 
+# Frozen rotation of the IS gadget, keyed by layout position: entry i
+# lists counter-clockwise the positions of the neighbours of the vertex
+# at position i of _IS_GADGET_LAYOUT_LABELS, a terminal's CONNECTOR slot
+# first.  Recorded once from the left-right embedding of networkx 3.6.1
+# (the derivation in _lr_rotation); proven whenever the gadget is built.
+_IS_GADGET_ROTATION = (
+    (1, 5, 4, 3), (8, 2, 0), (CONNECTOR, 1), (4, 7, 0), (0, 5, 10, 3),
+    (19, 17, 4, 0, 6), (CONNECTOR, 5), (3, 9, 8), (9, 11, 1, 7),
+    (10, 11, 8, 7), (13, 9, 4), (15, 12, 8, 9, 14), (CONNECTOR, 11),
+    (17, 14, 10), (11, 13, 16, 15), (20, 11, 14, 16), (14, 18, 15),
+    (5, 19, 18, 13), (16, 17, 19), (18, 17, 5, 20), (15, 19, 21),
+    (CONNECTOR, 20),
+)
+
 
 @lru_cache(maxsize=None)
 def gjs_is_gadget() -> CrossoverGadget:
@@ -431,7 +515,10 @@ def gjs_is_gadget() -> CrossoverGadget:
     labels.update({u: "u", up: "u'", v: "v", vp: "v'"})
     g = Graph.from_edges(n + 4, edges, labels)
     layout = _layout_by_labels(g, _IS_GADGET_LAYOUT_LABELS)
-    return CrossoverGadget("is", g, (u, up, v, vp), layout, 9)
+    gadget = CrossoverGadget("is", g, (u, up, v, vp), layout, 9,
+                             _IS_GADGET_ROTATION)
+    gadget.rotation   # proven now: a broken frozen rotation raises here
+    return gadget
 
 
 # Frozen low-cutwidth layout of the composite gadget, stored by vertex
@@ -515,6 +602,77 @@ _DS_GADGET_LAYOUT_LABELS = (
     'dpu:c_y', 'dpu:a_y', 'dpu:b_y',
 )
 
+# Frozen rotation of the DS gadget, keyed by layout position as
+# _IS_GADGET_ROTATION is; recorded and proven the same way.
+_DS_GADGET_ROTATION = (
+    (5, 2), (2, 16), (18, 16, 1, 5, 0, 3), (2, 18), (9, 5),
+    (2, 11, 6, 9, 4, 0), (5, 11), (9, 21), (20, 9),
+    (5, 11, 10, 21, 7, 20, 8, 4), (9, 11), (14, 21, 12, 10, 9, 6, 5, 13),
+    (21, 11), (11, 14), (54, 11, 13, 15, 16), (16, 14),
+    (36, 14, 15, 1, 2, 18, 17, 35), (18, 16), (16, 2, 3, 19, 20, 36, 22, 17),
+    (20, 18), (9, 27, 25, 18, 19, 8), (11, 50, 24, 30, 23, 28, 7, 9, 12),
+    (18, 36), (28, 21), (30, 21), (27, 20), (28, 27), (20, 28, 26, 37, 38, 25),
+    (27, 21, 23, 30, 29, 33, 32, 26), (30, 28),
+    (28, 21, 24, 47, 46, 31, 32, 29), (32, 30), (40, 28, 33, 30, 31, 39),
+    (32, 28), (38, 36), (16, 36), (65, 16, 35, 22, 18, 34, 38, 44, 42, 49),
+    (38, 27), (42, 36, 34, 27, 37, 40, 45, 43), (32, 40),
+    (38, 32, 39, 42, 41, 45), (40, 42), (47, 36, 44, 38, 43, 41, 40, 48),
+    (38, 42), (42, 36), (40, 38), (47, 30), (30, 163, 161, 42, 48, 46),
+    (42, 47), (36, 65), (21, 53), (CONNECTOR, 52), (53, 51), (50, 52, 186),
+    (55, 14), (56, 54, 89), (57, 55), (CONNECTOR, 56), (60, 62), (60, 63),
+    (63, 62, 58, 76, 74, 59), (63, 62), (81, 58, 60, 61, 63, 65, 66, 69),
+    (65, 62, 61, 60, 59, 67, 72, 64), (63, 65),
+    (62, 63, 64, 70, 85, 68, 87, 36, 49, 66), (65, 62), (72, 63), (87, 65),
+    (62, 81), (85, 65), (84, 72), (78, 84, 71, 63, 67, 73), (72, 78), (76, 60),
+    (78, 76), (60, 80, 77, 78, 75, 74), (76, 80),
+    (76, 80, 79, 95, 93, 72, 73, 75), (78, 80),
+    (95, 79, 78, 77, 76, 81, 82, 94), (80, 62, 69, 138, 111, 82), (81, 80),
+    (85, 84), (72, 97, 98, 85, 83, 71), (84, 90, 92, 87, 86, 65, 70, 83),
+    (87, 85), (85, 91, 92, 89, 88, 65, 68, 86), (89, 87),
+    (87, 104, 105, 55, 88), (92, 85), (92, 87), (101, 87, 91, 85, 90, 100),
+    (78, 95), (80, 95), (107, 106, 104, 96, 98, 93, 78, 80, 94), (98, 95),
+    (98, 84), (104, 101, 99, 84, 97, 95, 96, 102), (101, 98), (92, 101),
+    (98, 104, 103, 92, 100, 99), (98, 104), (101, 104),
+    (89, 103, 101, 98, 102, 95, 106, 105), (104, 89), (104, 95),
+    (109, 110, 95), (CONNECTOR, 110), (120, 107), (107, 108), (138, 81),
+    (115, 120), (115, 118), (116, 115),
+    (133, 116, 114, 118, 113, 120, 112, 123), (115, 127, 122, 118, 117, 114),
+    (116, 118), (125, 120, 119, 113, 115, 117, 116, 124), (120, 118),
+    (118, 109, 135, 139, 121, 142, 112, 115, 119), (142, 120), (127, 116),
+    (115, 133), (118, 125), (129, 212, 118, 124, 126), (125, 129),
+    (116, 132, 131, 129, 128, 122), (127, 129),
+    (152, 125, 126, 128, 127, 130, 132, 141), (132, 129), (132, 127),
+    (127, 133, 136, 152, 147, 129, 130, 131), (145, 136, 132, 115, 123, 134),
+    (133, 145), (139, 120), (132, 133), (139, 138),
+    (81, 143, 151, 139, 137, 111), (138, 146, 149, 142, 140, 120, 135, 137),
+    (142, 139), (129, 152), (139, 149, 148, 144, 145, 120, 121, 140),
+    (151, 138), (145, 142), (157, 133, 134, 142, 144, 159), (149, 139),
+    (132, 152), (149, 142), (142, 139, 146, 155, 150, 148), (155, 149),
+    (155, 138, 143, 152, 153, 157, 160, 154),
+    (174, 129, 141, 147, 132, 156, 157, 153, 151, 164), (151, 152), (151, 155),
+    (149, 151, 154, 158, 157, 150), (157, 152),
+    (151, 152, 156, 145, 159, 155, 158, 160), (157, 155), (145, 157),
+    (157, 151), (163, 47), (167, 163), (47, 165, 179, 167, 162, 161),
+    (152, 174), (179, 163), (172, 167),
+    (163, 169, 170, 172, 166, 174, 168, 162), (167, 174), (170, 167),
+    (172, 167, 169, 177, 176, 171), (170, 172),
+    (167, 170, 171, 182, 183, 174, 173, 166), (172, 174),
+    (205, 152, 164, 168, 167, 173, 172, 203, 202, 200), (181, 177), (177, 170),
+    (170, 179, 178, 175, 181, 176), (179, 177),
+    (177, 163, 165, 186, 187, 180, 181, 178), (181, 179),
+    (186, 183, 184, 177, 175, 179, 180, 185), (183, 172),
+    (181, 191, 190, 172, 182, 184), (183, 181), (181, 186),
+    (179, 53, 188, 195, 189, 193, 181, 185, 187), (186, 179), (195, 186),
+    (193, 186), (191, 183), (183, 192, 193, 202, 197, 190), (193, 191),
+    (195, 199, 198, 191, 192, 186, 189, 194), (193, 195),
+    (199, 193, 194, 186, 188, 210, 209, 196), (195, 199), (202, 191),
+    (193, 199), (206, 198, 193, 195, 196, 208), (174, 205), (202, 205),
+    (191, 206, 207, 205, 201, 174, 203, 197), (202, 174), (206, 205),
+    (210, 174, 200, 201, 202, 204, 206, 211), (202, 199, 208, 205, 204, 207),
+    (206, 202), (199, 206), (195, 210), (213, 205, 211, 209, 195), (205, 210),
+    (125, 213), (215, 212, 210), (CONNECTOR, 215), (214, 213),
+)
+
 
 # The four strand-triangle crossings of the composite gadget, as
 # (structure, side, triangle) pairs; "t" caps sit on strand edge {e,f}
@@ -561,7 +719,10 @@ def ds_crossover_gadget() -> CrossoverGadget:
     terminals = tuple(_find_label(g, s) for s in
                       ("dpu:a_x", "dpu:a_y", "dpv:a_x", "dpv:a_y"))
     layout = _layout_by_labels(g, _DS_GADGET_LAYOUT_LABELS)
-    return CrossoverGadget("ds", g, terminals, layout, 48)
+    gadget = CrossoverGadget("ds", g, terminals, layout, 48,
+                             _DS_GADGET_ROTATION)
+    gadget.rotation   # proven now: a broken frozen rotation raises here
+    return gadget
 
 
 def builtin_gadget(problem: str) -> CrossoverGadget:

@@ -10,12 +10,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
-import networkx as nx
 import numpy as np
 
 from .errors import InvalidLayoutError, InvariantError, OracleLimitError
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 Edge = tuple[int, int]
 
@@ -110,6 +112,7 @@ class Graph:
         return Graph.from_edges(new_n, edges, labels)
 
     def to_networkx(self) -> nx.Graph:
+        import networkx as nx
         g = nx.Graph()
         g.add_nodes_from(range(self.n))
         g.add_edges_from(self.edge_array.tolist())
@@ -268,7 +271,9 @@ def exact_cutwidth(g: Graph) -> tuple[int, LinearLayout]:
 
 
 def is_planar(g: Graph) -> bool:
-    """Planarity test (left-right algorithm via networkx)."""
+    """Planarity test (left-right algorithm via networkx, imported here
+    so that the built-in pipeline runs without it)."""
+    import networkx as nx
     ok, _ = nx.check_planarity(g.to_networkx(), counterexample=False)
     return ok
 
@@ -276,6 +281,7 @@ def is_planar(g: Graph) -> bool:
 def planar_rotation(g: Graph) -> list[list[int]] | None:
     """Counter-clockwise rotation system of some planar embedding of g
     (left-right algorithm via networkx), or None if g is not planar."""
+    import networkx as nx
     ok, emb = nx.check_planarity(g.to_networkx())
     if not ok:
         return None

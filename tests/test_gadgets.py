@@ -15,13 +15,65 @@ from cutplanar.gadgets import (CONNECTOR, BoundaryFunction, CrossoverGadget,
                                validate_crossover_shape, vc_crossing_core,
                                verify_vc_crossing_bounds)
 from cutplanar.graph import Graph, LinearLayout, is_planar, random_graph
-from cutplanar.io import gadget_from_json
+from cutplanar.io import gadget_from_json, gadget_to_json
 from cutplanar.planarize import planarize
 from cutplanar.solvers import (brute_ds, brute_is, brute_is_excluding, dp_ds,
                                heuristic_layout)
 
 from oracles import (subsets_ds_covers, verify_domset_is_vc,
                      verify_simplicial_avoidance)
+
+
+def counting_lr(monkeypatch):
+    """The graph sizes of every networkx left-right planarity test run
+    from now on."""
+    calls = []
+    lr = networkx.check_planarity
+
+    def counting(graph, *args, **kwargs):
+        calls.append(graph.number_of_nodes())
+        return lr(graph, *args, **kwargs)
+    monkeypatch.setattr(networkx, "check_planarity", counting)
+    return calls
+
+
+def _replace_entry(frozen, i, entry):
+    return frozen[:i] + (tuple(entry),) + frozen[i + 1:]
+
+
+def _swap_terminal(gadget):
+    # a terminal's first two slots: its connector and first neighbour
+    i = gadget.layout.order.index(gadget.terminals[0])
+    r = gadget.frozen_rotation[i]
+    return _replace_entry(gadget.frozen_rotation, i, (r[1], r[0]) + r[2:])
+
+
+def _reverse_interior(gadget):
+    i = next(i for i, r in enumerate(gadget.frozen_rotation)
+             if len(r) >= 3 and CONNECTOR not in r)
+    return _replace_entry(gadget.frozen_rotation, i,
+                          gadget.frozen_rotation[i][::-1])
+
+
+def _move_connector(gadget):
+    # from the slot of terminal u to the end of its neighbour's rotation
+    frozen = gadget.frozen_rotation
+    i = gadget.layout.order.index(gadget.terminals[0])
+    j = frozen[i][1]
+    frozen = _replace_entry(frozen, i, frozen[i][1:])
+    return _replace_entry(frozen, j, frozen[j] + (CONNECTOR,))
+
+
+def _mirror(gadget):
+    return tuple(r[:1] + r[:0:-1] if r[0] == CONNECTOR else r[::-1]
+                 for r in gadget.frozen_rotation)
+
+
+ROTATION_MUTANTS = {"swap_terminal": _swap_terminal,
+                    "reverse_interior": _reverse_interior,
+                    "move_connector": _move_connector,
+                    "mirror": _mirror,
+                    "truncated": lambda gadget: gadget.frozen_rotation[:-1]}
 
 
 def make_gadget(n, edges, terminals, shift, problem="is"):
@@ -91,19 +143,38 @@ class TestGadgetEmbedding:
             assert sorted(r[len(slot):]) == sorted(adj[w])
 
     def test_lr_runs_once_per_gadget(self, monkeypatch):
-        calls = []
-        lr = networkx.check_planarity
-
-        def counting_lr(graph, *args, **kwargs):
-            calls.append(graph.number_of_nodes())
-            return lr(graph, *args, **kwargs)
-        monkeypatch.setattr(networkx, "check_planarity", counting_lr)
-        gadget = dataclasses.replace(gjs_is_gadget())   # nothing cached
+        calls = counting_lr(monkeypatch)
+        # a gadget file carries no rotation: nothing frozen, nothing cached
+        gadget = gadget_from_json(gadget_to_json(gjs_is_gadget()))
+        assert gadget.frozen_rotation is None
         k5 = Graph.from_edges(5, itertools.combinations(range(5), 2))
         assert validate_crossover_shape(gadget)
         planarize(k5, LinearLayout.identity(5), 0, gadget)
         planarize(k5, LinearLayout.identity(5), 0, gadget)
         assert calls == [gadget.graph.n + 1]
+
+    @pytest.mark.parametrize("build", [gjs_is_gadget, ds_crossover_gadget],
+                             ids=["is", "ds"])
+    def test_builtin_runs_no_lr(self, monkeypatch, build):
+        calls = counting_lr(monkeypatch)
+        gadget = build.__wrapped__()   # fresh, past the lru_cache
+        k5 = Graph.from_edges(5, itertools.combinations(range(5), 2))
+        assert validate_crossover_shape(gadget)
+        planarize(k5, LinearLayout.identity(5), 0, gadget)
+        planarize(k5, LinearLayout.identity(5), 0, gadget)
+        assert calls == []
+
+    @pytest.mark.parametrize("build", [gjs_is_gadget, ds_crossover_gadget],
+                             ids=["is", "ds"])
+    @pytest.mark.parametrize("mutate", sorted(ROTATION_MUTANTS))
+    def test_mutant_frozen_rotation_raises(self, build, mutate):
+        gadget = build()
+        frozen = ROTATION_MUTANTS[mutate](gadget)
+        assert frozen != gadget.frozen_rotation
+        bad = dataclasses.replace(gadget, frozen_rotation=frozen)
+        with pytest.raises(GadgetError):
+            bad.rotation
+        assert not validate_crossover_shape(bad)
 
     def test_bad_shape_raises_gadget_error(self):
         # the crossing itself, edges u-u' and v-v', cannot be drawn with

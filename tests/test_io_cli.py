@@ -1,7 +1,9 @@
 import importlib
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 
 import networkx
@@ -146,6 +148,42 @@ def run_cli(capsys, argv):
     code = cli.main(argv)
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+# Runs argv lists through cli.main in a fresh process, with networkx made
+# unimportable when the first argument is "block"; prints each report,
+# then one line with the exit codes and whether networkx was imported.
+NO_NETWORKX_SCRIPT = """
+import json, sys
+if sys.argv[1] == "block":
+    sys.modules["networkx"] = None   # any import of networkx now raises
+from cutplanar.cli import main
+codes = [main(argv) for argv in json.loads(sys.argv[2])]
+print(json.dumps({"codes": codes,
+                  "networkx": sys.modules.get("networkx") is not None}))
+"""
+
+
+@pytest.mark.parametrize("mode", ["block", "watch"])
+def test_builtin_pipeline_runs_without_networkx(k4_files, tmp_path, mode):
+    # the built-in gadgets carry proven rotations, so planarize --verify
+    # and solve never need the left-right planarity test of networkx
+    gpath, lpath = k4_files
+    runs = [["planarize", gpath, lpath, "--problem", problem, "--t", t,
+             "--verify", "--out-prefix", str(tmp_path / problem)]
+            for problem, t in (("is", "1"), ("ds", "2"))]
+    runs.append(["solve", gpath, "--problem", "ds"])
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(
+        os.path.dirname(cli.__file__)))
+    out = subprocess.run(
+        [sys.executable, "-c", NO_NETWORKX_SCRIPT, mode, json.dumps(runs)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    *reports, last = map(json.loads, out.stdout.splitlines())
+    assert last == {"codes": [0, 0, 0], "networkx": False}
+    assert [r["results"].get("verified") for r in reports] == [True, True,
+                                                                 None]
+    assert reports[2]["results"]["optimum"] == 1
 
 
 class TestCli:
