@@ -3,6 +3,9 @@
 Commands: cutwidth, planarize, solve, certify, export.  Every command
 prints a JSON run report (schema 1) to stdout as one line of compact
 JSON; files are written next to the inputs or to the requested paths.
+Each input file is read once, by _read: the report's "inputs" maps every
+file the command read, in read order, to the digest of the bytes it
+parsed, so a run whose outputs overwrite its inputs still names them.
 Exit codes: 0 success, 2 parse error, 3 precondition violation (also an
 output file that cannot be written), 4 resource/oracle limit, 5
 verification failure, including a broken construction invariant
@@ -12,7 +15,6 @@ verification failure, including a broken construction invariant
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import sys
 import time
@@ -23,7 +25,7 @@ from .errors import (CutplanarError, InvalidLayoutError, InvariantError,
                      OracleLimitError, ParseError, PreconditionError,
                      ResourceLimitError)
 from .gadgets import builtin_gadget, certify_gadget
-from .graph import Graph, LinearLayout, cut_profile, exact_cutwidth
+from .graph import cut_profile, exact_cutwidth
 from .planarize import planarize, verify_planarization
 from . import solvers
 
@@ -33,17 +35,12 @@ EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
 
 
-def _digest(path: str) -> str:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()[:16]
-
-
 def _report(argv: list[str], args, results: dict, t0: float,
             seed: int | None = None) -> dict:
     rep = {
         "schema": 1,
         "command": " ".join(argv),
-        "inputs": {p: _digest(p) for p in getattr(args, "_input_files", [])},
+        "inputs": args.inputs,
         "results": results,
         "wall_time_s": round(time.perf_counter() - t0, 3),
     }
@@ -52,20 +49,18 @@ def _report(argv: list[str], args, results: dict, t0: float,
     return rep
 
 
-def _load_graph(path: str) -> Graph:
-    return cio.parse_graph(cio.read_text(path))
-
-
-def _load_layout(path: str, g: Graph) -> LinearLayout:
-    return cio.parse_layout(cio.read_text(path), g)
+def _read(args, path: str) -> str:
+    """The text of an input file; the digest of the same bytes goes into
+    the report's inputs, in read order."""
+    text, digest = cio.read_input(path)
+    args.inputs[path] = digest
+    return text
 
 
 def cmd_cutwidth(args) -> dict:
-    g = _load_graph(args.graph)
-    args._input_files = [args.graph]
+    g = cio.parse_graph(_read(args, args.graph))
     if args.layout:
-        args._input_files.append(args.layout)
-        layout = _load_layout(args.layout, g)
+        layout = cio.parse_layout(_read(args, args.layout), g)
         prof = cut_profile(g, layout)
         return {"mode": "layout", "widths": list(prof.widths),
                 "width": prof.max_width}
@@ -80,9 +75,8 @@ def cmd_cutwidth(args) -> dict:
 
 
 def cmd_planarize(args) -> dict:
-    g = _load_graph(args.graph)
-    layout = _load_layout(args.layout, g)
-    args._input_files = [args.graph, args.layout]
+    g = cio.parse_graph(_read(args, args.graph))
+    layout = cio.parse_layout(_read(args, args.layout), g)
     gadget = builtin_gadget(args.problem)
     res = planarize(g, layout, args.t, gadget)
     prefix = args.out_prefix or args.graph
@@ -117,14 +111,12 @@ class _VerificationFailed(Exception):
 
 
 def cmd_solve(args) -> dict:
-    g = _load_graph(args.graph)
-    args._input_files = [args.graph]
+    g = cio.parse_graph(_read(args, args.graph))
     brute, dp = solvers.SOLVERS[args.problem]
     if args.algo == "brute":
         return {"problem": args.problem, "algo": "brute", "optimum": brute(g)}
     if args.layout:
-        args._input_files.append(args.layout)
-        layout = _load_layout(args.layout, g)
+        layout = cio.parse_layout(_read(args, args.layout), g)
     else:
         layout = solvers.heuristic_layout(g, seed=args.seed)
     rep = dp(g, layout)
@@ -136,8 +128,7 @@ def cmd_solve(args) -> dict:
 
 
 def cmd_certify(args) -> dict:
-    gadget = cio.load_gadget(args.gadget)
-    args._input_files = [args.gadget]
+    gadget = cio.parse_gadget(_read(args, args.gadget))
     out = certify_gadget(gadget, args.hosts, args.seed)
     if out["verdict"] != "PASS":
         raise _VerificationFailed(out)
@@ -145,16 +136,14 @@ def cmd_certify(args) -> dict:
 
 
 def cmd_export(args) -> dict:
-    g = _load_graph(args.graph)
-    args._input_files = [args.graph]
+    g = cio.parse_graph(_read(args, args.graph))
     if args.format == "dot":
         content = cio.write_dot(g)
         default_out = args.graph + ".dot"
     else:
         if not args.layout:
             raise PreconditionError("svg export needs a layout file")
-        args._input_files.append(args.layout)
-        layout = _load_layout(args.layout, g)
+        layout = cio.parse_layout(_read(args, args.layout), g)
         content = to_svg(build_arc_drawing(g, layout))
         default_out = args.graph + ".svg"
     out_path = args.out or default_out
@@ -231,6 +220,7 @@ def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser().parse_args(argv)
+    args.inputs = {}
     t0 = time.perf_counter()
     try:
         results = args.func(args)

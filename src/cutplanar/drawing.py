@@ -108,7 +108,9 @@ def element_order(d: ArcDrawing) -> list[Element]:
     restricted to vertices this equals the layout order.  The crossings
     are already in (x, tiebreak) order and vertex i + 1 sits at x = i + 1,
     so one merge places each crossing before the first vertex right of
-    it; a crossing above a vertex comes after that vertex."""
+    it; a crossing above a vertex comes after that vertex.  The arcs over
+    a < c < b < d cross at x < b <= n, so no crossing is left after the
+    last vertex."""
     elems = []
     crossings = iter(d.crossings)
     c = next(crossings, None)
@@ -117,9 +119,6 @@ def element_order(d: ArcDrawing) -> list[Element]:
             elems.append(Element("crossing", c.x, crossing=c))
             c = next(crossings, None)
         elems.append(Element("vertex", Fraction(i + 1), vertex=v))
-    while c is not None:
-        elems.append(Element("crossing", c.x, crossing=c))
-        c = next(crossings, None)
     return elems
 
 

@@ -164,10 +164,6 @@ class LinearLayout:
     def identity(n: int) -> "LinearLayout":
         return LinearLayout(tuple(range(n)))
 
-    @property
-    def n(self) -> int:
-        return len(self.order)
-
     def position(self) -> dict[int, int]:
         """vertex -> 1-based position."""
         return {v: i + 1 for i, v in enumerate(self.order)}
@@ -230,8 +226,6 @@ def exact_cutwidth(g: Graph) -> tuple[int, LinearLayout]:
             f"graph has {g.n} vertices, exact cutwidth limit is "
             f"{EXACT_CUTWIDTH_LIMIT}")
     n = g.n
-    if n == 0:
-        return 0, LinearLayout(())
     adj = g.adjacency_masks()
     deg = [adj[v].bit_count() for v in range(n)]
     full = (1 << n) - 1

@@ -6,12 +6,16 @@ Graph text format (1-based vertex ids):
     e <u> <v>
 
 Layout file: one line of n whitespace-separated 1-based vertex ids in
-position order.  JSON mirrors use the same 1-based convention.
+position order.  JSON mirrors use the same 1-based convention; a
+gadget file is the JSON mirror of a CrossoverGadget.
 Vertex ids are dense and 0-based internally; conversion happens here.
+The parsers take text, never a path: read_input alone reads an input
+file, and returns its text with the digest of the same bytes.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 from .errors import InvalidLayoutError, ParseError, PreconditionError
@@ -140,12 +144,23 @@ def gadget_from_json(obj: dict) -> CrossoverGadget:
         raise ParseError(f"bad gadget JSON: {exc}")
 
 
-def read_text(path: str) -> str:
-    """The text of an input file; a file that cannot be opened, read or
-    decoded (missing, a directory, binary bytes) raises ParseError."""
+def parse_gadget(text: str) -> CrossoverGadget:
     try:
-        with open(path) as f:
-            return f.read()
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"bad gadget JSON: {exc}")
+    return gadget_from_json(obj)
+
+
+def read_input(path: str) -> tuple[str, str]:
+    """An input file read once: its bytes decoded as UTF-8, and the first
+    16 hex digits of the SHA-256 of those same bytes.  A file that cannot
+    be opened, read or decoded (missing, a directory, binary bytes)
+    raises ParseError."""
+    try:
+        with open(path, "rb") as f:
+            data = f.read()
+        return data.decode("utf-8"), hashlib.sha256(data).hexdigest()[:16]
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
 
@@ -158,14 +173,6 @@ def write_text(path: str, text: str) -> None:
             f.write(text)
     except OSError as exc:
         raise PreconditionError(f"cannot write {path}: {exc}")
-
-
-def load_gadget(path: str) -> CrossoverGadget:
-    try:
-        obj = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"bad gadget JSON: {exc}")
-    return gadget_from_json(obj)
 
 
 # ---------------------------------------------------------------------------

@@ -66,7 +66,6 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     connectors in the crossover order, and InvariantError when a width
     claim fails or the rotation system of G' is not planar.
     """
-    layout.validate(g)
     drawing = build_arc_drawing(g, layout)
     pos = layout.position()
     width_in = cut_profile(g, layout).max_width

@@ -35,6 +35,9 @@ from .graph import Graph, LinearLayout, bag_steps
 
 BRUTE_LIMIT = 28
 HEURISTIC_RESTARTS = 3
+# the most vertices heuristic_layout takes; its greedy pass and each
+# 2-opt pass cost at least n^2 steps
+HEURISTIC_LIMIT = 10_000
 MEMORY_BUDGET_BYTES = 2 << 30
 # the largest N * s (live keys times bag slots) pruned in one numpy pass
 _VECTOR_PRUNE_CELLS = 1 << 15
@@ -327,8 +330,6 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     check still bounds every allocation that scales with the state count.
     """
     steps, width = bag_steps(g, layout)
-    if g.n == 0:
-        return DPReport(0, 1, 0, 0)
     if base ** (width + 1) > np.iinfo(np.int64).max:
         raise ResourceLimitError(
             f"DP state keys of width {width} do not fit in int64")
@@ -390,9 +391,15 @@ def heuristic_layout(g: Graph, seed: int = 0) -> LinearLayout:
     the vertex of least degree and HEURISTIC_RESTARTS - 1 random starts.
 
     Deterministic for fixed (graph, seed).  No optimality guarantee; the
-    result is a valid layout whose width the caller can measure.
+    result is a valid layout whose width the caller can measure.  Graphs
+    over HEURISTIC_LIMIT vertices raise ResourceLimitError before anything
+    is allocated.
     """
     import random
+    if g.n > HEURISTIC_LIMIT:
+        raise ResourceLimitError(
+            f"graph has {g.n} vertices, heuristic layout limit is "
+            f"{HEURISTIC_LIMIT}")
     if g.n == 0:
         return LinearLayout(())
     adj = g.adjacency_masks()

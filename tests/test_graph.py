@@ -150,6 +150,9 @@ class TestExactCutwidth:
     def test_edgeless(self):
         assert exact_cutwidth(Graph.from_edges(6, []))[0] == 0
 
+    def test_empty(self):
+        assert exact_cutwidth(Graph.from_edges(0, [])) == (0, LinearLayout(()))
+
     def test_limit(self):
         with pytest.raises(OracleLimitError):
             exact_cutwidth(Graph.from_edges(19, []))

@@ -1,3 +1,5 @@
+import builtins
+import hashlib
 import importlib
 import json
 import os
@@ -10,7 +12,7 @@ import networkx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cutplanar import cli
+from cutplanar import cli, solvers
 from cutplanar import io as cio
 from cutplanar.errors import (CutplanarError, GadgetError, InvalidLayoutError,
                               InvariantError, OracleLimitError, ParseError,
@@ -203,6 +205,36 @@ class TestCli:
         assert rep["results"]["width"] == 4
         assert rep["schema"] == 1
 
+    @pytest.mark.parametrize("n", [4, 6])
+    def test_cutwidth_heuristic(self, capsys, tmp_path, n):
+        g = complete(n)
+        gpath = tmp_path / f"k{n}.gr"
+        gpath.write_text(cio.write_graph(g))
+        argv = ["cutwidth", str(gpath), "--seed", "3"]
+        code, rep = run_cli(capsys, argv)
+        assert code == 0
+        r = rep["results"]
+        assert r["mode"] == "heuristic"
+        assert sorted(r["layout"]) == list(range(1, n + 1))
+        layout = LinearLayout(tuple(v - 1 for v in r["layout"]))
+        assert r["width"] == cut_profile(g, layout).max_width
+        _, again = run_cli(capsys, argv)
+        assert again["results"] == r and again["seed"] == rep["seed"] == 3
+
+    @pytest.mark.parametrize("n", [10**20, 10**9], ids=["n=1e20", "n=1e9"])
+    @pytest.mark.parametrize("command", [["cutwidth"], ["solve", "--problem",
+                                                        "is"]],
+                             ids=["cutwidth", "solve"])
+    def test_huge_vertex_count_exit_code(self, capsys, tmp_path, n, command):
+        # the heuristic layout is refused before it allocates per vertex
+        gpath = tmp_path / "huge.gr"
+        gpath.write_text(f"p {n} 0\n")
+        code, rep = run_cli(capsys, [command[0], str(gpath), *command[1:]])
+        assert code == cli.EXIT_RESOURCE
+        assert rep["error"] == (
+            f"resource limit: graph has {n} vertices, heuristic layout "
+            f"limit is {solvers.HEURISTIC_LIMIT}")
+
     def test_cutwidth_exact(self, capsys, k4_files):
         gpath, _ = k4_files
         code, rep = run_cli(capsys, ["cutwidth", gpath, "--exact"])
@@ -270,6 +302,23 @@ class TestCli:
         assert rep["results"]["verified"] is True
         assert checks == [26]
         assert lr_calls in ([], [gjs_is_gadget().graph.n + 1])
+
+    def test_planarize_verify_failure_report(self, capsys, monkeypatch,
+                                             k4_files, tmp_path):
+        monkeypatch.setattr(cli, "verify_planarization", lambda *args: False)
+        gpath, lpath = k4_files
+        code, rep = run_cli(capsys, [
+            "planarize", gpath, lpath, "--problem", "is", "--t", "1",
+            "--verify", "--out-prefix", str(tmp_path / "v")])
+        assert code == cli.EXIT_VERIFY
+        assert list(rep) == ["schema", "command", "inputs", "results",
+                             "wall_time_s"]
+        assert list(rep["results"]) == [
+            "problem", "crossings_replaced", "t", "t_prime", "width_in",
+            "width_out", "gadget_width", "n_prime", "m_prime", "cut_profile",
+            "files", "verified"]
+        assert rep["results"]["verified"] is False
+        assert rep["results"]["t_prime"] == 10
 
     def test_planarize_k5_ds(self, capsys, tmp_path):
         g = complete(5)
@@ -421,6 +470,12 @@ class TestCli:
         content = open(out).read()
         assert content.count("r=\"3\"") == 1  # one crossing marker
 
+    def test_export_svg_needs_layout(self, capsys, k4_files):
+        code, rep = run_cli(capsys, ["export", k4_files[0], "--format", "svg"])
+        assert code == cli.EXIT_PRECONDITION
+        assert rep == {"schema": 1,
+                       "error": "precondition: svg export needs a layout file"}
+
     def test_export_dot_round_trip(self, capsys, tmp_path, k4_files):
         gpath, _ = k4_files
         out = str(tmp_path / "k4.dot")
@@ -431,6 +486,51 @@ class TestCli:
         edges = re.findall(r"^  (\d+) -- (\d+);$", text, re.M)
         assert {(int(u) - 1, int(v) - 1) for u, v in edges} == \
             complete(4).edges
+
+
+def sha16(path):
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()[:16]
+
+
+class TestReadOnce:
+    """Each input file is read once, and the report digests the bytes the
+    command parsed."""
+
+    def test_outputs_overwriting_inputs(self, capsys, k4_files, tmp_path):
+        gpath, lpath = k4_files
+        prefix = str(tmp_path / "a")
+        opts = ["--problem", "is", "--t", "1", "--out-prefix", prefix]
+        code, _ = run_cli(capsys, ["planarize", gpath, lpath, *opts])
+        assert code == 0
+        inputs = [prefix + ".planarized", prefix + ".planarized.layout"]
+        before = {p: sha16(p) for p in inputs}
+        code, rep = run_cli(capsys, ["planarize", *inputs, *opts])
+        assert code == 0
+        assert {p: sha16(p) for p in inputs} != before   # overwritten
+        assert rep["inputs"] == before
+
+    @pytest.mark.parametrize("command", ["planarize", "certify"])
+    def test_each_input_opened_once(self, capsys, monkeypatch, k4_files,
+                                    tmp_path, command):
+        gadget = tmp_path / "gadget.json"
+        gadget.write_text(json.dumps(cio.gadget_to_json(gjs_is_gadget())))
+        inputs = {"planarize": list(k4_files), "certify": [str(gadget)]}[command]
+        argv = {"planarize": ["planarize", *inputs, "--problem", "is",
+                              "--t", "1", "--verify",
+                              "--out-prefix", str(tmp_path / "v")],
+                "certify": ["certify", *inputs, "--hosts", "2"]}[command]
+        opened = []
+        real_open = builtins.open
+
+        def counting_open(file, *args, **kwargs):
+            opened.append(file)
+            return real_open(file, *args, **kwargs)
+        monkeypatch.setattr(builtins, "open", counting_open)
+        code, rep = run_cli(capsys, argv)
+        assert code == 0
+        assert list(rep["inputs"]) == inputs
+        assert [opened.count(p) for p in inputs] == [1] * len(inputs)
 
 
 # Parsers fed arbitrary input: each either raises a ParseError (a layout
