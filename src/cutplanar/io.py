@@ -18,7 +18,8 @@ from __future__ import annotations
 import hashlib
 import json
 
-from .errors import InvalidLayoutError, ParseError, PreconditionError
+from .errors import (InvalidLayoutError, ParseError, PreconditionError,
+                     ResourceLimitError)
 from .gadgets import CrossoverGadget
 from .graph import Graph, LinearLayout
 
@@ -179,7 +180,19 @@ def write_text(path: str, text: str) -> None:
 # DOT
 # ---------------------------------------------------------------------------
 
+# the most vertices write_dot takes; its text grows by about 10 bytes per
+# declared vertex, edges or not
+DOT_VERTEX_LIMIT = 10**7
+
+
 def write_dot(g: Graph) -> str:
+    """DOT text with one line per vertex and per edge.  A graph of more
+    than DOT_VERTEX_LIMIT vertices raises ResourceLimitError before any
+    line is built."""
+    if g.n > DOT_VERTEX_LIMIT:
+        raise ResourceLimitError(
+            f"graph has {g.n} vertices, DOT export limit is "
+            f"{DOT_VERTEX_LIMIT}")
     lines = ["graph G {"]
     for v in range(g.n):
         label = g.labels.get(v)

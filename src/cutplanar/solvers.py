@@ -13,7 +13,10 @@ indexing it instead of branching on the problem:
   live states, as sorted int64 keys (base 2 resp. 3), and drops a state
   when a twin with a lower digit at one bag slot costs no more (the
   digit order is the dominance order of both problems), so it handles
-  widths up to 61 (IS) resp. 38 (DS) within MEMORY_BUDGET_BYTES.
+  widths up to 61 (IS) resp. 38 (DS) within MEMORY_BUDGET_BYTES.  A step
+  whose introduce provably keeps that table settled and that forgets
+  nothing skips the dedupe and the prune, and base-2 (IS) digits are
+  read by bit tests instead of divisions.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
@@ -220,12 +223,11 @@ def dp_is(g: Graph, layout: LinearLayout) -> DPReport:
 
 
 def _introduce_is(keys, costs, top, back_weights):
-    # v out keeps every state; v in needs every earlier neighbor out
-    free = np.ones(keys.size, dtype=bool)
-    for du in back_weights:
-        free &= _digit(keys, du, 2) == 0
+    # v out keeps every state; v in needs every earlier neighbor out, one
+    # bit test against the sum of their weights.  Always settled (_bag_dp).
+    free = (keys & sum(back_weights)) == 0
     return (np.concatenate([keys, keys[free] + top]),
-            np.concatenate([costs, costs[free] - 1]))
+            np.concatenate([costs, costs[free] - 1]), True)
 
 
 def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
@@ -246,13 +248,22 @@ def _introduce_ds(keys, costs, top, back_weights):
         su = _digit(keys, du, 3)
         v_in -= du * (su == 2)
         v_dominated |= su == 0
+    # settled (_bag_dp) when there are no back edges
     return (np.concatenate([v_in, keys + top * (2 - v_dominated)]),
-            np.concatenate([costs + 1, costs]))
+            np.concatenate([costs + 1, costs]), not back_weights)
 
 
 def _digit(keys: np.ndarray, weight: int | np.ndarray,
            base: int) -> np.ndarray:
-    """keys // weight % base for non-negative keys (numpy's % is slower)."""
+    """keys // weight % base for non-negative keys and a weight that is a
+    power of base (a scalar, or an array that broadcasts against keys).
+
+    Base 2 is a bit test, keys & weight != 0, returned as a bool array:
+    dividing int64 arrays by an array of weights costs about four times
+    as much.  Other bases divide (numpy's % is slower still).
+    """
+    if base == 2:
+        return (keys & weight) != 0
     high = keys // weight
     return high - high // base * base
 
@@ -267,23 +278,28 @@ def _prune_candidates(keys: np.ndarray, nslots: int, base: int):
     A table of N keys over s slots with N * s <= _VECTOR_PRUNE_CELLS
     yields one pair per k for all slots, from an s x N digit matrix, which
     saves the fixed cost of about eight numpy calls per slot that
-    dominates small tables; its slot-major nonzero order keeps each
-    slot's twin queries sorted, which searchsorted runs fastest on.
-    Larger tables yield one pair per slot and k, so no temporary outgrows
-    the table.  Both forms mark the same states dead.
+    dominates small tables; its slot-major order keeps each slot's twin
+    queries sorted, which searchsorted runs fastest on.  The positions
+    come from the flattened matrix and one scalar division, which is
+    several times faster than a 2-D nonzero.  Larger tables yield one pair
+    per slot and k, so no temporary outgrows the table.  Both forms mark
+    the same states dead.  Digits are never negative, so digit >= 1 is
+    the digit's own truth value and needs no comparison.
     """
-    if keys.size * nslots <= _VECTOR_PRUNE_CELLS:
+    n = keys.size
+    if n * nslots <= _VECTOR_PRUNE_CELLS:
         w = base ** np.arange(nslots, dtype=np.int64)
         digits = _digit(keys, w[:, None], base)
         for k in range(1, base):
-            cols, idx = np.nonzero(digits >= k)
-            yield idx, w[cols] if k == 1 else k * w[cols]
+            flat = np.flatnonzero(digits if k == 1 else digits >= k)
+            cols = flat // n
+            yield flat - cols * n, w[cols] if k == 1 else k * w[cols]
         return
     for i in range(nslots):
         weight = base ** i
         digit = _digit(keys, weight, base)
         for k in range(1, base):
-            yield np.flatnonzero(digit >= k), k * weight
+            yield np.flatnonzero(digit if k == 1 else digit >= k), k * weight
 
 
 def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
@@ -297,9 +313,10 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     i holding the state of bag slot i (an introduced vertex takes the top
     digit), with a parallel int64 cost array.  ``introduce(keys, costs,
     top, back_weights)`` returns the states with the new top digit set and
-    the back edges applied; ``back_weights`` are the digit weights of the
-    earlier neighbors.  Forgetting a vertex drops the states whose digit
-    is ``reject_on_forget`` and removes the digit.  The forgets of a step
+    the back edges applied, and whether it kept the table settled (see
+    below); ``back_weights`` are the digit weights of the earlier
+    neighbors.  Forgetting a vertex drops the states whose digit is
+    ``reject_on_forget`` and removes the digit.  The forgets of a step
     commute and the dedupe follows the last of them, so their order does
     not change the table.
 
@@ -309,7 +326,7 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     the 2n introduced states) exceed MEMORY_BUDGET_BYTES; both are checked
     before allocating.
 
-    Every step drops a state when its twin with a lower digit at some slot
+    The prune drops a state when its twin with a lower digit at some slot
     costs no more.  In both problems the digit order is the dominance
     order: a lower digit allows every extension a higher one does, at no
     extra cost to come.  For IS, out (0) allows all that in (1) does.  For
@@ -322,6 +339,24 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     any state is removed, so the dead set does not depend on the slot
     order.  A twin's key is strictly lower than its state's, so every
     chain of dead states ends at a survivor that costs no more.
+
+    Every step ends with a settled table: sorted, unique keys, and no
+    state with a twin that costs no more (a survivor's twin was looked
+    up before the removals, so it either was absent or cost more; it is
+    still absent or costs more).  An introduce that reports settled
+    returns such a table again, so a step that forgets nothing skips the
+    sortedness check, the dedupe and the prune; they could not change
+    it.  _introduce_is is always settled.  Its out states keep the old
+    keys x and costs c(x), so their twins are the old twins.  Its in
+    state x + top costs c(x) - 1.  The twin at the new slot, x, costs
+    more.  A twin x - w + top at an old slot exists only if x - w is an
+    old key, and it costs c(x - w) - 1, which is no more than c(x) - 1
+    only if x - w already dominated x in the old table.  Keys stay sorted
+    and unique because every old key is below top.  _introduce_ds is
+    settled when there are no back edges: it then adds x at cost
+    c(x) + 1 and x + 2 top at cost c(x).  At the old slots the same
+    argument applies; at the new slot x + 2 top has no twin x + top, and
+    its twin x costs more.
 
     The one-pass prune of small tables (_prune_candidates) adds about a
     dozen arrays of at most 2^15 elements (a few MiB together); that fixed
@@ -346,8 +381,9 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
             raise ResourceLimitError(
                 f"DP step of {2 * keys.size} states needs {need} bytes, over "
                 f"the {MEMORY_BUDGET_BYTES}-byte budget (width {width})")
-        keys, costs = introduce(keys, costs, base ** len(slots),
-                                [base ** slots.index(u) for u in back])
+        keys, costs, settled = introduce(
+            keys, costs, base ** len(slots),
+            [base ** slots.index(u) for u in back])
         slots.append(v)
         for u in forget:
             du = base ** slots.index(u)
@@ -357,25 +393,33 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
             high = keys // du
             keys = keys - (high - high // base) * du   # higher digits move down
             slots.remove(u)
-        # dedupe, keeping the cheapest cost of each key, unless the step
-        # forgot nothing and introduce left the keys sorted and unique
-        if forget or not (keys[1:] > keys[:-1]).all():
-            order = np.argsort(keys, kind="stable")
-            keys, costs = keys[order], costs[order]
-            starts = np.flatnonzero(
-                np.concatenate([[True], keys[1:] != keys[:-1]]))
-            keys, costs = keys[starts], np.minimum.reduceat(costs, starts)
-        # prune states whose twin with a lower digit at some slot is no
-        # more expensive
-        dead = np.zeros(keys.size, dtype=bool)
-        for idx, shift in _prune_candidates(keys, len(slots), base):
-            twin_key = keys[idx] - shift
-            twin = np.searchsorted(keys, twin_key)    # < idx: in range
-            hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
-            dead[idx[hit]] = True
-        keys, costs = keys[~dead], costs[~dead]
+        if forget or not settled:
+            # dedupe, keeping the cheapest cost of each key, unless the
+            # step forgot nothing and introduce left the keys sorted and
+            # unique
+            if forget or not (keys[1:] > keys[:-1]).all():
+                order = np.argsort(keys, kind="stable")
+                keys, costs = keys[order], costs[order]
+                starts = np.flatnonzero(
+                    np.concatenate([[True], keys[1:] != keys[:-1]]))
+                keys = keys[starts]
+                costs = np.minimum.reduceat(costs, starts)
+            keys, costs = _prune(keys, costs, len(slots), base)
         max_live = max(max_live, keys.size)
     return DPReport(int(costs.min()), max_live, g.n, width)
+
+
+def _prune(keys: np.ndarray, costs: np.ndarray, nslots: int,
+           base: int) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted, unique table (keys, costs) without the states whose
+    twin with a lower digit at some slot costs no more."""
+    dead = np.zeros(keys.size, dtype=bool)
+    for idx, shift in _prune_candidates(keys, nslots, base):
+        twin_key = keys[idx] - shift
+        twin = np.searchsorted(keys, twin_key)    # < idx: in range
+        hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
+        dead[idx[hit]] = True
+    return keys[~dead], costs[~dead]
 
 
 # the exact solvers of each problem: (brute force, layout DP)

@@ -487,6 +487,28 @@ class TestCli:
         assert {(int(u) - 1, int(v) - 1) for u, v in edges} == \
             complete(4).edges
 
+    @pytest.mark.parametrize("n", [10**20, cio.DOT_VERTEX_LIMIT + 1],
+                             ids=["n=1e20", "n=limit+1"])
+    def test_export_dot_huge_vertex_count_exit_code(self, capsys, tmp_path,
+                                                    n):
+        # refused before one line per declared vertex is built
+        gpath = tmp_path / "huge.gr"
+        gpath.write_text(f"p {n} 0\n")
+        out = tmp_path / "huge.dot"
+        code, rep = run_cli(capsys, ["export", str(gpath), "--format", "dot",
+                                     "-o", str(out)])
+        assert code == cli.EXIT_RESOURCE
+        assert rep["error"] == (
+            f"resource limit: graph has {n} vertices, DOT export limit is "
+            f"{cio.DOT_VERTEX_LIMIT}")
+        assert not out.exists()
+
+    def test_export_dot_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cio, "DOT_VERTEX_LIMIT", 4)
+        assert cio.write_dot(complete(4)).count(";") == 4 + 6
+        with pytest.raises(ResourceLimitError):
+            cio.write_dot(complete(5))
+
 
 def sha16(path):
     with open(path, "rb") as f:

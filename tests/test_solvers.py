@@ -216,12 +216,15 @@ class TestPruneForms:
          (136, 130, 336, 15)),
         ("is", lambda: (complete(7), LinearLayout.identity(7)),
          (316, 294, 777, 18)),
+        ("is", lambda: (complete(8), LinearLayout.identity(8)),
+         (631, 766, 1548, 22)),
         ("is", lambda: band24_host(1), (1270, 2340, 3104, 17)),
         ("is", lambda: band24_host(2), (1271, 3195, 3104, 19)),
+        ("is", lambda: band24_host(16), (1271, 510, 3104, 17)),
         ("ds", lambda: single_crossing_host(6), (52, 5616, 222, 15)),
         ("ds", lambda: single_crossing_host(8), (52, 5616, 222, 15)),
-    ], ids=["K5-is", "K6-is", "K7-is", "band24-1-is", "band24-2-is",
-            "sc-6-ds", "sc-8-ds"])
+    ], ids=["K5-is", "K6-is", "K7-is", "K8-is", "band24-1-is",
+            "band24-2-is", "band24-16-is", "sc-6-ds", "sc-8-ds"])
     def test_planarized_hosts(self, monkeypatch, problem, make, expect):
         g, layout = make()
         res = planarize(g, layout, 0, builtin_gadget(problem))
@@ -240,6 +243,86 @@ class TestPruneForms:
             loop, one_pass = self.reports(monkeypatch, problem, g,
                                           LinearLayout(tuple(order)))
             assert loop == one_pass, (sorted(g.edges), order)
+
+
+class TestSettledSteps:
+    """A step that forgets nothing after an introduce that reports a
+    settled table skips the dedupe and the prune.  Forcing both on every
+    step must leave every DPReport as it is, and a table reported as
+    settled must be sorted, unique and give the prune nothing to remove."""
+
+    INTRODUCE = {"is": "_introduce_is", "ds": "_introduce_ds"}
+
+    @classmethod
+    def reports(cls, monkeypatch, problem, g, layout):
+        """(report with introduce checked, report with settled forced
+        False, number of steps reported as settled)."""
+        dp = solvers.SOLVERS[problem][1]
+        name = cls.INTRODUCE[problem]
+        introduce = getattr(solvers, name)
+        base = {"is": 2, "ds": 3}[problem]
+        settled_steps = 0
+
+        def checked(keys, costs, top, back_weights):
+            nonlocal settled_steps
+            keys, costs, settled = introduce(keys, costs, top, back_weights)
+            if settled:
+                settled_steps += 1
+                assert (keys[1:] > keys[:-1]).all()
+                nslots = len(np.base_repr(top, base))  # top = base^(s - 1)
+                pruned, _ = solvers._prune(keys, costs, nslots, base)
+                assert pruned.size == keys.size
+            return keys, costs, settled
+
+        def forced(keys, costs, top, back_weights):
+            return (*introduce(keys, costs, top, back_weights)[:2], False)
+
+        out = []
+        for patched in (checked, forced):
+            monkeypatch.setattr(solvers, name, patched)
+            out.append(dp(g, layout))
+        return (*out, settled_steps)
+
+    @pytest.mark.parametrize("problem, make", [
+        ("is", lambda: (complete(5), LinearLayout.identity(5))),
+        ("is", lambda: (complete(6), LinearLayout.identity(6))),
+        ("is", lambda: (complete(7), LinearLayout.identity(7))),
+        ("ds", lambda: single_crossing_host(6)),
+        ("ds", lambda: single_crossing_host(8)),
+    ], ids=["K5-is", "K6-is", "K7-is", "sc-6-ds", "sc-8-ds"])
+    def test_planarized_hosts(self, monkeypatch, problem, make):
+        g, layout = make()
+        res = planarize(g, layout, 0, builtin_gadget(problem))
+        checked, forced, settled_steps = self.reports(
+            monkeypatch, problem, res.g_prime, res.layout_prime)
+        assert checked == forced
+        assert settled_steps > 0
+
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    def test_random_graphs(self, monkeypatch, problem):
+        rng = random.Random(31)
+        for _ in range(120):
+            n = rng.randint(1, 14)
+            g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            checked, forced, _ = self.reports(monkeypatch, problem, g,
+                                              LinearLayout(tuple(order)))
+            assert checked == forced, (sorted(g.edges), order)
+
+
+class TestDigit:
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(st.lists(st.integers(0, (1 << 62) - 1), min_size=1, max_size=40),
+           st.integers(0, 61))
+    def test_base_two_is_a_bit_test(self, values, i):
+        keys = np.array(values, dtype=np.int64)
+        w = 1 << i
+        assert np.array_equal(solvers._digit(keys, w, 2), keys // w % 2)
+        column = (1 << np.arange(62, dtype=np.int64))[:, None]
+        assert np.array_equal(solvers._digit(keys, column, 2),
+                              keys // column % 2)
 
 
 def previous_rule_candidates(keys, nslots, base):
