@@ -13,8 +13,8 @@ from .graph import (
     layout_to_path_decomposition,
     random_graph,
 )
-from .drawing import ArcDrawing, Crossing, build_arc_drawing, element_order, \
-    vertical_cut_edges, to_svg
+from .drawing import ArcDrawing, Crossing, build_arc_drawing, \
+    count_crossings, element_order, vertical_cut_edges, to_svg
 from .solvers import (
     DPReport,
     brute_ds,

@@ -28,6 +28,40 @@ def _norm_edge(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+class CopyLabels(Mapping[int, str]):
+    """Vertex labels of a graph that holds copies of one labelled graph,
+    made when read.  Below ``start`` the labels are those of ``base``,
+    whose keys all lie below ``start``.  From ``start`` on, the vertices
+    come in blocks of len(names), one per copy, and vertex
+    start + k * len(names) + i is labelled f"{tags[k]}:{names[i]}".
+    Iteration lists the base labels, then the copies' vertices in id
+    order."""
+
+    def __init__(self, base: Mapping[int, str], start: int,
+                 names: Sequence[str], tags: Sequence[str]):
+        self.base = base
+        self.start = start
+        self.names = names
+        self.tags = tags
+        self.stop = start + len(tags) * len(names)
+
+    def __getitem__(self, v: int) -> str:
+        if self.start <= v < self.stop:
+            k, i = divmod(v - self.start, len(self.names))
+            return f"{self.tags[k]}:{self.names[i]}"
+        return self.base[v]
+
+    def __iter__(self):
+        yield from self.base
+        yield from range(self.start, self.stop)
+
+    def __len__(self) -> int:
+        return len(self.base) + self.stop - self.start
+
+    def __repr__(self) -> str:
+        return repr(dict(self))
+
+
 @dataclass(frozen=True, eq=False)
 class Graph:
     """Finite simple undirected graph on vertices 0..n-1.
@@ -50,14 +84,24 @@ class Graph:
     def __post_init__(self):
         object.__setattr__(self, "edge_array",
                            _canonical_edges(self.n, self.edge_array))
-        for v in self.labels:
-            if not (0 <= v < self.n):
+        labels, top = self.labels, self.n
+        if isinstance(labels, CopyLabels):
+            # the copies' ids are one range; only the base labels are walked
+            if labels.stop > top:
+                raise ValueError(f"label on unknown vertex {labels.stop - 1}")
+            labels, top = labels.base, labels.start
+        for v in labels:
+            if not (0 <= v < top):
                 raise ValueError(f"label on unknown vertex {v}")
 
     @staticmethod
     def from_edges(n: int, edges: Iterable[tuple[int, int]] | np.ndarray,
                    labels: Mapping[int, str] | None = None) -> "Graph":
-        return Graph(n, edges, dict(labels) if labels else {})
+        """A graph that owns its labels: a dict is copied, and CopyLabels,
+        which cannot change, is kept as it is."""
+        if not isinstance(labels, CopyLabels):
+            labels = dict(labels) if labels else {}
+        return Graph(n, edges, labels)
 
     def __eq__(self, other):
         if not isinstance(other, Graph):
@@ -134,7 +178,7 @@ def _canonical_edges(n: int, edges) -> np.ndarray:
         a = a.reshape(0, 2)
     if a.ndim != 2 or a.shape[1] != 2:
         raise ValueError(f"edges must be pairs, got shape {a.shape}")
-    lo, hi = a.min(axis=1), a.max(axis=1)
+    lo, hi = np.minimum(*a.T), np.maximum(*a.T)
     bad = np.flatnonzero((lo == hi) | (lo < 0) | (hi >= n))
     if bad.size:
         u, v = a[bad[0]].tolist()
@@ -202,8 +246,8 @@ def cut_profile(g: Graph, layout: LinearLayout) -> CutProfile:
     pos = np.empty(g.n, dtype=np.int64)
     pos[np.array(layout.order, dtype=np.int64)] = np.arange(1, g.n + 1)
     ends = pos[g.edge_array]
-    diffs = (np.bincount(ends.min(axis=1), minlength=g.n + 1)
-             - np.bincount(ends.max(axis=1), minlength=g.n + 1))
+    diffs = (np.bincount(np.minimum(*ends.T), minlength=g.n + 1)
+             - np.bincount(np.maximum(*ends.T), minlength=g.n + 1))
     widths = np.cumsum(diffs[1:g.n]).tolist()
     return CutProfile(tuple(widths), max(widths) if widths else 0)
 
@@ -306,9 +350,10 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
     and C when the genus is positive.
 
     All steps are numpy passes over the darts: sorting proves the
-    permutations and pairs every dart with its reverse, faces are
-    labelled by their minimum dart through pointer doubling, and
-    components are merged in Boruvka rounds.
+    permutations, and a second sort, inverted, pairs every dart with its
+    reverse; faces are labelled by their minimum dart through pointer
+    doubling, and components are merged in Boruvka rounds.  Dart and
+    vertex indices are int32 where they fit.
     """
     n = g.n
     if len(lens) != n:
@@ -320,14 +365,14 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
     start = np.cumsum(lens) - lens
     # every rotation permutes its vertex's neighbours iff every head is a
     # vertex and the sorted dart keys equal the sorted keys of the 2m edge
-    # darts (array_equal also compares the dart count)
+    # darts (array_equal also compares the dart count); the keys come
+    # sorted by tail, which a stable sort makes use of
     key = tail * n + heads
-    order = np.argsort(key)
-    key_sorted = key[order]
+    order = np.argsort(key, kind="stable")
     want = np.sort(np.concatenate((edges[:, 0] * n + edges[:, 1],
                                    edges[:, 1] * n + edges[:, 0])))
     if not (((heads >= 0) & (heads < n)).all()
-            and np.array_equal(key_sorted, want)):
+            and np.array_equal(key.take(order), want)):
         adj = g.adjacency()
         flat = heads.tolist()
         v = next(v for v, (s, k) in enumerate(zip(start.tolist(), lens.tolist()))
@@ -336,15 +381,20 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
             f"rotation at vertex {g.labels.get(v, str(v))} is not a "
             f"permutation of its {len(adj[v])} neighbours")
     # succ[d] is the next dart around the tail of d, rev[d] the reverse of
-    # d, and the face after dart v->w continues with the successor of w->v
+    # d, and the face after dart v->w continues with the successor of w->v;
+    # the keys are distinct and their set is closed under reversal, so
+    # the dart of rank r by reversed key is the reverse of the dart of
+    # rank r by key
     darts = len(key)
-    succ = np.arange(1, darts + 1, dtype=np.int64)
+    index = np.int32 if max(n, darts) < 2**31 else np.int64
+    rev = np.empty(darts, dtype=index)
+    rev[np.argsort(heads * n + tail)] = order
+    succ = np.arange(1, darts + 1, dtype=index)
     ends = np.flatnonzero(lens)
     succ[start[ends] + lens[ends] - 1] = start[ends]
-    rev = order[np.searchsorted(key_sorted, heads * n + tail)]
-    faces = int(np.count_nonzero(_cycle_minima(succ[rev])
-                                 == np.arange(darts)))
-    components = _component_count(n, edges)
+    faces = int(np.count_nonzero(_cycle_minima(succ.take(rev))
+                                 == np.arange(darts, dtype=index)))
+    components = _component_count(n, edges.astype(index))
     isolated = int(np.count_nonzero(lens == 0))
     m = darts // 2
     if n - m + faces != 2 * components - isolated:
@@ -359,14 +409,14 @@ def _cycle_minima(perm: np.ndarray) -> np.ndarray:
     """For a permutation, the smallest element of the cycle through each
     element.  Round k takes the minimum over the next 2^k elements; once
     a round changes nothing, that minimum is constant along each cycle."""
-    label = np.arange(len(perm), dtype=np.int64)
+    label = np.arange(len(perm), dtype=perm.dtype)
     jump = perm
     while True:
-        step = np.minimum(label, label[jump])
+        step = np.minimum(label, label.take(jump))
         if np.array_equal(step, label):
             return label
         label = step
-        jump = jump[jump]
+        jump = jump.take(jump)
 
 
 def _component_count(n: int, edges: np.ndarray) -> int:
@@ -374,24 +424,24 @@ def _component_count(n: int, edges: np.ndarray) -> int:
     with an edge to another tree points at its smallest neighbouring root
     (of two roots pointing at each other the smaller stays a root), and
     paths are then compressed.  Every such tree merges in each round, so
-    O(log n) rounds suffice."""
-    parent = np.arange(n, dtype=np.int64)
+    O(log n) rounds suffice.  The labels take the edges' dtype."""
+    parent = np.arange(n, dtype=edges.dtype)
     u, v = edges[:, 0], edges[:, 1]
     while True:
-        pu, pv = parent[u], parent[v]
+        pu, pv = parent.take(u), parent.take(v)
         split = pu != pv
         if not split.any():
             return int(np.count_nonzero(parent == np.arange(n)))
         pu, pv = pu[split], pv[split]
-        target = np.full(n, n, dtype=np.int64)
+        target = np.full(n, n, dtype=edges.dtype)
         np.minimum.at(target, np.concatenate((pu, pv)),
                       np.concatenate((pv, pu)))
         roots = np.flatnonzero(target < n)
         to = target[roots]
-        hook = (target[to] != roots) | (roots > to)
+        hook = (target.take(to) != roots) | (roots > to)
         parent[roots[hook]] = to[hook]
         while True:
-            grand = parent[parent]
+            grand = parent.take(parent)
             if np.array_equal(grand, parent):
                 break
             parent = grand

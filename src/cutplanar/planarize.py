@@ -24,15 +24,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .drawing import build_arc_drawing, element_order
-from .errors import InvariantError, OracleLimitError
+from .drawing import build_arc_drawing, count_crossings
+from .errors import InvariantError, OracleLimitError, ResourceLimitError
 from .gadgets import CrossoverGadget
-from .graph import (CutProfile, Graph, LinearLayout, check_embedding_arrays,
-                    cut_profile)
+from .graph import (CopyLabels, CutProfile, Graph, LinearLayout,
+                    check_embedding_arrays, cut_profile)
 from . import solvers
 
 # the largest host verify_planarization solves by brute force
 VERIFY_HOST_LIMIT = 24
+
+# the most vertices of G' that planarize builds; the crossings are
+# counted, and G' refused, before anything of that size is allocated
+PLANARIZE_VERTEX_LIMIT = 10**7
 
 
 @dataclass(frozen=True)
@@ -52,69 +56,87 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
               gadget: CrossoverGadget) -> PlanarizationResult:
     """Replace all crossings of the arc drawing by gadget copies.
 
+    Copy k of the gadget replaces the k-th crossing in crossing order and
+    takes the ids g.n + k * h.n onwards.  Its vertices are labelled
+    X{e}:{name}, where e is the crossing's index in the element order
+    and name the gadget vertex's label; the labels are a CopyLabels made
+    when read, so no string is built per vertex.
+
     Each crossed edge is routed left to right through the copies of its
     crossings, so remaining crossings keep their original drawing
     locations.  The route is the edge's stop list: its left end, the
-    entry and exit terminal of every copy it passes, its right end.
-    Only the stop lists grow per crossing; the connector edges, slot
-    fills and host rotation are read off them, and the edges,
-    rotations, labels and layout blocks of all gadget copies are laid
-    down at once by broadcasting the gadget's arrays over the copies'
-    base ids.
+    entry and exit terminal of every copy it passes, its right end.  The
+    stop lists, connector edges, slot fills and host rotation are numpy
+    passes over the crossings' (arc, copy) visits, and the edges,
+    rotations and layout blocks of all gadget copies are laid down at
+    once by broadcasting the gadget's arrays over the copies' base ids.
 
-    Raises GadgetError when the gadget has no planar drawing with its
-    connectors in the crossover order, and InvariantError when a width
-    claim fails or the rotation system of G' is not planar.
+    Raises ResourceLimitError when G' would have more than
+    PLANARIZE_VERTEX_LIMIT vertices, GadgetError when the gadget has no
+    planar drawing with its connectors in the crossover order, and
+    InvariantError when a width claim fails or the rotation system of G'
+    is not planar.
     """
+    h = gadget.graph
+    ell = count_crossings(g, layout)
+    n_prime = g.n + ell * h.n
+    if n_prime > PLANARIZE_VERTEX_LIMIT:
+        raise ResourceLimitError(
+            f"planarized graph would have {n_prime} vertices ({ell} "
+            f"crossings), planarize limit is {PLANARIZE_VERTEX_LIMIT}")
     drawing = build_arc_drawing(g, layout)
-    pos = layout.position()
     width_in = cut_profile(g, layout).max_width
 
-    h = gadget.graph
     u, up, v, vp = gadget.terminals
-    elements = element_order(drawing)
-    # copy c of the gadget replaces the c-th crossing, which is element
-    # cross_at[c], and takes the ids base + 0 .. base + h.n - 1
-    cross_at = [k for k, el in enumerate(elements) if el.kind == "crossing"]
-    ell = len(cross_at)
+    host_order = np.array(layout.order, dtype=np.int64)
+    # each arc's left and right end as vertex ids
+    left, right = host_order[drawing.arcs.T - 1]
+    # copy k takes the ids bases[k] .. bases[k] + h.n - 1; its crossing
+    # comes after the vertices at positions 1 .. floors[k]
+    floors = drawing.floors
     bases = g.n + h.n * np.arange(ell, dtype=np.int64)
-    # stop list of each crossed edge e (position-normalized): e[0], the
-    # entry and exit terminal of each copy on its route, then e[1]; stops
-    # 0-1, 2-3, ... are its connector edges
-    stops: dict[tuple[int, int], list[int]] = {}
-    for base, k in zip(bases.tolist(), cross_at):
-        e1, e2 = elements[k].crossing.edges   # position-normalized, pair sorted
-        # e1 has the smaller left end, so it enters upper left and the
-        # connectors run counter-clockwise u, v, u', v'
-        stops.setdefault(e1, [e1[0]]).extend((base + u, base + up))
-        stops.setdefault(e2, [e2[0]]).extend((base + v, base + vp))
-    for e, route in stops.items():
-        route.append(e[1])
-    chain = np.array([w for route in stops.values() for w in route],
-                     dtype=np.int64).reshape(-1, 2)
+    # the visits of the crossed arcs to the copies, by arc and then by
+    # copy: the left arc of a crossing enters at u and leaves at u', the
+    # right one at v and v', so the connectors run counter-clockwise
+    # u, v, u', v'
+    arc = drawing.pairs.ravel()
+    by_arc = np.argsort(arc, kind="stable")
+    arc = arc[by_arc]
+    entry = (bases[:, None] + (u, v)).ravel()[by_arc]
+    leave = (bases[:, None] + (up, vp)).ravel()[by_arc]
+    first = np.ones(len(arc), dtype=bool)
+    first[1:] = arc[1:] != arc[:-1]
+    last = np.ones(len(arc), dtype=bool)
+    last[:-1] = first[1:]
+    # the stop before each entry: the arc's left end, or the exit of the
+    # copy before
+    before = np.roll(leave, 1)
+    before[first] = left[arc[first]]
+    chain = np.concatenate((np.stack((before, entry), axis=1),
+                            np.stack((leave[last], right[arc[last]]),
+                                     axis=1)))
 
-    drop = {tuple(sorted(e)) for e in stops}
-    kept = [e for e in g.sorted_edges() if e not in drop]
+    crossed = np.zeros(len(left), dtype=bool)
+    crossed[arc] = True
+    kept = np.stack((left, right), axis=1)[~crossed]
     copies = (bases[:, None, None] + h.edge_array).reshape(-1, 2)
-    edges = np.concatenate((np.array(kept, dtype=np.int64).reshape(-1, 2),
-                            copies, chain))
     names = [h.labels.get(w, str(w)) for w in range(h.n)]
-    labels = dict(g.labels)
-    labels.update(zip(range(g.n, g.n + ell * h.n),
-                      (f"X{k}:{name}" for k in cross_at for name in names)))
-    g_prime = Graph.from_edges(g.n + ell * h.n, edges, labels)
+    tags = [f"X{e}" for e in (np.arange(ell) + floors).tolist()]
+    g_prime = Graph.from_edges(n_prime,
+                               np.concatenate((kept, copies, chain)),
+                               CopyLabels(g.labels, g.n, names, tags))
 
     # a host vertex sees, counter-clockwise from the east, its right-going
-    # arcs by increasing span, then its left-going arcs by decreasing span
-    incident: list[list[tuple[int, int, int]]] = [[] for _ in range(g.n)]
-    for x, y in g.sorted_edges():
-        e = (x, y) if pos[x] < pos[y] else (y, x)
-        span = pos[e[1]] - pos[e[0]]
-        # the first and last chain vertex, or e itself when uncrossed
-        route = stops.get(e, e)
-        incident[e[0]].append((0, span, route[1]))
-        incident[e[1]].append((1, -span, route[-2]))
-    host_rotation = [end for arcs in incident for _, _, end in sorted(arcs)]
+    # arcs by increasing span, then its left-going arcs by decreasing
+    # span; each arc ends in its first and last stop after the host vertex
+    span = drawing.arcs[:, 1] - drawing.arcs[:, 0]
+    first_stop = right.copy()
+    first_stop[arc[first]] = entry[first]
+    last_stop = left.copy()
+    last_stop[arc[last]] = leave[last]
+    at = np.concatenate((left, right))
+    side = np.repeat(np.array([0, 1]), len(left))
+    host = np.lexsort((np.concatenate((span, -span)), side, at))
     # counter-clockwise rotation of every vertex of G': the host vertices,
     # then the gadget's rotation per copy, whose connector slots (index 0
     # of a terminal's rotation) hold the other end of the terminal's
@@ -122,25 +144,22 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     h_lens = np.fromiter(map(len, gadget.rotation), np.int64, count=h.n)
     h_heads = np.fromiter(itertools.chain.from_iterable(gadget.rotation),
                           np.int64, count=int(h_lens.sum()))
-    lens = np.concatenate((np.fromiter(map(len, incident), np.int64,
-                                       count=g.n),
+    lens = np.concatenate((np.bincount(at, minlength=g.n),
                            np.tile(h_lens, ell)))
-    rotation = np.concatenate((np.array(host_rotation, dtype=np.int64),
+    rotation = np.concatenate((np.concatenate((first_stop, last_stop))[host],
                                (bases[:, None] + h_heads).ravel()))
     # every connector end with an id from g.n on is a gadget terminal
     ends = np.concatenate((chain, chain[:, ::-1]))
     filled = ends[ends[:, 0] >= g.n]
     rotation[(np.cumsum(lens) - lens)[filled[:, 0]]] = filled[:, 1]
 
-    # one layout block per element: a host vertex (these come in layout
-    # order), or a gadget copy laid out by the gadget's layout
-    is_cross = np.zeros(len(elements), dtype=bool)
-    is_cross[cross_at] = True
-    sizes = np.where(is_cross, h.n, 1)
-    first = np.cumsum(sizes) - sizes
-    order = np.empty(g_prime.n, dtype=np.int64)
-    order[first[~is_cross]] = layout.order
-    order[first[is_cross][:, None] + np.arange(h.n)] = (
+    # one layout block per element: the vertex at position i + 1 follows
+    # the crossings with floor <= i, and copy k the vertices at positions
+    # up to floors[k]; a copy is laid out by the gadget's layout
+    order = np.empty(n_prime, dtype=np.int64)
+    i = np.arange(g.n, dtype=np.int64)
+    order[i + h.n * np.searchsorted(floors, i, side="right")] = host_order
+    order[(floors + h.n * np.arange(ell))[:, None] + np.arange(h.n)] = (
         bases[:, None] + np.array(gadget.layout.order, dtype=np.int64))
     layout_prime = LinearLayout(tuple(order.tolist()))
     prof_out = cut_profile(g_prime, layout_prime)

@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from cutplanar.drawing import Crossing
+from cutplanar.drawing import Crossing, Element
 from cutplanar.errors import InvariantError, PreconditionError
 from cutplanar.graph import Graph, LinearLayout, bag_steps
 from cutplanar.solvers import brute_ds
@@ -160,6 +160,18 @@ def pairwise_crossings(g: Graph, layout: LinearLayout) -> tuple:
             crossings.append(Crossing(pair, crossing_x(pos, e1, e2)))
     crossings.sort(key=lambda c: (c.x, *(pos[w] for e in c.edges for w in e)))
     return tuple(crossings)
+
+
+def pairwise_element_order(g: Graph, layout: LinearLayout) -> list:
+    """The vertices, at their positions, and the crossings of
+    ``pairwise_crossings``, sorted by (x, kind, tiebreak) as Fractions:
+    a crossing above a vertex comes after it."""
+    keyed = [((Fraction(i), 0), Element("vertex", i, vertex=v))
+             for i, v in enumerate(layout.order, start=1)]
+    keyed += [((c.x, 1), Element("crossing", c.x, crossing=c))
+              for c in pairwise_crossings(g, layout)]
+    # sort is stable and the crossings come in tiebreak order
+    return [el for _, el in sorted(keyed, key=lambda item: item[0])]
 
 
 # ---------------------------------------------------------------------------

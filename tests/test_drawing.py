@@ -2,14 +2,18 @@ import itertools
 import random
 from fractions import Fraction
 
-import pytest
+import numpy as np
 
-from cutplanar.drawing import (build_arc_drawing, element_order, to_svg,
-                               vertical_cut_edges)
-from cutplanar.errors import InvalidLayoutError
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cutplanar import drawing
+from cutplanar.drawing import (build_arc_drawing, count_crossings,
+                               element_order, to_svg, vertical_cut_edges)
+from cutplanar.errors import InvalidLayoutError, ResourceLimitError
 from cutplanar.graph import Graph, LinearLayout, cut_profile, random_graph
 
-from oracles import band24_host, pairwise_crossings
+from oracles import band24_host, pairwise_crossings, pairwise_element_order
 
 
 def complete(n):
@@ -85,6 +89,100 @@ class TestCrossings:
                 inner_lo = max(pos[a], pos[cc])
                 inner_hi = min(pos[b], pos[dd])
                 assert inner_lo < c.x < inner_hi
+
+
+@st.composite
+def tied_drawings(draw):
+    """A dense graph on at most 11 vertices in a shuffled layout: the
+    crossings' x have denominators below 22, so many of them coincide."""
+    n = draw(st.integers(4, 11))
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs),
+                         max_size=len(pairs)))
+    g = Graph.from_edges(n, [e for e, k in zip(pairs, keep) if k])
+    return g, LinearLayout(tuple(draw(st.permutations(range(n)))))
+
+
+class TestExactOrder:
+    """The integer key orders the crossings, and the integer floors merge
+    them with the vertices, exactly as Fractions do."""
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(tied_drawings())
+    def test_orders_equal_fraction_oracle(self, host):
+        g, layout = host
+        d = build_arc_drawing(g, layout)
+        assert d.crossings == pairwise_crossings(g, layout)
+        assert element_order(d) == pairwise_element_order(g, layout)
+
+    def test_hosts_have_ties(self):
+        # the identity layout of K9 alone has 126 crossings on 65 x values
+        g = complete(9)
+        xs = [c.x for c in build_arc_drawing(g, LinearLayout.identity(9)
+                                             ).crossings]
+        assert (len(xs), len(set(xs))) == (126, 65)
+
+    def test_floats_of_x_collide(self):
+        # two crossings 300 000 positions wide whose x differ by about
+        # 1e-11 and round to the same float: ordered by that float and the
+        # tiebreak, the one with the larger x would come first
+        n = 300_000
+        arcs = [(5, 150_000), (149_999, 299_996), (4, 150_000),
+                (149_999, 299_997)]
+        g = Graph.from_edges(n, [(a - 1, b - 1) for a, b in arcs])
+        layout = LinearLayout.identity(n)
+        d = build_arc_drawing(g, layout)
+        x = {tuple(p + 1 for e in c.edges for p in e): c.x
+             for c in d.crossings}
+        low, high = x[5, 150_000, 149_999, 299_996], x[4, 150_000, 149_999, 299_997]
+        assert low < high and float(low) == float(high)
+        assert d.crossings == pairwise_crossings(g, layout)
+        assert [c.x for c in d.crossings].index(low) < \
+            [c.x for c in d.crossings].index(high)
+
+    def test_vertex_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(drawing, "DRAWING_VERTEX_LIMIT", 4)
+        assert len(build_arc_drawing(complete(4), LinearLayout.identity(4)
+                                     ).crossings) == 1
+        with pytest.raises(ResourceLimitError,
+                           match="^graph has 5 vertices, arc drawing limit "
+                                 "is 4$"):
+            build_arc_drawing(complete(5), LinearLayout.identity(5))
+
+
+class TestCountCrossings:
+    def hosts(self):
+        rng = random.Random(7)
+        hosts = [(complete(n), LinearLayout.identity(n)) for n in range(0, 12)]
+        for _ in range(60):
+            n = rng.randint(0, 16)
+            order = list(range(n))
+            rng.shuffle(order)
+            hosts.append((random_graph(n, rng.random(), rng),
+                          LinearLayout(tuple(order))))
+        return hosts + [band24_host(s) for s in (1, 2, 16)]
+
+    def test_matches_sweep(self):
+        for g, layout in self.hosts():
+            assert count_crossings(g, layout) == \
+                len(build_arc_drawing(g, layout).crossings)
+
+    def test_k40(self):
+        assert count_crossings(complete(40), LinearLayout.identity(40)) == \
+            91_390
+
+    def test_rejects_bad_layout(self):
+        with pytest.raises(InvalidLayoutError):
+            count_crossings(complete(4), LinearLayout((0, 1, 2, 2)))
+
+    def test_chunked_sweep_finds_the_same_crossings(self, monkeypatch):
+        whole = [build_arc_drawing(g, layout) for g, layout in self.hosts()]
+        monkeypatch.setattr(drawing, "_SWEEP_CHUNK", 3)
+        for d, (g, layout) in zip(whole, self.hosts()):
+            chunked = build_arc_drawing(g, layout)
+            assert np.array_equal(chunked.pairs, d.pairs)
+            assert np.array_equal(chunked.floors, d.floors)
 
 
 class TestElementOrder:

@@ -6,7 +6,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cutplanar.errors import InvalidLayoutError, InvariantError, OracleLimitError
-from cutplanar.graph import (CutProfile, Graph, LinearLayout, bag_steps,
+from cutplanar.graph import (CopyLabels, CutProfile, Graph, LinearLayout,
+                             bag_steps,
                              check_embedding, cut_profile, exact_cutwidth,
                              is_planar, layout_to_path_decomposition,
                              planar_rotation, random_graph)
@@ -98,6 +99,38 @@ class TestConstruction:
         for e in both_kinds(edges):
             with pytest.raises(ValueError):
                 Graph.from_edges(n, e)
+
+
+class TestLabels:
+    @pytest.mark.parametrize("labels", [{3: "x"}, {-1: "x"}, {0: "a", 7: "b"}])
+    def test_label_outside_vertices_rejected(self, labels):
+        bad = next(v for v in labels if not 0 <= v < 3)
+        with pytest.raises(ValueError,
+                           match=f"^label on unknown vertex {bad}$"):
+            Graph.from_edges(3, [(0, 1)], labels)
+
+    def test_copy_labels_outside_vertices_rejected(self):
+        # vertices 0..2 and two copies of a 2-vertex graph: ids 3..6
+        labels = CopyLabels({0: "h"}, 3, ["a", "b"], ["X1", "X4"])
+        assert dict(Graph.from_edges(7, [(0, 6)], labels).labels) == {
+            0: "h", 3: "X1:a", 4: "X1:b", 5: "X4:a", 6: "X4:b"}
+        with pytest.raises(ValueError, match="^label on unknown vertex 6$"):
+            Graph.from_edges(6, [(0, 5)], labels)
+        for base in ({3: "h"}, {-1: "h"}):
+            with pytest.raises(ValueError,
+                               match=f"^label on unknown vertex {min(base)}$"):
+                Graph.from_edges(7, [], CopyLabels(base, 3, ["a", "b"],
+                                                   ["X1", "X4"]))
+
+    def test_copy_labels_kept_without_a_walk(self, monkeypatch):
+        labels = CopyLabels({}, 2, ["a"] * 1000, ["X0"] * 1000)
+
+        def walked(*args):
+            raise AssertionError("the labels were walked")
+        for method in ("__iter__", "__getitem__", "keys", "items"):
+            monkeypatch.setattr(CopyLabels, method, walked)
+        g = Graph.from_edges(1_000_002, [(0, 1)], labels)
+        assert g.labels is labels
 
 
 class TestCutProfile:

@@ -101,8 +101,9 @@ class TestWriters:
     @pytest.mark.parametrize("problem", ["is", "ds"])
     def test_pipeline_never_builds_the_edge_set_of_g_prime(self, monkeypatch,
                                                            problem):
-        # planarize, its cut profile and both output files work on the
-        # edge array; only the small host may be seen as tuples
+        # planarize, its cut profile and both output files work on edge
+        # arrays, the host's included, so no graph is seen as tuples
+        gadget = builtin_gadget(problem)   # built and cached before recording
         seen = []
         as_set, as_list = Graph.edges.func, Graph.sorted_edges
 
@@ -114,12 +115,13 @@ class TestWriters:
         monkeypatch.setattr(Graph, "edges", property(recording(as_set)))
         monkeypatch.setattr(Graph, "sorted_edges", recording(as_list))
         g = complete(6)
-        res = planarize(g, LinearLayout.identity(6), 0,
-                        builtin_gadget(problem))
+        res = planarize(g, LinearLayout.identity(6), 0, gadget)
         cut_profile(res.g_prime, res.layout_prime)
         cio.write_graph(res.g_prime)
         cio.write_layout(res.layout_prime)
-        assert seen and all(x is g for x in seen)
+        assert seen == []
+        g.sorted_edges()   # the recording is live
+        assert seen == [g]
 
 
 class TestGadgetJson:
@@ -502,6 +504,25 @@ class TestCli:
             f"resource limit: graph has {n} vertices, DOT export limit is "
             f"{cio.DOT_VERTEX_LIMIT}")
         assert not out.exists()
+
+    def test_planarize_over_vertex_limit_exit_code(self, capsys, tmp_path):
+        # K40 in identity order: the DS gadget would make G' of 40 +
+        # 91 390 * 216 vertices; refused after the crossings are counted
+        gpath, lpath = tmp_path / "k40.gr", tmp_path / "k40.layout"
+        gpath.write_text(cio.write_graph(complete(40)))
+        lpath.write_text(cio.write_layout(LinearLayout.identity(40)))
+        code = cli.main(["planarize", str(gpath), str(lpath),
+                         "--problem", "ds", "--t", "1"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_RESOURCE
+        assert err == ""
+        assert json.loads(out) == {
+            "schema": 1,
+            "error": "resource limit: planarized graph would have 19740280 "
+                     "vertices (91390 crossings), planarize limit is "
+                     "10000000"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["k40.gr",
+                                                             "k40.layout"]
 
     def test_export_dot_limit_is_inclusive(self, monkeypatch):
         monkeypatch.setattr(cio, "DOT_VERTEX_LIMIT", 4)

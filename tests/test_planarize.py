@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cutplanar import io as cio
-from cutplanar.drawing import build_arc_drawing
-from cutplanar.errors import InvariantError
+from cutplanar.drawing import build_arc_drawing, element_order
+from cutplanar.errors import InvariantError, ResourceLimitError
 from cutplanar.gadgets import builtin_gadget, ds_crossover_gadget, gjs_is_gadget
 from cutplanar.graph import (Graph, LinearLayout, check_embedding,
                              check_embedding_arrays, cut_profile, is_planar,
@@ -175,6 +175,69 @@ class TestPlanarize:
             opt = dp_ds(res.g_prime, res.layout_prime).optimum
             assert opt - brute_ds(g) == 96
             found += 1
+
+
+def eager_labels(g, layout, gadget):
+    """The labels of G' as one dict with a string per vertex, made from
+    the element order: the labels planarize built before they were made
+    on demand."""
+    h = gadget.graph
+    names = [h.labels.get(w, str(w)) for w in range(h.n)]
+    elements = element_order(build_arc_drawing(g, layout))
+    cross_at = [k for k, el in enumerate(elements) if el.kind == "crossing"]
+    labels = dict(g.labels)
+    labels.update(zip(itertools.count(g.n),
+                      (f"X{k}:{name}" for k in cross_at for name in names)))
+    return labels
+
+
+class TestLabels:
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    @pytest.mark.parametrize("n", [5, 6, 7, 8])
+    def test_on_demand_labels_equal_eager_dict(self, n, problem):
+        g = complete(n)
+        # a labelled host keeps its labels below the copies'
+        g = Graph.from_edges(n, g.edge_array, {0: "a", n - 1: "z"})
+        layout = LinearLayout.identity(n)
+        gadget = builtin_gadget(problem)
+        res = planarize(g, layout, 0, gadget)
+        eager = eager_labels(g, layout, gadget)
+        labels = res.g_prime.labels
+        assert len(labels) == len(eager) == 2 + res.g_prime.n - n
+        assert labels == eager and eager == labels
+        assert list(labels.items()) == list(eager.items())
+        assert repr(labels) == repr(eager)
+        twin = Graph.from_edges(res.g_prime.n, res.g_prime.edge_array, eager)
+        assert res.g_prime == twin
+        assert cio.graph_to_json(res.g_prime) == cio.graph_to_json(twin)
+        keep = {w: i for i, w in enumerate(range(0, res.g_prime.n, 3))}
+        assert res.g_prime.relabel(keep) == twin.relabel(keep)
+        for w in (-1, 1, n, res.g_prime.n - 1, res.g_prime.n):
+            assert labels.get(w) == eager.get(w)
+            assert (w in labels) == (w in eager)
+
+
+class TestVertexLimit:
+    def test_k40_ds_refused_before_drawing(self, monkeypatch):
+        # 91 390 crossings: G' would have 40 + 91 390 * 216 vertices
+        def no_drawing(*args):
+            raise AssertionError("the drawing was built")
+        monkeypatch.setattr(planarize_module, "build_arc_drawing", no_drawing)
+        with pytest.raises(ResourceLimitError) as exc:
+            planarize(complete(40), LinearLayout.identity(40), 0,
+                      ds_crossover_gadget())
+        assert str(exc.value) == (
+            "planarized graph would have 19740280 vertices (91390 "
+            "crossings), planarize limit is 10000000")
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        # K5 with the IS gadget: 5 + 5 * 22 vertices
+        monkeypatch.setattr(planarize_module, "PLANARIZE_VERTEX_LIMIT", 115)
+        g, layout = complete(5), LinearLayout.identity(5)
+        assert planarize(g, layout, 0, gjs_is_gadget()).g_prime.n == 115
+        monkeypatch.setattr(planarize_module, "PLANARIZE_VERTEX_LIMIT", 114)
+        with pytest.raises(ResourceLimitError, match=r"would have 115 "):
+            planarize(g, layout, 0, gjs_is_gadget())
 
 
 @st.composite
