@@ -20,7 +20,7 @@ import sys
 import time
 
 from . import io as cio
-from .drawing import build_arc_drawing, to_svg
+from .drawing import build_arc_drawing, count_crossings, to_svg
 from .errors import (CutplanarError, InvalidLayoutError, InvariantError,
                      OracleLimitError, ParseError, PreconditionError,
                      ResourceLimitError)
@@ -33,6 +33,10 @@ EXIT_PARSE = 2
 EXIT_PRECONDITION = 3
 EXIT_RESOURCE = 4
 EXIT_VERIFY = 5
+
+# the most crossings an SVG export draws; the drawing's sweep, and the
+# file with one marker per crossing, grow with them
+SVG_CROSSING_LIMIT = 10**5
 
 
 def _report(argv: list[str], args, results: dict, t0: float,
@@ -62,7 +66,7 @@ def cmd_cutwidth(args) -> dict:
     if args.layout:
         layout = cio.parse_layout(_read(args, args.layout), g)
         prof = cut_profile(g, layout)
-        return {"mode": "layout", "widths": list(prof.widths),
+        return {"mode": "layout", "widths": prof.width_array.tolist(),
                 "width": prof.max_width}
     if args.exact:
         w, layout = exact_cutwidth(g)
@@ -94,7 +98,7 @@ def cmd_planarize(args) -> dict:
         "gadget_width": res.gadget_width,
         "n_prime": res.g_prime.n,
         "m_prime": res.g_prime.m,
-        "cut_profile": list(res.cut_profile.widths),
+        "cut_profile": res.cut_profile.width_array.tolist(),
         "files": {"graph": graph_out, "layout": layout_out},
     }
     if args.verify:
@@ -144,6 +148,11 @@ def cmd_export(args) -> dict:
         if not args.layout:
             raise PreconditionError("svg export needs a layout file")
         layout = cio.parse_layout(_read(args, args.layout), g)
+        crossings = count_crossings(g, layout)
+        if crossings > SVG_CROSSING_LIMIT:
+            raise ResourceLimitError(
+                f"arc drawing has {crossings} crossings, SVG export limit "
+                f"is {SVG_CROSSING_LIMIT}")
         content = to_svg(build_arc_drawing(g, layout))
         default_out = args.graph + ".svg"
     out_path = args.out or default_out

@@ -91,7 +91,7 @@ def _arcs(g: Graph, layout: LinearLayout) -> np.ndarray:
     sorted by left end and then by right end descending."""
     layout.validate(g)
     pos = np.empty(g.n, dtype=np.int64)
-    pos[np.array(layout.order, dtype=np.int64)] = np.arange(1, g.n + 1)
+    pos[layout.order_array] = np.arange(1, g.n + 1)
     ends = pos[g.edge_array]
     lo, hi = np.minimum(*ends.T), np.maximum(*ends.T)
     order = np.lexsort((-hi, lo))

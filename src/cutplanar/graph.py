@@ -1,8 +1,11 @@
 """Graph and layout data model with exact cut computations.
 
-Vertices are dense 0-based integers.  All types are immutable after
-construction and every operation is a pure function, so values can be
-shared freely across threads.
+Vertices are dense 0-based integers.  A graph's edges, a layout's order
+and a cut profile's widths are each stored once, as a read-only int64
+array; the tuple and set views of Python ints are built from the array
+when first read.  All types are immutable after construction and every
+operation is a pure function, so values can be shared freely across
+threads.
 """
 
 from __future__ import annotations
@@ -185,53 +188,107 @@ def _canonical_edges(n: int, edges) -> np.ndarray:
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         raise ValueError(f"edge ({u},{v}) out of range for n={n}")
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    keep = np.ones(len(lo), dtype=bool)
-    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    out = np.stack((lo[keep], hi[keep]), axis=1)
+    span = int(hi.max()) + 1 if len(hi) else 1
+    if span <= 2**31:
+        # the key lo * span + hi < 2**62 is exact and sorts as the rows do
+        key = np.sort(lo * span + hi)
+        keep = np.ones(len(key), dtype=bool)
+        keep[1:] = key[1:] != key[:-1]
+        key = key[keep]
+        lo = key // span
+        out = np.stack((lo, key - lo * span), axis=1)
+    else:
+        order = np.lexsort((hi, lo))
+        lo, hi = lo[order], hi[order]
+        keep = np.ones(len(lo), dtype=bool)
+        keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+        out = np.stack((lo[keep], hi[keep]), axis=1)
     out.flags.writeable = False
     return out
 
 
-@dataclass(frozen=True)
+def _frozen_int64(values) -> np.ndarray:
+    """A list, tuple or array as a read-only int64 array of its own."""
+    a = np.array(values, dtype=np.int64)
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
 class LinearLayout:
     """A linear layout: order[i] is the vertex at position i+1.
 
     Positions are 1-based in formulas (matching the usual cutwidth
-    definition) but the order tuple is plain 0-indexed Python data.
+    definition).  The layout is stored once, as ``order_array``: a
+    read-only int64 array of the 0-indexed vertices in position order.
+    Construction accepts a list, a tuple or an array.  The tuple of
+    Python ints ``order``, for code that walks the vertices one at a
+    time, is built from the array when first read.
     """
 
-    order: tuple[int, ...]
+    order_array: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "order_array",
+                           _frozen_int64(self.order_array))
+
+    def __eq__(self, other):
+        if not isinstance(other, LinearLayout):
+            return NotImplemented
+        return np.array_equal(self.order_array, other.order_array)
+
+    @cached_property
+    def order(self) -> tuple[int, ...]:
+        return tuple(self.order_array.tolist())
 
     @staticmethod
     def identity(n: int) -> "LinearLayout":
-        return LinearLayout(tuple(range(n)))
+        return LinearLayout(np.arange(n))
 
     def position(self) -> dict[int, int]:
         """vertex -> 1-based position."""
         return {v: i + 1 for i, v in enumerate(self.order)}
 
     def validate(self, g: Graph) -> None:
+        a, n = self.order_array, g.n
         # the length test first: g.n may come from an untrusted file
-        if len(self.order) != g.n or sorted(self.order) != list(range(g.n)):
-            raise InvalidLayoutError(
-                f"layout over {len(self.order)} entries is not a permutation "
-                f"of 0..{g.n - 1}")
+        if len(a) != n or (n and not (a.min() >= 0 and a.max() < n and
+                                      np.bincount(a, minlength=n).all())):
+            raise layout_error(len(a), n)
 
 
-@dataclass(frozen=True)
+def layout_error(entries: int, n: int) -> InvalidLayoutError:
+    """The error of a layout over ``entries`` entries that is no
+    permutation of 0..n-1."""
+    return InvalidLayoutError(f"layout over {entries} entries is not a "
+                              f"permutation of 0..{n - 1}")
+
+
+@dataclass(frozen=True, eq=False)
 class CutProfile:
-    """Per-gap edge-crossing counts of a layout; widths[i] is the cut
-    after position i+1 (so there are n-1 entries)."""
+    """Per-gap edge-crossing counts of a layout: ``width_array``[i], a
+    read-only int64 array made from the list, tuple or array given, is
+    the cut after position i+1 (so there are n-1 entries).  The tuple of
+    Python ints ``widths`` is built from the array when first read."""
 
-    widths: tuple[int, ...]
+    width_array: np.ndarray
     max_width: int
 
     def __post_init__(self):
-        expect = max(self.widths) if self.widths else 0
-        if self.max_width != expect:
+        a = _frozen_int64(self.width_array)
+        object.__setattr__(self, "width_array", a)
+        if self.max_width != (int(a.max()) if a.size else 0):
             raise ValueError("max_width inconsistent with widths")
+
+    def __eq__(self, other):
+        if not isinstance(other, CutProfile):
+            return NotImplemented
+        return (self.max_width == other.max_width
+                and np.array_equal(self.width_array, other.width_array))
+
+    @cached_property
+    def widths(self) -> tuple[int, ...]:
+        return tuple(self.width_array.tolist())
 
 
 @dataclass(frozen=True)
@@ -244,12 +301,12 @@ def cut_profile(g: Graph, layout: LinearLayout) -> CutProfile:
     """Count, for every gap i, the edges {u,v} with pi(u) <= i < pi(v)."""
     layout.validate(g)
     pos = np.empty(g.n, dtype=np.int64)
-    pos[np.array(layout.order, dtype=np.int64)] = np.arange(1, g.n + 1)
+    pos[layout.order_array] = np.arange(1, g.n + 1)
     ends = pos[g.edge_array]
     diffs = (np.bincount(np.minimum(*ends.T), minlength=g.n + 1)
              - np.bincount(np.maximum(*ends.T), minlength=g.n + 1))
-    widths = np.cumsum(diffs[1:g.n]).tolist()
-    return CutProfile(tuple(widths), max(widths) if widths else 0)
+    widths = np.cumsum(diffs[1:g.n])
+    return CutProfile(widths, int(widths.max()) if widths.size else 0)
 
 
 def cutwidth_of_layout(g: Graph, layout: LinearLayout) -> int:
@@ -349,30 +406,22 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
     rotation is not a permutation of its neighbours, or giving V, E, F
     and C when the genus is positive.
 
-    All steps are numpy passes over the darts: sorting proves the
-    permutations, and a second sort, inverted, pairs every dart with its
-    reverse; faces are labelled by their minimum dart through pointer
-    doubling, and components are merged in Boruvka rounds.  Dart and
-    vertex indices are int32 where they fit.
+    All steps are numpy passes over the darts: sorting the darts of
+    each orientation by their edge's key proves the permutations and
+    pairs every dart with its reverse (``_reverse_darts``); faces are
+    labelled by their minimum dart (``_cycle_minima``), and components
+    are merged in Boruvka rounds.  Dart and vertex indices are int32
+    where they fit.
     """
     n = g.n
     if len(lens) != n:
         raise InvariantError(
             f"rotation system has {len(lens)} vertices, graph has {n}")
-    # darts are numbered vertex by vertex in rotation order
-    tail = np.repeat(np.arange(n, dtype=np.int64), lens)
-    edges = g.edge_array
+    darts = len(heads)
+    index = np.int32 if max(n, darts) < 2**31 else np.int64
     start = np.cumsum(lens) - lens
-    # every rotation permutes its vertex's neighbours iff every head is a
-    # vertex and the sorted dart keys equal the sorted keys of the 2m edge
-    # darts (array_equal also compares the dart count); the keys come
-    # sorted by tail, which a stable sort makes use of
-    key = tail * n + heads
-    order = np.argsort(key, kind="stable")
-    want = np.sort(np.concatenate((edges[:, 0] * n + edges[:, 1],
-                                   edges[:, 1] * n + edges[:, 0])))
-    if not (((heads >= 0) & (heads < n)).all()
-            and np.array_equal(key.take(order), want)):
+    rev = _reverse_darts(n, lens, heads, g.edge_array, index)
+    if rev is None:
         adj = g.adjacency()
         flat = heads.tolist()
         v = next(v for v, (s, k) in enumerate(zip(start.tolist(), lens.tolist()))
@@ -381,20 +430,13 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
             f"rotation at vertex {g.labels.get(v, str(v))} is not a "
             f"permutation of its {len(adj[v])} neighbours")
     # succ[d] is the next dart around the tail of d, rev[d] the reverse of
-    # d, and the face after dart v->w continues with the successor of w->v;
-    # the keys are distinct and their set is closed under reversal, so
-    # the dart of rank r by reversed key is the reverse of the dart of
-    # rank r by key
-    darts = len(key)
-    index = np.int32 if max(n, darts) < 2**31 else np.int64
-    rev = np.empty(darts, dtype=index)
-    rev[np.argsort(heads * n + tail)] = order
+    # d, and the face after dart v->w continues with the successor of w->v
     succ = np.arange(1, darts + 1, dtype=index)
     ends = np.flatnonzero(lens)
     succ[start[ends] + lens[ends] - 1] = start[ends]
     faces = int(np.count_nonzero(_cycle_minima(succ.take(rev))
                                  == np.arange(darts, dtype=index)))
-    components = _component_count(n, edges.astype(index))
+    components = _component_count(n, g.edge_array.astype(index))
     isolated = int(np.count_nonzero(lens == 0))
     m = darts // 2
     if n - m + faces != 2 * components - isolated:
@@ -405,18 +447,77 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
     return faces
 
 
+def _reverse_darts(n: int, lens: np.ndarray, heads: np.ndarray,
+                   edges: np.ndarray, index) -> np.ndarray | None:
+    """The reverse of every dart of a flat rotation system, as an
+    ``index`` array, or None if some rotation is not a permutation of its
+    vertex's neighbours in the graph of the sorted edge rows ``edges``.
+
+    Darts are numbered vertex by vertex in rotation order.  Every
+    rotation is such a permutation iff every head is a vertex and two
+    dart lists, sorted, give the keys of the edges in the order of
+    ``edges``: the darts v->w with v < w by key v * n + w, and the other
+    darts by key w * n + v.  The two darts of edge e then have rank e in
+    the two lists."""
+    tail = np.repeat(np.arange(n, dtype=np.int64), lens)
+    up = tail < heads
+    fwd, bwd = np.flatnonzero(up), np.flatnonzero(~up)
+    fkey = tail.take(fwd) * n + heads.take(fwd)
+    bkey = heads.take(bwd) * n + tail.take(bwd)
+    # the first keys come sorted by tail, which a stable sort makes use of
+    by_fkey = np.argsort(fkey, kind="stable")
+    by_bkey = np.argsort(bkey, kind="stable")
+    want = edges[:, 0] * n + edges[:, 1]
+    if not (((heads >= 0) & (heads < n)).all()
+            and np.array_equal(fkey.take(by_fkey), want)
+            and np.array_equal(bkey.take(by_bkey), want)):
+        return None
+    fwd, bwd = fwd.take(by_fkey), bwd.take(by_bkey)
+    rev = np.empty(len(heads), dtype=index)
+    rev[fwd] = bwd
+    rev[bwd] = fwd
+    return rev
+
+
+# faces up to this length are settled by plain steps before any pointer
+# doubling; most faces of a planarized graph have length 3 or 5
+_PLAIN_STEPS = 5
+
+
 def _cycle_minima(perm: np.ndarray) -> np.ndarray:
     """For a permutation, the smallest element of the cycle through each
-    element.  Round k takes the minimum over the next 2^k elements; once
-    a round changes nothing, that minimum is constant along each cycle."""
-    label = np.arange(len(perm), dtype=perm.dtype)
-    jump = perm
+    element.  _PLAIN_STEPS plain steps walk every element that far along
+    its cycle: an element that came back to itself lies on a cycle no
+    longer than that and has seen all of it.  The elements on longer
+    cycles are compacted into a permutation of their own, and pointer
+    doubling finishes them: round k takes the minimum over the next
+    (_PLAIN_STEPS + 1) * 2^k elements; once a round changes nothing, that
+    minimum is constant along each cycle."""
+    ids = np.arange(len(perm), dtype=perm.dtype)
+    label, at = ids.copy(), ids
+    closed = np.zeros(len(perm), dtype=bool)
+    home = np.empty(len(perm), dtype=bool)
+    for _ in range(_PLAIN_STEPS):
+        at = perm.take(at)
+        np.minimum(label, at, out=label)
+        closed |= np.equal(at, ids, out=home)
+    rest = np.flatnonzero(~closed)
+    if not rest.size:
+        return label
+    compact = np.empty(len(perm), dtype=perm.dtype)
+    compact[rest] = np.arange(len(rest), dtype=perm.dtype)
+    # each remaining element's label covers itself and the next
+    # _PLAIN_STEPS elements; jump leads to the element after those
+    jump = compact.take(perm.take(at.take(rest)))
+    low = label.take(rest)
     while True:
-        step = np.minimum(label, label.take(jump))
-        if np.array_equal(step, label):
-            return label
-        label = step
+        ahead = low.take(jump)
+        if not (ahead < low).any():
+            break
+        np.minimum(low, ahead, out=low)
         jump = jump.take(jump)
+    label[rest] = low
+    return label
 
 
 def _component_count(n: int, edges: np.ndarray) -> int:

@@ -21,7 +21,7 @@ import json
 from .errors import (InvalidLayoutError, ParseError, PreconditionError,
                      ResourceLimitError)
 from .gadgets import CrossoverGadget
-from .graph import Graph, LinearLayout
+from .graph import Graph, LinearLayout, layout_error
 
 
 # ---------------------------------------------------------------------------
@@ -84,16 +84,26 @@ def write_graph(g: Graph) -> str:
 def parse_layout(text: str, g: Graph) -> LinearLayout:
     parts = text.split()
     try:
-        order = tuple(int(p) - 1 for p in parts)
+        order = [int(p) - 1 for p in parts]
     except ValueError:
         raise ParseError("layout file must contain integers")
-    layout = LinearLayout(order)
+    layout = _layout_of(order, g)
     layout.validate(g)
     return layout
 
 
+def _layout_of(order: list[int], g: Graph) -> LinearLayout:
+    """The layout of 0-based ids; an id beyond int64 is no vertex of any
+    graph, and raises the InvalidLayoutError of ``validate``."""
+    try:
+        return LinearLayout(order)
+    except OverflowError:
+        raise layout_error(len(order), g.n) from None
+
+
 def write_layout(layout: LinearLayout) -> str:
-    return " ".join(str(v + 1) for v in layout.order) + "\n"
+    order = layout.order_array
+    return " ".join(["%d"] * len(order)) % tuple((order + 1).tolist()) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +149,7 @@ def gadget_from_json(obj: dict) -> CrossoverGadget:
         shift = int(obj["shift"])
         terminals = tuple(int(t) - 1 for t in obj["terminals"])
         graph = graph_from_json(obj["graph"])
-        layout = LinearLayout(tuple(int(v) - 1 for v in obj["layout"]))
+        layout = _layout_of([int(v) - 1 for v in obj["layout"]], graph)
         return CrossoverGadget(problem, graph, terminals, layout, shift)
     except (*_BAD_JSON, InvalidLayoutError, ParseError) as exc:
         raise ParseError(f"bad gadget JSON: {exc}")

@@ -88,7 +88,7 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     width_in = cut_profile(g, layout).max_width
 
     u, up, v, vp = gadget.terminals
-    host_order = np.array(layout.order, dtype=np.int64)
+    host_order = layout.order_array
     # each arc's left and right end as vertex ids
     left, right = host_order[drawing.arcs.T - 1]
     # copy k takes the ids bases[k] .. bases[k] + h.n - 1; its crossing
@@ -160,8 +160,8 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     i = np.arange(g.n, dtype=np.int64)
     order[i + h.n * np.searchsorted(floors, i, side="right")] = host_order
     order[(floors + h.n * np.arange(ell))[:, None] + np.arange(h.n)] = (
-        bases[:, None] + np.array(gadget.layout.order, dtype=np.int64))
-    layout_prime = LinearLayout(tuple(order.tolist()))
+        bases[:, None] + gadget.layout.order_array)
+    layout_prime = LinearLayout(order)
     prof_out = cut_profile(g_prime, layout_prime)
 
     result = PlanarizationResult(
@@ -181,15 +181,13 @@ def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
     falsifies the width argument and must never be shipped past."""
     bound = res.width_in + res.gadget_width + 4
     # per-gap claims: original-vertex gaps <= width_in, gadget gaps <= bound
-    order = np.array(res.layout_prime.order[:-1], dtype=np.int64)
+    order = res.layout_prime.order_array[:-1]
+    widths = res.cut_profile.width_array
     # the ids below g.n are the original vertices
-    limit = np.where(order < g.n, res.width_in, bound)
-    over = np.flatnonzero(np.array(res.cut_profile.widths, dtype=np.int64)
-                          > limit)
+    over = np.flatnonzero(widths > np.where(order < g.n, res.width_in, bound))
     if over.size:
         i = int(over[0])
-        cut = res.cut_profile.widths[i]
-        w = res.layout_prime.order[i]
+        cut, w = int(widths[i]), int(order[i])
         label = res.g_prime.labels.get(w, str(w))
         if w < g.n:
             raise InvariantError(

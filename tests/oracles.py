@@ -238,6 +238,20 @@ def trace_faces(g: Graph, rotation) -> int:
     return faces
 
 
+def cycle_minima_by_orbits(perm) -> list[int]:
+    """For a permutation, the smallest element of the cycle through each
+    element, found by walking every cycle once."""
+    label = [-1] * len(perm)
+    for first in range(len(perm)):
+        if label[first] < 0:
+            orbit = [first]
+            while perm[orbit[-1]] != first:
+                orbit.append(perm[orbit[-1]])
+            for x in orbit:
+                label[x] = first   # the first element met is the smallest
+    return label
+
+
 # ---------------------------------------------------------------------------
 # file writers that format the sorted tuple edge set line by line
 # ---------------------------------------------------------------------------
@@ -247,6 +261,11 @@ def write_graph_by_tuples(g: Graph) -> str:
     lines = [f"p {g.n} {g.m}"]
     lines += [f"e {u + 1} {v + 1}" for u, v in sorted(g.edges)]
     return "\n".join(lines) + "\n"
+
+
+def write_layout_by_tuples(layout: LinearLayout) -> str:
+    """The layout file format, as io.write_layout must produce it."""
+    return " ".join(str(v + 1) for v in layout.order) + "\n"
 
 
 def write_dot_by_tuples(g: Graph) -> str:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cutplanar import graph
 from cutplanar.errors import InvalidLayoutError, InvariantError, OracleLimitError
 from cutplanar.graph import (CopyLabels, CutProfile, Graph, LinearLayout,
                              bag_steps,
@@ -12,8 +13,8 @@ from cutplanar.graph import (CopyLabels, CutProfile, Graph, LinearLayout,
                              is_planar, layout_to_path_decomposition,
                              planar_rotation, random_graph)
 
-from oracles import (brute_cutwidth, brute_planarity, gap_cuts, trace_faces,
-                     validate_path_decomposition)
+from oracles import (brute_cutwidth, brute_planarity, cycle_minima_by_orbits,
+                     gap_cuts, trace_faces, validate_path_decomposition)
 
 
 def path(n):
@@ -101,6 +102,64 @@ class TestConstruction:
                 Graph.from_edges(n, e)
 
 
+def lexsort_rows(edges) -> np.ndarray:
+    """The distinct rows (min, max) of pairs, sorted by np.lexsort."""
+    a = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    lo, hi = a.min(axis=1), a.max(axis=1)
+    order = np.lexsort((hi, lo))
+    rows = np.stack((lo[order], hi[order]), axis=1)
+    keep = np.ones(len(rows), dtype=bool)
+    keep[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+    return rows[keep]
+
+
+@st.composite
+def wide_edge_lists(draw):
+    """n up to 2^62, pairs whose endpoints crowd both ends of 0..n-1,
+    shuffled, with repeats in either orientation."""
+    n = draw(st.sampled_from([2, 2**31 - 1, 2**31, 2**31 + 1, 2**40, 2**62]))
+    ends = st.one_of(st.integers(0, 3), st.integers(n - 4, n - 1),
+                     st.integers(0, n - 1)).filter(lambda v: 0 <= v < n)
+    pairs = draw(st.lists(st.tuples(ends, ends).filter(lambda p: p[0] != p[1]),
+                          max_size=30))
+    pairs += [(v, u) for u, v in draw(st.lists(st.sampled_from(pairs),
+                                               max_size=10))] if pairs else []
+    return n, draw(st.permutations(pairs))
+
+
+class TestCanonicalEdges:
+    """The one-key sort gives the rows of a lexsort; endpoints from 2^31
+    on, where the key would overflow, are sorted by lexsort itself."""
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(st.one_of(edge_lists(), wide_edge_lists()))
+    def test_matches_lexsort(self, case):
+        n, pairs = case
+        for e in both_kinds(pairs):
+            got = graph._canonical_edges(n, e)
+            assert got.dtype == np.int64 and got.shape[1:] == (2,)
+            assert np.array_equal(got, lexsort_rows(pairs))
+
+    def test_empty(self):
+        for e in ([], np.empty((0, 2), dtype=np.int64)):
+            assert graph._canonical_edges(4, e).shape == (0, 2)
+
+    def test_endpoints_past_the_exact_key(self):
+        # with span 2^40 + 2 the key lo * span + hi of (2^35, 2^40 + 1)
+        # is past 2^75; only the lexsort path keeps these rows exact
+        big = 2**40
+        pairs = [(big + 1, 2**35), (big, 3), (7, 2**35), (3, big), (0, 1)]
+        got = Graph.from_edges(big + 2, pairs).edge_array.tolist()
+        assert got == [[0, 1], [3, big], [7, 2**35], [2**35, big + 1]]
+
+    def test_first_bad_edge_in_input_order(self):
+        with pytest.raises(ValueError, match=r"^self-loop at vertex 2$"):
+            Graph.from_edges(4, [(0, 1), (2, 2), (0, 9)])
+        with pytest.raises(ValueError, match=r"^edge \(0,9\) out of range"):
+            Graph.from_edges(4, [(0, 1), (0, 9), (2, 2)])
+
+
 class TestLabels:
     @pytest.mark.parametrize("labels", [{3: "x"}, {-1: "x"}, {0: "a", 7: "b"}])
     def test_label_outside_vertices_rejected(self, labels):
@@ -169,6 +228,52 @@ class TestCutProfile:
             widths = gap_cuts(g, layout)
             assert cut_profile(g, layout) == CutProfile(widths,
                                                         max(widths, default=0))
+
+
+class TestLayoutArrays:
+    KINDS = [tuple, list, np.array, lambda x: np.array(x, dtype=np.int32)]
+
+    @pytest.mark.parametrize("kind", KINDS, ids=["tuple", "list", "int64",
+                                                  "int32"])
+    def test_every_kind_gives_the_same_layout(self, kind):
+        layout = LinearLayout(kind((2, 0, 1)))
+        assert layout == LinearLayout((2, 0, 1)) != LinearLayout((2, 1, 0))
+        assert layout.order == (2, 0, 1)
+        assert all(type(v) is int for v in layout.order)
+        a = layout.order_array
+        assert a.dtype == np.int64 and not a.flags.writeable
+        prof = CutProfile(kind((1, 2)), 2)
+        assert prof == CutProfile((1, 2), 2) != CutProfile((2, 1), 2)
+        assert prof.widths == (1, 2)
+        assert all(type(w) is int for w in prof.widths)
+        assert not prof.width_array.flags.writeable
+
+    def test_array_is_copied(self):
+        source = np.array([1, 0])
+        layout = LinearLayout(source)
+        source[0] = 0
+        assert layout.order == (1, 0)
+
+    def test_max_width_checked(self):
+        with pytest.raises(ValueError, match="max_width inconsistent"):
+            CutProfile(np.array([1, 3]), 2)
+        with pytest.raises(ValueError, match="max_width inconsistent"):
+            CutProfile((), 1)
+
+    @pytest.mark.parametrize("order", [
+        (0, 0, 2), (0, 2, 2), (0, 1, 3), (-1, 1, 2), (0, 1), (), (0, 1, 2, 0),
+        (2, 1, 2**40)], ids=["duplicate", "duplicate-last", "above",
+                             "negative", "short", "empty", "long", "huge"])
+    def test_validate_rejects_with_one_message(self, order):
+        with pytest.raises(InvalidLayoutError,
+                           match=rf"^layout over {len(order)} entries is not "
+                                 rf"a permutation of 0\.\.2$"):
+            LinearLayout(order).validate(path(3))
+
+    def test_validate_accepts_permutations(self):
+        LinearLayout(()).validate(Graph.from_edges(0, []))
+        for order in itertools.permutations(range(4)):
+            LinearLayout(order).validate(cycle(4))
 
 
 class TestExactCutwidth:
@@ -309,9 +414,11 @@ class TestEmbeddingCheck:
         [[1, 2], [2, 3], [0, 4], []],
         [[1, 2], [0, 3], [0, 1], [4]],
         [[1, 2], [2], [0, 3], []],
+        [[1, 2], [0, 1, 2], [0, 1], []],
     ], ids=["missing", "duplicate", "extra", "foreign", "below", "above",
             "later-missing", "later-extra", "later-below", "later-above",
-            "later-out-of-range-count", "miscount-then-wrong-entry"])
+            "later-out-of-range-count", "miscount-then-wrong-entry",
+            "self"])
     def test_rotation_must_permute_neighbours(self, rotation):
         g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)], {1: "X0:b"})
         with pytest.raises(InvariantError,
@@ -346,6 +453,45 @@ class TestEmbeddingCheck:
             outcomes.add(got if isinstance(got, int) else got[:18])
         # accepted rotations, genus errors and permutation errors all occur
         assert {"rotation system is", "rotation at vertex"} < outcomes
+
+
+@st.composite
+def cycle_permutations(draw):
+    """A permutation from cycle lengths: fixed points, cycles up to and
+    past the plain steps, and cycles that take several doubling rounds;
+    the elements are shuffled, and the dtype is int32 or int64."""
+    lengths = draw(st.lists(st.one_of(st.integers(1, 8), st.integers(9, 300)),
+                            max_size=12))
+    ids = list(range(sum(lengths)))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(ids)
+    perm = [0] * len(ids)
+    at = 0
+    for k in lengths:
+        cyc = ids[at:at + k]
+        for i, x in enumerate(cyc):
+            perm[x] = cyc[(i + 1) % k]
+        at += k
+    return np.array(perm, dtype=draw(st.sampled_from([np.int32, np.int64])))
+
+
+class TestCycleMinima:
+    @settings(max_examples=150, derandomize=True, database=None,
+              deadline=None)
+    @given(cycle_permutations())
+    def test_matches_orbit_walk(self, perm):
+        got = graph._cycle_minima(perm)
+        assert got.dtype == perm.dtype
+        assert got.tolist() == cycle_minima_by_orbits(perm.tolist())
+
+    @pytest.mark.parametrize("n", [0, 1, graph._PLAIN_STEPS,
+                                   graph._PLAIN_STEPS + 1, 1000])
+    def test_one_cycle_and_fixed_points(self, n):
+        # one cycle through 0..n-1 backwards, so every label must travel
+        # the whole cycle, and as many fixed points after it
+        perm = np.concatenate(((np.arange(n) - 1) % max(n, 1),
+                               np.arange(n, 2 * n)))
+        assert graph._cycle_minima(perm).tolist() == [0] * n + list(
+            range(n, 2 * n))
 
 
 class TestPathDecomposition:

@@ -18,12 +18,13 @@ from cutplanar.errors import (CutplanarError, GadgetError, InvalidLayoutError,
                               InvariantError, OracleLimitError, ParseError,
                               PreconditionError, ResourceLimitError)
 from cutplanar.gadgets import builtin_gadget, gjs_is_gadget, CrossoverGadget
-from cutplanar.graph import (Graph, LinearLayout, check_embedding_arrays,
-                             cut_profile, random_graph)
+from cutplanar.graph import (CutProfile, Graph, LinearLayout,
+                             check_embedding_arrays, cut_profile,
+                             random_graph)
 from cutplanar.planarize import planarize
 
 from oracles import (graph_to_json_by_tuples, write_dot_by_tuples,
-                     write_graph_by_tuples)
+                     write_graph_by_tuples, write_layout_by_tuples)
 
 # the package exports the function planarize under the module's name
 planarize_module = importlib.import_module("cutplanar.planarize")
@@ -61,6 +62,30 @@ class TestGraphFormat:
         g = complete(3)
         layout = LinearLayout((2, 0, 1))
         assert cio.parse_layout(cio.write_layout(layout), g) == layout
+
+    def test_layout_entry_past_int64(self):
+        # no vertex id, so the message of any other bad entry
+        with pytest.raises(InvalidLayoutError,
+                           match=r"^layout over 3 entries is not a "
+                                 r"permutation of 0\.\.2$"):
+            cio.parse_layout("1 2 99999999999999999999", complete(3))
+
+    def test_gadget_layout_entry_past_int64(self):
+        obj = cio.gadget_to_json(gjs_is_gadget())
+        obj["layout"][0] = 10**20
+        n = obj["graph"]["n"]
+        with pytest.raises(ParseError,
+                           match=rf"^bad gadget JSON: layout over {n} entries "
+                                 rf"is not a permutation of 0\.\.{n - 1}$"):
+            cio.gadget_from_json(obj)
+
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    def test_layout_writer_matches_tuple_formatting(self, problem):
+        layouts = [LinearLayout(()), LinearLayout((0,)),
+                   planarize(complete(6), LinearLayout.identity(6), 0,
+                             builtin_gadget(problem)).layout_prime]
+        for layout in layouts:
+            assert cio.write_layout(layout) == write_layout_by_tuples(layout)
 
     def test_json_round_trip(self):
         g = Graph.from_edges(3, [(0, 1)], {0: "root"})
@@ -122,6 +147,43 @@ class TestWriters:
         assert seen == []
         g.sorted_edges()   # the recording is live
         assert seen == [g]
+
+
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    def test_pipeline_never_builds_the_order_tuple_of_g_prime(
+            self, monkeypatch, capsys, tmp_path, problem):
+        # planarize, its cut profile, both output files and the CLI report
+        # work on the arrays of the layouts and cut profiles, so none is
+        # seen as a tuple
+        gadget = builtin_gadget(problem)   # built and cached before recording
+        g, layout = complete(6), LinearLayout.identity(6)
+        gpath, lpath = tmp_path / "k6.gr", tmp_path / "k6.layout"
+        gpath.write_text(cio.write_graph(g))
+        lpath.write_text(cio.write_layout(layout))
+        seen = []
+
+        def recording(method):
+            def wrapper(obj):
+                seen.append(obj)
+                return method(obj)
+            return property(wrapper)
+        monkeypatch.setattr(LinearLayout, "order",
+                            recording(LinearLayout.order.func))
+        monkeypatch.setattr(CutProfile, "widths",
+                            recording(CutProfile.widths.func))
+        res = planarize(g, layout, 0, gadget)
+        cut_profile(res.g_prime, res.layout_prime)
+        cio.write_graph(res.g_prime)
+        cio.write_layout(res.layout_prime)
+        code, rep = run_cli(capsys, ["planarize", str(gpath), str(lpath),
+                                     "--problem", problem, "--t", "0"])
+        assert code == 0
+        assert seen == []
+        # the recording is live, and the tuples give the report and the file
+        assert rep["results"]["cut_profile"] == list(res.cut_profile.widths)
+        assert (tmp_path / "k6.gr.planarized.layout").read_text() == (
+            write_layout_by_tuples(res.layout_prime))
+        assert seen == [res.cut_profile, res.layout_prime]
 
 
 class TestGadgetJson:
@@ -471,6 +533,36 @@ class TestCli:
         assert code == 0
         content = open(out).read()
         assert content.count("r=\"3\"") == 1  # one crossing marker
+
+    def test_export_svg_crossing_limit(self, capsys, monkeypatch, tmp_path):
+        # K50 in identity order has C(50, 4) = 230 300 crossings: counted,
+        # and refused before the drawing is built
+        def never(*args):
+            raise AssertionError("the drawing was built")
+        monkeypatch.setattr(cli, "build_arc_drawing", never)
+        gpath, lpath = tmp_path / "k50.gr", tmp_path / "k50.layout"
+        gpath.write_text(cio.write_graph(complete(50)))
+        lpath.write_text(cio.write_layout(LinearLayout.identity(50)))
+        code = cli.main(["export", str(gpath), str(lpath), "--format", "svg"])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_RESOURCE and err == ""
+        assert json.loads(out) == {
+            "schema": 1, "error": "resource limit: arc drawing has 230300 "
+                                  "crossings, SVG export limit is 100000"}
+        assert not (tmp_path / "k50.gr.svg").exists()
+
+    @pytest.mark.parametrize("limit, code", [(5, 0), (4, cli.EXIT_RESOURCE)])
+    def test_export_svg_crossing_limit_is_inclusive(
+            self, capsys, monkeypatch, tmp_path, limit, code):
+        # K5 in identity order has 5 crossings
+        monkeypatch.setattr(cli, "SVG_CROSSING_LIMIT", limit)
+        gpath, lpath = tmp_path / "k5.gr", tmp_path / "k5.layout"
+        gpath.write_text(cio.write_graph(complete(5)))
+        lpath.write_text(cio.write_layout(LinearLayout.identity(5)))
+        got, rep = run_cli(capsys, ["export", str(gpath), str(lpath),
+                                    "--format", "svg"])
+        assert got == code
+        assert (tmp_path / "k5.gr.svg").exists() == (code == 0)
 
     def test_export_svg_needs_layout(self, capsys, k4_files):
         code, rep = run_cli(capsys, ["export", k4_files[0], "--format", "svg"])
