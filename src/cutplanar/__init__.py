@@ -7,7 +7,6 @@ from .graph import (
     CutProfile,
     PathDecomposition,
     cut_profile,
-    cutwidth_of_layout,
     exact_cutwidth,
     is_planar,
     layout_to_path_decomposition,

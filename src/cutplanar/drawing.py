@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidLayoutError, ResourceLimitError
-from .graph import Graph, LinearLayout
+from .graph import Graph, LinearLayout, edge_positions
 
 Edge = tuple[int, int]
 
@@ -72,9 +72,6 @@ class ArcDrawing:
     pairs: np.ndarray    # (k, 2) int64 arc indices
     floors: np.ndarray   # (k,) int64
 
-    def position(self) -> dict[int, int]:
-        return self.layout.position()
-
     @cached_property
     def crossings(self) -> tuple[Crossing, ...]:
         """The crossings as objects with exact x, in crossing order."""
@@ -89,11 +86,7 @@ class ArcDrawing:
 def _arcs(g: Graph, layout: LinearLayout) -> np.ndarray:
     """Validates the layout; the (left, right) positions of g's edges,
     sorted by left end and then by right end descending."""
-    layout.validate(g)
-    pos = np.empty(g.n, dtype=np.int64)
-    pos[layout.order_array] = np.arange(1, g.n + 1)
-    ends = pos[g.edge_array]
-    lo, hi = np.minimum(*ends.T), np.maximum(*ends.T)
+    lo, hi = edge_positions(g, layout)
     order = np.lexsort((-hi, lo))
     return np.stack((lo[order], hi[order]), axis=1)
 
@@ -227,7 +220,7 @@ def _normalize(pos: dict[int, int], e: Edge) -> Edge:
 def vertical_cut_edges(d: ArcDrawing, x0) -> set[Edge]:
     """Edges whose arcs are intersected by the vertical line at x0."""
     x0 = Fraction(x0)
-    pos = d.position()
+    pos = d.layout.position()
     if any(Fraction(p) == x0 for p in pos.values()):
         raise InvalidLayoutError(f"x0 = {x0} coincides with a vertex position")
     out = set()
@@ -253,7 +246,7 @@ def _fx(value: Fraction) -> str:
 def to_svg(d: ArcDrawing) -> str:
     """Deterministic SVG of the arc diagram: labeled dots on a baseline,
     semicircular arcs, small markers at crossings."""
-    pos = d.position()
+    pos = d.layout.position()
     n = d.graph.n
     max_span = max((abs(pos[u] - pos[v]) for u, v in d.graph.edges),
                    default=1)

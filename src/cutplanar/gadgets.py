@@ -44,7 +44,7 @@ from functools import cached_property, lru_cache
 from typing import Sequence
 
 from .errors import GadgetError, InvariantError, PreconditionError
-from .graph import (Graph, LinearLayout, check_embedding, cutwidth_of_layout,
+from .graph import (Graph, LinearLayout, check_embedding, cut_profile,
                     planar_rotation, random_graph)
 from . import solvers
 
@@ -90,7 +90,7 @@ class CrossoverGadget:
 
     @property
     def width(self) -> int:
-        return cutwidth_of_layout(self.graph, self.layout)
+        return cut_profile(self.graph, self.layout).max_width
 
     @cached_property
     def rotation(self) -> tuple[tuple[int, ...], ...]:

@@ -297,20 +297,24 @@ class PathDecomposition:
     width: int
 
 
-def cut_profile(g: Graph, layout: LinearLayout) -> CutProfile:
-    """Count, for every gap i, the edges {u,v} with pi(u) <= i < pi(v)."""
+def edge_positions(g: Graph, layout: LinearLayout
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Validates the layout; the 1-based left and right position of every
+    edge of g, as two int64 arrays in ``edge_array`` order."""
     layout.validate(g)
     pos = np.empty(g.n, dtype=np.int64)
     pos[layout.order_array] = np.arange(1, g.n + 1)
     ends = pos[g.edge_array]
-    diffs = (np.bincount(np.minimum(*ends.T), minlength=g.n + 1)
-             - np.bincount(np.maximum(*ends.T), minlength=g.n + 1))
+    return np.minimum(*ends.T), np.maximum(*ends.T)
+
+
+def cut_profile(g: Graph, layout: LinearLayout) -> CutProfile:
+    """Count, for every gap i, the edges {u,v} with pi(u) <= i < pi(v)."""
+    lo, hi = edge_positions(g, layout)
+    diffs = (np.bincount(lo, minlength=g.n + 1)
+             - np.bincount(hi, minlength=g.n + 1))
     widths = np.cumsum(diffs[1:g.n])
     return CutProfile(widths, int(widths.max()) if widths.size else 0)
-
-
-def cutwidth_of_layout(g: Graph, layout: LinearLayout) -> int:
-    return cut_profile(g, layout).max_width
 
 
 def exact_cutwidth(g: Graph) -> tuple[int, LinearLayout]:
@@ -410,7 +414,8 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
     each orientation by their edge's key proves the permutations and
     pairs every dart with its reverse (``_reverse_darts``); faces are
     labelled by their minimum dart (``_cycle_minima``), and components
-    are merged in Boruvka rounds.  Dart and vertex indices are int32
+    are counted by hooking each root to its lowest lower neighbouring
+    root (``_component_count``).  Dart and vertex indices are int32
     where they fit.
     """
     n = g.n
@@ -521,11 +526,15 @@ def _cycle_minima(perm: np.ndarray) -> np.ndarray:
 
 
 def _component_count(n: int, edges: np.ndarray) -> int:
-    """Connected components by Boruvka rounds on root labels: every root
-    with an edge to another tree points at its smallest neighbouring root
-    (of two roots pointing at each other the smaller stays a root), and
-    paths are then compressed.  Every such tree merges in each round, so
-    O(log n) rounds suffice.  The labels take the edges' dtype."""
+    """Connected components by hooking and shortcutting on root labels.
+    Each round drops the edges inside one tree, every root with a lower
+    neighbouring root points at the lowest one, and paths are then
+    compressed.  Pointers only go to lower ids, so no cycle can form.  A
+    root with no lower neighbouring root either takes in a tree this
+    round or, its neighbours having hooked to lower roots, sees a lower
+    root in the next round and hooks then; so the trees with an edge to
+    another tree halve every two rounds, and at most 2 * ceil(log2 n)
+    rounds merge trees.  The labels take the edges' dtype."""
     parent = np.arange(n, dtype=edges.dtype)
     u, v = edges[:, 0], edges[:, 1]
     while True:
@@ -533,14 +542,8 @@ def _component_count(n: int, edges: np.ndarray) -> int:
         split = pu != pv
         if not split.any():
             return int(np.count_nonzero(parent == np.arange(n)))
-        pu, pv = pu[split], pv[split]
-        target = np.full(n, n, dtype=edges.dtype)
-        np.minimum.at(target, np.concatenate((pu, pv)),
-                      np.concatenate((pv, pu)))
-        roots = np.flatnonzero(target < n)
-        to = target[roots]
-        hook = (target.take(to) != roots) | (roots > to)
-        parent[roots[hook]] = to[hook]
+        u, v, pu, pv = u[split], v[split], pu[split], pv[split]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
         while True:
             grand = parent.take(parent)
             if np.array_equal(grand, parent):

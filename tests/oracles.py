@@ -252,6 +252,28 @@ def cycle_minima_by_orbits(perm) -> list[int]:
     return label
 
 
+def components_by_bfs(n: int, edges) -> int:
+    """The number of connected components of the graph on 0..n-1 with the
+    given (u, v) pairs, found by breadth-first search."""
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = [False] * n
+    count = 0
+    for first in range(n):
+        if not seen[first]:
+            count += 1
+            seen[first] = True
+            queue = [first]
+            for x in queue:
+                for y in adj[x]:
+                    if not seen[y]:
+                        seen[y] = True
+                        queue.append(y)
+    return count
+
+
 # ---------------------------------------------------------------------------
 # file writers that format the sorted tuple edge set line by line
 # ---------------------------------------------------------------------------

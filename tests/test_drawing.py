@@ -83,7 +83,7 @@ class TestCrossings:
             n = rng.randint(4, 9)
             g = random_graph(n, 0.5, rng)
             d = build_arc_drawing(g, LinearLayout.identity(n))
-            pos = d.position()
+            pos = d.layout.position()
             for c in d.crossings:
                 (a, b), (cc, dd) = c.edges
                 inner_lo = max(pos[a], pos[cc])

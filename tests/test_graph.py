@@ -9,12 +9,14 @@ from cutplanar import graph
 from cutplanar.errors import InvalidLayoutError, InvariantError, OracleLimitError
 from cutplanar.graph import (CopyLabels, CutProfile, Graph, LinearLayout,
                              bag_steps,
-                             check_embedding, cut_profile, exact_cutwidth,
+                             check_embedding, cut_profile, edge_positions,
+                             exact_cutwidth,
                              is_planar, layout_to_path_decomposition,
                              planar_rotation, random_graph)
 
-from oracles import (brute_cutwidth, brute_planarity, cycle_minima_by_orbits,
-                     gap_cuts, trace_faces, validate_path_decomposition)
+from oracles import (brute_cutwidth, brute_planarity, components_by_bfs,
+                     cycle_minima_by_orbits, gap_cuts, trace_faces,
+                     validate_path_decomposition)
 
 
 def path(n):
@@ -230,6 +232,22 @@ class TestCutProfile:
                                                         max(widths, default=0))
 
 
+class TestEdgePositions:
+    def test_positions_of_every_edge_in_edge_array_order(self):
+        rng = random.Random(8)
+        for n in [0, 1, 2] + [rng.randint(3, 16) for _ in range(30)]:
+            g = random_graph(n, rng.random(), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            layout = LinearLayout(order)
+            lo, hi = edge_positions(g, layout)
+            pos = layout.position()
+            assert lo.dtype == hi.dtype == np.int64
+            assert (lo < hi).all()
+            assert list(zip(lo.tolist(), hi.tolist())) == [
+                tuple(sorted((pos[u], pos[v]))) for u, v in g.sorted_edges()]
+
+
 class TestLayoutArrays:
     KINDS = [tuple, list, np.array, lambda x: np.array(x, dtype=np.int32)]
 
@@ -265,10 +283,13 @@ class TestLayoutArrays:
         (2, 1, 2**40)], ids=["duplicate", "duplicate-last", "above",
                              "negative", "short", "empty", "long", "huge"])
     def test_validate_rejects_with_one_message(self, order):
-        with pytest.raises(InvalidLayoutError,
-                           match=rf"^layout over {len(order)} entries is not "
-                                 rf"a permutation of 0\.\.2$"):
+        message = (rf"^layout over {len(order)} entries is not a permutation "
+                   rf"of 0\.\.2$")
+        with pytest.raises(InvalidLayoutError, match=message):
             LinearLayout(order).validate(path(3))
+        # the edge ends of cut profiles and arc drawings check it as well
+        with pytest.raises(InvalidLayoutError, match=message):
+            edge_positions(path(3), LinearLayout(order))
 
     def test_validate_accepts_permutations(self):
         LinearLayout(()).validate(Graph.from_edges(0, []))
@@ -492,6 +513,100 @@ class TestCycleMinima:
                                np.arange(n, 2 * n)))
         assert graph._cycle_minima(perm).tolist() == [0] * n + list(
             range(n, 2 * n))
+
+
+def count_components(n, edges):
+    """graph._component_count(n, edges) and its number of hooking rounds.
+    The function runs on numpy except that each np.minimum.at call, one
+    per round that merges trees, is counted, and a call past the
+    docstring's bound of 2 * ceil(log2 n) rounds fails the test, so a
+    hooking rule that stops merging fails instead of looping."""
+    limit = 2 * (n - 1).bit_length() if n else 0
+    rounds = 0
+
+    def counted_at(*args):
+        nonlocal rounds
+        rounds += 1
+        assert rounds <= limit, f"round {rounds} on {n} vertices"
+        np.minimum.at(*args)
+
+    class Minimum:
+        __call__ = staticmethod(np.minimum)
+        at = staticmethod(counted_at)
+
+    class Numpy:
+        minimum = Minimum()
+
+        def __getattr__(self, name):
+            return getattr(np, name)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(graph, "np", Numpy())
+        return graph._component_count(n, edges), rounds
+
+
+@st.composite
+def component_graphs(draw):
+    """n up to 60 with random edges on shuffled ids, often leaving
+    isolated vertices, as a canonical int32 or int64 edge array."""
+    n = draw(st.integers(0, 60))
+    pairs = []
+    if n >= 2:
+        pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                        st.integers(0, n - 1))
+                              .filter(lambda p: p[0] != p[1]),
+                              max_size=2 * n))
+    ids = list(range(n))
+    random.Random(draw(st.integers(0, 2**32))).shuffle(ids)
+    g = Graph.from_edges(n, [(ids[u], ids[v]) for u, v in pairs])
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    return n, g.edge_array.astype(dtype)
+
+
+def zigzag(n):
+    """0, n-1, 1, n-2, 2, ...: every id is a local extreme on the path."""
+    return [k // 2 if k % 2 == 0 else n - 1 - k // 2 for k in range(n)]
+
+
+class TestComponentCount:
+    @settings(max_examples=300, derandomize=True, database=None,
+              deadline=None)
+    @given(component_graphs())
+    def test_matches_bfs(self, case):
+        n, edges = case
+        count, _ = count_components(n, edges)
+        assert count == components_by_bfs(n, edges.tolist())
+
+    @pytest.mark.parametrize("walk", [
+        lambda n: list(range(n)), zigzag,
+        lambda n: random.Random(3).sample(range(n), n)],
+        ids=["sorted", "zigzag", "shuffled"])
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_long_path(self, walk, dtype):
+        n = 5000
+        walk = walk(n)
+        edges = Graph.from_edges(n, list(zip(walk, walk[1:]))).edge_array
+        assert count_components(n, edges.astype(dtype))[0] == 1
+
+    def test_star_with_the_largest_centre(self):
+        # the centre hooks to leaf 0 in round 1, the other leaves in round 2
+        n = 1000
+        edges = np.array([(leaf, n - 1) for leaf in range(n - 1)])
+        assert count_components(n, edges) == (1, 2)
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_isolated_vertices(self, n):
+        assert count_components(n, np.empty((0, 2), dtype=np.int64)) == (n, 0)
+
+    def test_paths_and_isolated_vertices(self):
+        # two zigzag paths of 50 on shuffled ids, with 20 isolated
+        # vertices among them
+        ids = random.Random(5).sample(range(120), 120)
+        walk = [ids[k] for k in zigzag(50)]
+        other = [ids[50 + k] for k in zigzag(50)]
+        edges = list(zip(walk, walk[1:])) + list(zip(other, other[1:]))
+        g = Graph.from_edges(120, edges)
+        assert count_components(120, g.edge_array)[0] == 22
 
 
 class TestPathDecomposition:
