@@ -534,21 +534,35 @@ def _component_count(n: int, edges: np.ndarray) -> int:
     round or, its neighbours having hooked to lower roots, sees a lower
     root in the next round and hooks then; so the trees with an edge to
     another tree halve every two rounds, and at most 2 * ceil(log2 n)
-    rounds merge trees.  The labels take the edges' dtype."""
+    rounds merge trees.  The labels take the edges' dtype.
+
+    Only the roots that hooked are compressed, not all n parents.  The
+    kept edges carry their ends' roots pu, pv instead of their ends.
+    Every pointer chain from one of those roots runs through roots that
+    hooked this round, so once each hooked root points at a root,
+    parent.take(pu) is again the root of the end.  The other vertices
+    may point at a root that has since hooked, but a vertex is a root
+    exactly when it points at itself, which is all the final count
+    reads."""
     parent = np.arange(n, dtype=edges.dtype)
-    u, v = edges[:, 0], edges[:, 1]
+    pu, pv = edges[:, 0], edges[:, 1]
     while True:
-        pu, pv = parent.take(u), parent.take(v)
+        pu, pv = parent.take(pu), parent.take(pv)
         split = pu != pv
         if not split.any():
             return int(np.count_nonzero(parent == np.arange(n)))
-        u, v, pu, pv = u[split], v[split], pu[split], pv[split]
-        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
+        pu, pv = pu[split], pv[split]
+        high = np.maximum(pu, pv)
+        np.minimum.at(parent, high, np.minimum(pu, pv))
+        hooked = np.zeros(n, dtype=bool)
+        hooked[high] = True
+        hooked = np.flatnonzero(hooked)   # each hooked root once
+        up = parent.take(hooked)
         while True:
-            grand = parent.take(parent)
-            if np.array_equal(grand, parent):
+            grand = parent.take(up)
+            if np.array_equal(grand, up):
                 break
-            parent = grand
+            parent[hooked] = up = grand
 
 
 def bag_steps(g: Graph, layout: LinearLayout

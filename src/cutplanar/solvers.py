@@ -15,8 +15,10 @@ indexing it instead of branching on the problem:
   digit order is the dominance order of both problems), so it handles
   widths up to 61 (IS) resp. 38 (DS) within MEMORY_BUDGET_BYTES.  A step
   whose introduce provably keeps that table settled and that forgets
-  nothing skips the dedupe and the prune, and base-2 (IS) digits are
-  read by bit tests instead of divisions.
+  nothing skips the dedupe and the prune; one that forgets nothing after
+  a DS introduce with back edges dedupes and prunes only the states with
+  v in the set and drops each other state by one lookup.  Base-2 (IS)
+  digits are read by bit tests instead of divisions.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
@@ -227,7 +229,7 @@ def _introduce_is(keys, costs, top, back_weights):
     # bit test against the sum of their weights.  Always settled (_bag_dp).
     free = (keys & sum(back_weights)) == 0
     return (np.concatenate([keys, keys[free] + top]),
-            np.concatenate([costs, costs[free] - 1]), True)
+            np.concatenate([costs, costs[free] - 1]), None)
 
 
 def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
@@ -242,15 +244,20 @@ def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
 
 def _introduce_ds(keys, costs, top, back_weights):
     # v in the set (0) dominates its earlier neighbors; v out is
-    # dominated (1) if an earlier neighbor is in the set, else 2
-    v_in, v_dominated = keys.copy(), np.zeros(keys.size, dtype=bool)
+    # dominated (1) if an earlier neighbor is in the set, else 2.  The in
+    # block comes first, then the dominated and the undominated out states
+    # (that out block is sorted and unique); settled without back edges,
+    # else settled by _settle_ds_introduce (_bag_dp)
+    v_in, dominated = keys.copy(), np.zeros(keys.size, dtype=bool)
     for du in back_weights:
         su = _digit(keys, du, 3)
         v_in -= du * (su == 2)
-        v_dominated |= su == 0
-    # settled (_bag_dp) when there are no back edges
-    return (np.concatenate([v_in, keys + top * (2 - v_dominated)]),
-            np.concatenate([costs + 1, costs]), not back_weights)
+        dominated |= su == 0
+    free = ~dominated
+    return (np.concatenate([v_in, keys[dominated] + top,
+                            keys[free] + 2 * top]),
+            np.concatenate([costs + 1, costs[dominated], costs[free]]),
+            _settle_ds_introduce if back_weights else None)
 
 
 def _digit(keys: np.ndarray, weight: int | np.ndarray,
@@ -313,12 +320,14 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     i holding the state of bag slot i (an introduced vertex takes the top
     digit), with a parallel int64 cost array.  ``introduce(keys, costs,
     top, back_weights)`` returns the states with the new top digit set and
-    the back edges applied, and whether it kept the table settled (see
-    below); ``back_weights`` are the digit weights of the earlier
-    neighbors.  Forgetting a vertex drops the states whose digit is
-    ``reject_on_forget`` and removes the digit.  The forgets of a step
-    commute and the dedupe follows the last of them, so their order does
-    not change the table.
+    the back edges applied, and how a step that forgets nothing settles
+    them (see below): None when they are settled already, else a function
+    ``settle(keys, costs, nslots, base)``; ``back_weights`` are the digit
+    weights of the earlier neighbors.  Forgetting a vertex drops the
+    states whose digit is ``reject_on_forget`` and removes the digit.  A
+    step that forgets settles by _settle, the full dedupe and prune.  The
+    forgets of a step commute and the dedupe follows the last of them, so
+    their order does not change the table.
 
     A bag of w + 1 digits needs base^(w+1) < 2^63, so a decomposition of
     width 62 (IS) or 39 (DS) or more raises ResourceLimitError.  So does a
@@ -343,26 +352,54 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     Every step ends with a settled table: sorted, unique keys, and no
     state with a twin that costs no more (a survivor's twin was looked
     up before the removals, so it either was absent or cost more; it is
-    still absent or costs more).  An introduce that reports settled
-    returns such a table again, so a step that forgets nothing skips the
-    sortedness check, the dedupe and the prune; they could not change
-    it.  _introduce_is is always settled.  Its out states keep the old
-    keys x and costs c(x), so their twins are the old twins.  Its in
-    state x + top costs c(x) - 1.  The twin at the new slot, x, costs
-    more.  A twin x - w + top at an old slot exists only if x - w is an
-    old key, and it costs c(x - w) - 1, which is no more than c(x) - 1
-    only if x - w already dominated x in the old table.  Keys stay sorted
+    still absent or costs more).  Below, x is an old key, c(x) its cost
+    and w_i the weight of old slot i.  An introduce that returns no
+    settle function returns a settled table again, so a step that forgets
+    nothing skips the dedupe and the prune; they could not change it.
+    _introduce_is is always settled.  Its out states keep the old keys x
+    and costs c(x), so their twins are the old twins.  Its in state
+    x + top costs c(x) - 1.  The twin at the new slot, x, costs more.  A
+    twin x - w_i + top at an old slot exists only if x - w_i is an old
+    key, and it costs c(x - w_i) - 1, which is no more than c(x) - 1 only
+    if x - w_i already dominated x in the old table.  Keys stay sorted
     and unique because every old key is below top.  _introduce_ds is
     settled when there are no back edges: it then adds x at cost
     c(x) + 1 and x + 2 top at cost c(x).  At the old slots the same
     argument applies; at the new slot x + 2 top has no twin x + top, and
     its twin x costs more.
 
+    With back edges, _introduce_ds returns an in block, each x with its
+    back digits 2 lowered to 1 at cost c(x) + 1, then an out block, the
+    images x + d top at cost c(x), where d is 1 if x has a back digit 0
+    (v is dominated) and 2 otherwise, those with d = 1 first.  Each part
+    of the out block is the sorted old keys shifted by a constant, and
+    all x + top lie below 2 top, so the out block is sorted and unique.
+    _settle_ds_introduce returns what _settle would, by these steps:
+    - In keys lie below top and out keys do not, so the dedupe merges in
+      states only, and the deduped in block followed by the out block is
+      sorted.
+    - An in state has top digit 0, so its twins lie at old slots and are
+      in states.  The prune of the deduped in block over the old slots
+      finds them all.
+    - The twin of an out state x + d top at old slot i, digit k lower, is
+      x - k w_i + d top.  Out keys are the images of distinct old keys
+      (an out key mod top is its x), so this twin exists only as the
+      image of x - k w_i, an old twin of x.  That twin cost more than
+      c(x), since the old table was settled.  No out state dies at an old
+      slot.
+    - At the top slot, x + 2 top has no twin x + top (that would be the
+      image of x, which is x + 2 top).  So the one twin of x + d top there
+      is the in state x: the out state dies iff the deduped in block
+      holds x at cost at most c(x).  That lookup precedes the in block's
+      prune, just as _prune looks up every twin before removing any.
+
     The one-pass prune of small tables (_prune_candidates) adds about a
     dozen arrays of at most 2^15 elements (a few MiB together); that fixed
     amount does not grow with the table, and above the threshold the
     per-slot temporaries are no larger than the table, so the 96 n-byte
     check still bounds every allocation that scales with the state count.
+    _settle_ds_introduce allocates nothing longer than the 2n introduced
+    states: its in and out blocks and their temporaries hold n each.
     """
     steps, width = bag_steps(g, layout)
     if base ** (width + 1) > np.iinfo(np.int64).max:
@@ -375,36 +412,29 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     for v, back, forget in steps:
         # Introduce at most doubles the states; no moment of the step holds
         # more than six int64 arrays of that length (keys, costs and the
-        # temporaries of a forget or of the dedupe).
+        # temporaries of a forget or of the settle).
         need = 6 * 8 * 2 * keys.size
         if need > MEMORY_BUDGET_BYTES:
             raise ResourceLimitError(
                 f"DP step of {2 * keys.size} states needs {need} bytes, over "
                 f"the {MEMORY_BUDGET_BYTES}-byte budget (width {width})")
-        keys, costs, settled = introduce(
+        keys, costs, settle = introduce(
             keys, costs, base ** len(slots),
             [base ** slots.index(u) for u in back])
         slots.append(v)
         for u in forget:
             du = base ** slots.index(u)
-            if reject_on_forget is not None:
-                keep = _digit(keys, du, base) != reject_on_forget
-                keys, costs = keys[keep], costs[keep]
             high = keys // du
-            keys = keys - (high - high // base) * du   # higher digits move down
+            up = high // base
+            keys = keys - (high - up) * du   # higher digits move down
+            if reject_on_forget is not None:
+                keep = high - up * base != reject_on_forget
+                keys, costs = keys[keep], costs[keep]
             slots.remove(u)
-        if forget or not settled:
-            # dedupe, keeping the cheapest cost of each key, unless the
-            # step forgot nothing and introduce left the keys sorted and
-            # unique
-            if forget or not (keys[1:] > keys[:-1]).all():
-                order = np.argsort(keys, kind="stable")
-                keys, costs = keys[order], costs[order]
-                starts = np.flatnonzero(
-                    np.concatenate([[True], keys[1:] != keys[:-1]]))
-                keys = keys[starts]
-                costs = np.minimum.reduceat(costs, starts)
-            keys, costs = _prune(keys, costs, len(slots), base)
+        if forget:
+            keys, costs = _settle(keys, costs, len(slots), base)
+        elif settle is not None:
+            keys, costs = settle(keys, costs, len(slots), base)
         max_live = max(max_live, keys.size)
     return DPReport(int(costs.min()), max_live, g.n, width)
 
@@ -420,6 +450,45 @@ def _prune(keys: np.ndarray, costs: np.ndarray, nslots: int,
         hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
         dead[idx[hit]] = True
     return keys[~dead], costs[~dead]
+
+
+def _dedupe(keys: np.ndarray, costs: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """The keys sorted and unique, each with the least of its costs."""
+    order = np.argsort(keys, kind="stable")
+    keys, costs = keys[order], costs[order]
+    starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
+    return keys[starts], np.minimum.reduceat(costs, starts)
+
+
+def _settle(keys: np.ndarray, costs: np.ndarray, nslots: int,
+            base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Any table of ``nslots`` digits, deduped and pruned."""
+    keys, costs = _dedupe(keys, costs)
+    return _prune(keys, costs, nslots, base)
+
+
+def _settle_ds_introduce(keys: np.ndarray, costs: np.ndarray, nslots: int,
+                         base: int) -> tuple[np.ndarray, np.ndarray]:
+    """_settle of the table _introduce_ds returns after a settled table
+    when there are back edges, from a dedupe (skipped when the keys are
+    sorted and unique already) and prune of its in block over the old
+    slots and one lookup per out state (proof in _bag_dp)."""
+    half = keys.size // 2
+    top = base ** (nslots - 1)
+    in_keys, in_costs = keys[:half], costs[:half]
+    if not (in_keys[1:] > in_keys[:-1]).all():
+        in_keys, in_costs = _dedupe(in_keys, in_costs)
+    out_keys, out_costs = keys[half:], costs[half:]
+    # out state x + d top dies iff the in block holds x at no more cost;
+    # searching right and stepping back lands on x if it is there, else
+    # on a lower key or, wrapping around, on the highest one
+    x = out_keys - out_keys // top * top
+    twin = in_keys.searchsorted(x, "right") - 1
+    live = (in_keys[twin] != x) | (in_costs[twin] > out_costs)
+    in_keys, in_costs = _prune(in_keys, in_costs, nslots - 1, base)
+    return (np.concatenate([in_keys, out_keys[live]]),
+            np.concatenate([in_costs, out_costs[live]]))
 
 
 # the exact solvers of each problem: (brute force, layout DP)

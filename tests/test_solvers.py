@@ -247,41 +247,69 @@ class TestPruneForms:
 
 class TestSettledSteps:
     """A step that forgets nothing after an introduce that reports a
-    settled table skips the dedupe and the prune.  Forcing both on every
-    step must leave every DPReport as it is, and a table reported as
-    settled must be sorted, unique and give the prune nothing to remove."""
+    settled table skips the dedupe and the prune, and one after a DS
+    introduce with back edges settles by the restricted rule
+    (_settle_ds_introduce).  Forcing the full dedupe and prune on every
+    step must leave every DPReport as it is, a table reported as settled
+    must be sorted, unique and give the prune nothing to remove, and the
+    restricted rule must return exactly what the full dedupe and prune
+    return."""
 
     INTRODUCE = {"is": "_introduce_is", "ds": "_introduce_ds"}
 
     @classmethod
-    def reports(cls, monkeypatch, problem, g, layout):
-        """(report with introduce checked, report with settled forced
-        False, number of steps reported as settled)."""
+    def reports(cls, problem, g, layout):
+        """(report with every settle checked, report with every step forced
+        to the full dedupe and prune, counts): counts holds the steps whose
+        introduce reported a settled table ("settled"), the steps settled
+        by the restricted rule ("restricted") and the states that rule
+        removed from the in block ("in") and the out block ("out")."""
         dp = solvers.SOLVERS[problem][1]
         name = cls.INTRODUCE[problem]
         introduce = getattr(solvers, name)
         base = {"is": 2, "ds": 3}[problem]
-        settled_steps = 0
+        counts = dict.fromkeys(("settled", "restricted", "in", "out"), 0)
+
+        def checked_settle(settle):
+            def run(keys, costs, nslots, base):
+                full_keys, full_costs = solvers._settle(keys, costs, nslots,
+                                                        base)
+                got_keys, got_costs = settle(keys, costs, nslots, base)
+                assert np.array_equal(got_keys, full_keys)
+                assert np.array_equal(got_costs, full_costs)
+                # the in block (keys below top) comes first, then the out
+                # block of half the introduced states
+                half, top = keys.size // 2, base ** (nslots - 1)
+                in_live = np.count_nonzero(got_keys < top)
+                counts["restricted"] += 1
+                counts["in"] += int(np.unique(keys[:half]).size - in_live)
+                counts["out"] += int(half - (got_keys.size - in_live))
+                return got_keys, got_costs
+            return run
 
         def checked(keys, costs, top, back_weights):
-            nonlocal settled_steps
-            keys, costs, settled = introduce(keys, costs, top, back_weights)
-            if settled:
-                settled_steps += 1
+            keys, costs, settle = introduce(keys, costs, top, back_weights)
+            if settle is None:
+                counts["settled"] += 1
                 assert (keys[1:] > keys[:-1]).all()
                 nslots = len(np.base_repr(top, base))  # top = base^(s - 1)
                 pruned, _ = solvers._prune(keys, costs, nslots, base)
                 assert pruned.size == keys.size
-            return keys, costs, settled
+                return keys, costs, None
+            return keys, costs, checked_settle(settle)
 
         def forced(keys, costs, top, back_weights):
-            return (*introduce(keys, costs, top, back_weights)[:2], False)
+            return (*introduce(keys, costs, top, back_weights)[:2],
+                    solvers._settle)
 
         out = []
-        for patched in (checked, forced):
-            monkeypatch.setattr(solvers, name, patched)
-            out.append(dp(g, layout))
-        return (*out, settled_steps)
+        # patched in a context of its own, so the next call wraps the real
+        # introduce again
+        with pytest.MonkeyPatch.context() as patch:
+            for patched in (checked, forced):
+                patch.setattr(solvers, name, patched)
+                out.append(dp(g, layout))
+        return (*out, counts)
 
     @pytest.mark.parametrize("problem, make", [
         ("is", lambda: (complete(5), LinearLayout.identity(5))),
@@ -289,26 +317,45 @@ class TestSettledSteps:
         ("is", lambda: (complete(7), LinearLayout.identity(7))),
         ("ds", lambda: single_crossing_host(6)),
         ("ds", lambda: single_crossing_host(8)),
-    ], ids=["K5-is", "K6-is", "K7-is", "sc-6-ds", "sc-8-ds"])
-    def test_planarized_hosts(self, monkeypatch, problem, make):
+        ("ds", lambda: (complete(4), LinearLayout.identity(4))),
+    ], ids=["K5-is", "K6-is", "K7-is", "sc-6-ds", "sc-8-ds", "K4-ds"])
+    def test_planarized_hosts(self, problem, make):
         g, layout = make()
         res = planarize(g, layout, 0, builtin_gadget(problem))
-        checked, forced, settled_steps = self.reports(
-            monkeypatch, problem, res.g_prime, res.layout_prime)
+        checked, forced, counts = self.reports(
+            problem, res.g_prime, res.layout_prime)
         assert checked == forced
-        assert settled_steps > 0
+        assert counts["settled"] > 0
+        assert (counts["restricted"] > 0) == (problem == "ds")
 
     @pytest.mark.parametrize("problem", ["is", "ds"])
-    def test_random_graphs(self, monkeypatch, problem):
+    def test_random_graphs(self, problem):
         rng = random.Random(31)
         for _ in range(120):
             n = rng.randint(1, 14)
             g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
             order = list(range(n))
             rng.shuffle(order)
-            checked, forced, _ = self.reports(monkeypatch, problem, g,
+            checked, forced, _ = self.reports(problem, g,
                                               LinearLayout(tuple(order)))
             assert checked == forced, (sorted(g.edges), order)
+
+    def test_restricted_rule_removes_in_and_out_states(self):
+        # both kinds of death occur, so the equality checks of the
+        # restricted rule are not vacuous
+        rng = random.Random(5)
+        deaths = {"in": 0, "out": 0}
+        for _ in range(300):
+            n = rng.randint(1, 14)
+            g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
+            order = list(range(n))
+            rng.shuffle(order)
+            checked, forced, counts = self.reports(
+                "ds", g, LinearLayout(tuple(order)))
+            assert checked == forced, (sorted(g.edges), order)
+            deaths["in"] += counts["in"]
+            deaths["out"] += counts["out"]
+        assert deaths["in"] > 0 and deaths["out"] > 0, deaths
 
 
 class TestDigit:
