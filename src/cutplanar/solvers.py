@@ -16,9 +16,9 @@ indexing it instead of branching on the problem:
   widths up to 61 (IS) resp. 38 (DS) within MEMORY_BUDGET_BYTES.  A step
   whose introduce provably keeps that table settled and that forgets
   nothing skips the dedupe and the prune; one that forgets nothing after
-  a DS introduce with back edges dedupes and prunes only the states with
-  v in the set and drops each other state by one lookup.  Base-2 (IS)
-  digits are read by bit tests instead of divisions.
+  any other DS introduce dedupes and prunes only the states with v in
+  the set and drops each other state by one lookup.  Base-2 (IS) digits
+  are read by bit tests instead of divisions.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
@@ -246,18 +246,21 @@ def _introduce_ds(keys, costs, top, back_weights):
     # v in the set (0) dominates its earlier neighbors; v out is
     # dominated (1) if an earlier neighbor is in the set, else 2.  The in
     # block comes first, then the dominated and the undominated out states
-    # (that out block is sorted and unique); settled without back edges,
-    # else settled by _settle_ds_introduce (_bag_dp)
-    v_in, dominated = keys.copy(), np.zeros(keys.size, dtype=bool)
+    # (that out block is sorted and unique).  Settled when no earlier
+    # neighbor is undominated in any state, so that v_in is still keys;
+    # else settled by _settle_ds_introduce (_bag_dp).
+    v_in, dominated = keys, np.zeros(keys.size, dtype=bool)
     for du in back_weights:
         su = _digit(keys, du, 3)
-        v_in -= du * (su == 2)
+        undominated = su == 2
+        if undominated.any():
+            v_in = v_in - du * undominated
         dominated |= su == 0
     free = ~dominated
     return (np.concatenate([v_in, keys[dominated] + top,
                             keys[free] + 2 * top]),
             np.concatenate([costs + 1, costs[dominated], costs[free]]),
-            _settle_ds_introduce if back_weights else None)
+            None if v_in is keys else _settle_ds_introduce)
 
 
 def _digit(keys: np.ndarray, weight: int | np.ndarray,
@@ -362,22 +365,18 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     twin x - w_i + top at an old slot exists only if x - w_i is an old
     key, and it costs c(x - w_i) - 1, which is no more than c(x) - 1 only
     if x - w_i already dominated x in the old table.  Keys stay sorted
-    and unique because every old key is below top.  _introduce_ds is
-    settled when there are no back edges: it then adds x at cost
-    c(x) + 1 and x + 2 top at cost c(x).  At the old slots the same
-    argument applies; at the new slot x + 2 top has no twin x + top, and
-    its twin x costs more.
+    and unique because every old key is below top.
 
-    With back edges, _introduce_ds returns an in block, each x with its
-    back digits 2 lowered to 1 at cost c(x) + 1, then an out block, the
-    images x + d top at cost c(x), where d is 1 if x has a back digit 0
-    (v is dominated) and 2 otherwise, those with d = 1 first.  Each part
-    of the out block is the sorted old keys shifted by a constant, and
-    all x + top lie below 2 top, so the out block is sorted and unique.
-    _settle_ds_introduce returns what _settle would, by these steps:
-    - In keys lie below top and out keys do not, so the dedupe merges in
-      states only, and the deduped in block followed by the out block is
-      sorted.
+    _introduce_ds returns an in block, each x with its back digits 2
+    lowered to 1 at cost c(x) + 1, then an out block, the images x + d top
+    at cost c(x), where d is 1 if x has a back digit 0 (v is dominated)
+    and 2 otherwise, those with d = 1 first.  Each part of the out block
+    is the sorted old keys shifted by a constant, and all x + top lie
+    below 2 top, so the out block is sorted and unique.  In keys lie below
+    top and out keys do not.  _settle_ds_introduce returns what _settle
+    would, by these steps:
+    - The dedupe merges in states only, and the deduped in block followed
+      by the out block is sorted.
     - An in state has top digit 0, so its twins lie at old slots and are
       in states.  The prune of the deduped in block over the old slots
       finds them all.
@@ -392,6 +391,12 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
       is the in state x: the out state dies iff the deduped in block
       holds x at cost at most c(x).  That lookup precedes the in block's
       prune, just as _prune looks up every twin before removing any.
+    When no x has a back digit 2 (always so without back edges), the in
+    block is the old table at cost c(x) + 1: sorted and unique, and its
+    twins are the old twins at one more cost, so no in state dies.  No
+    out state dies at an old slot (above), and at the top slot its twin,
+    the in state x, costs c(x) + 1, more than it.  _introduce_ds reports
+    that table as settled.
 
     The one-pass prune of small tables (_prune_candidates) adds about a
     dozen arrays of at most 2^15 elements (a few MiB together); that fixed

@@ -247,9 +247,8 @@ class TestPruneForms:
 
 class TestSettledSteps:
     """A step that forgets nothing after an introduce that reports a
-    settled table skips the dedupe and the prune, and one after a DS
-    introduce with back edges settles by the restricted rule
-    (_settle_ds_introduce).  Forcing the full dedupe and prune on every
+    settled table skips the dedupe and the prune, and one after any other
+    DS introduce settles by the restricted rule (_settle_ds_introduce).  Forcing the full dedupe and prune on every
     step must leave every DPReport as it is, a table reported as settled
     must be sorted, unique and give the prune nothing to remove, and the
     restricted rule must return exactly what the full dedupe and prune
