@@ -404,7 +404,9 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     per-slot temporaries are no larger than the table, so the 96 n-byte
     check still bounds every allocation that scales with the state count.
     _settle_ds_introduce allocates nothing longer than the 2n introduced
-    states: its in and out blocks and their temporaries hold n each.
+    states: its in and out blocks and their temporaries hold n each, and
+    it drops its lookup arrays before the in block's prune, so the step
+    holds no more than six arrays of 2n at any moment.
     """
     steps, width = bag_steps(g, layout)
     if base ** (width + 1) > np.iinfo(np.int64).max:
@@ -475,9 +477,9 @@ def _settle(keys: np.ndarray, costs: np.ndarray, nslots: int,
 
 def _settle_ds_introduce(keys: np.ndarray, costs: np.ndarray, nslots: int,
                          base: int) -> tuple[np.ndarray, np.ndarray]:
-    """_settle of the table _introduce_ds returns after a settled table
-    when there are back edges, from a dedupe (skipped when the keys are
-    sorted and unique already) and prune of its in block over the old
+    """_settle of a table that _introduce_ds returns from a settled table
+    without reporting it settled, from a dedupe (skipped when the keys
+    are sorted and unique already) and prune of its in block over the old
     slots and one lookup per out state (proof in _bag_dp)."""
     half = keys.size // 2
     top = base ** (nslots - 1)
@@ -491,6 +493,7 @@ def _settle_ds_introduce(keys: np.ndarray, costs: np.ndarray, nslots: int,
     x = out_keys - out_keys // top * top
     twin = in_keys.searchsorted(x, "right") - 1
     live = (in_keys[twin] != x) | (in_costs[twin] > out_costs)
+    del x, twin   # so the step holds at most six arrays of 2n (_bag_dp)
     in_keys, in_costs = _prune(in_keys, in_costs, nslots - 1, base)
     return (np.concatenate([in_keys, out_keys[live]]),
             np.concatenate([in_costs, out_costs[live]]))
