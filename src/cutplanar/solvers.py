@@ -10,15 +10,16 @@ indexing it instead of branching on the problem:
   a linear layout, with 2 states per bag vertex for IS and 3 for DS.
   Peak live states stay within 2^(w+1) resp. 3^(w+1) for a layout of
   cutwidth w.  Both run on one engine, _bag_dp, that keeps only the
-  live states, as sorted int64 keys (base 2 resp. 3), and drops a state
-  when a twin with a lower digit at one bag slot costs no more (the
-  digit order is the dominance order of both problems), so it handles
-  widths up to 61 (IS) resp. 38 (DS) within MEMORY_BUDGET_BYTES.  A step
-  whose introduce provably keeps that table settled and that forgets
-  nothing skips the dedupe and the prune; one that forgets nothing after
-  any other DS introduce dedupes and prunes only the states with v in
-  the set and drops each other state by one lookup.  Base-2 (IS) digits
-  are read by bit tests instead of divisions.
+  live states, as sorted int64 keys with one resp. two bits per bag
+  slot, and drops a state when a twin with a lower digit at one bag slot
+  costs no more (the digit order is the dominance order of both
+  problems), so it handles widths up to 61 (IS) resp. 30 (DS) within
+  MEMORY_BUDGET_BYTES.  A step whose introduce provably keeps that table
+  settled and that forgets nothing skips the dedupe and the prune; one
+  that forgets nothing after any other DS introduce dedupes and prunes
+  only the states with v in the set and drops each other state by one
+  lookup.  Both problems read, test and remove digits by shifts and
+  masks; an introduce tests all earlier neighbours at once.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
@@ -220,14 +221,14 @@ def dp_is(g: Graph, layout: LinearLayout) -> DPReport:
     Per-vertex states: 0 = out of the set, 1 = in.  Costs are negated
     sizes, so the shared engine minimizes.
     """
-    rep = _bag_dp(g, layout, 2, _introduce_is, None)
+    rep = _bag_dp(g, layout, 1, _introduce_is, None)
     return replace(rep, optimum=-rep.optimum)
 
 
-def _introduce_is(keys, costs, top, back_weights):
+def _introduce_is(keys, costs, top, low):
     # v out keeps every state; v in needs every earlier neighbor out, one
     # bit test against the sum of their weights.  Always settled (_bag_dp).
-    free = (keys & sum(back_weights)) == 0
+    free = (keys & low) == 0
     return (np.concatenate([keys, keys[free] + top]),
             np.concatenate([costs, costs[free] - 1]), None)
 
@@ -239,104 +240,96 @@ def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
     2 = out and not yet dominated.  Forgetting rejects state 2, so
     isolated vertices are forced into the set.
     """
-    return _bag_dp(g, layout, 3, _introduce_ds, 2)
+    return _bag_dp(g, layout, 2, _introduce_ds, 2)
 
 
-def _introduce_ds(keys, costs, top, back_weights):
+def _introduce_ds(keys, costs, top, low):
     # v in the set (0) dominates its earlier neighbors; v out is
     # dominated (1) if an earlier neighbor is in the set, else 2.  The in
     # block comes first, then the dominated and the undominated out states
-    # (that out block is sorted and unique).  Settled when no earlier
-    # neighbor is undominated in any state, so that v_in is still keys;
-    # else settled by _settle_ds_introduce (_bag_dp).
-    v_in, dominated = keys, np.zeros(keys.size, dtype=bool)
-    for du in back_weights:
-        su = _digit(keys, du, 3)
-        undominated = su == 2
-        if undominated.any():
-            v_in = v_in - du * undominated
-        dominated |= su == 0
+    # (that out block is sorted and unique).  Digits 0, 1, 2 are the bit
+    # pairs 00, 01, 10: a back digit is 2 iff its bit in low << 1 is set,
+    # and 0 iff its bit in low is clear in keys | keys >> 1.  Subtracting
+    # half of the set high bits lowers every back 2 to 1.  Settled when
+    # no back digit is 2 in any state, so that v_in is still keys; else
+    # settled by _settle_ds_introduce (_bag_dp).
+    undominated = keys & low << 1
+    settled = not undominated.any()
+    v_in = keys if settled else keys - (undominated >> 1)
+    dominated = (keys | keys >> 1) & low != low
     free = ~dominated
     return (np.concatenate([v_in, keys[dominated] + top,
                             keys[free] + 2 * top]),
             np.concatenate([costs + 1, costs[dominated], costs[free]]),
-            None if v_in is keys else _settle_ds_introduce)
+            None if settled else _settle_ds_introduce)
 
 
-def _digit(keys: np.ndarray, weight: int | np.ndarray,
-           base: int) -> np.ndarray:
-    """keys // weight % base for non-negative keys and a weight that is a
-    power of base (a scalar, or an array that broadcasts against keys).
-
-    Base 2 is a bit test, keys & weight != 0, returned as a bool array:
-    dividing int64 arrays by an array of weights costs about four times
-    as much.  Other bases divide (numpy's % is slower still).
-    """
-    if base == 2:
-        return (keys & weight) != 0
-    high = keys // weight
-    return high - high // base * base
-
-
-def _prune_candidates(keys: np.ndarray, nslots: int, base: int):
+def _prune_candidates(keys: np.ndarray, nslots: int, bits: int):
     """Yield (idx, shift) pairs covering every (state, slot, k) with
     1 <= k <= the state's digit at the slot: idx indexes ``keys`` and
     ``keys[idx] - shift`` is the twin whose digit there is k lower (shift
-    is k times the slot's digit weight, a scalar or an array parallel to
-    idx).
+    is k times the slot's weight, a scalar or an array parallel to idx).
+    Digits are at most ``bits`` (1 for IS, 2 for DS), so k is 1 or 2: a
+    digit is at least 1 iff any of its bits is set, and at least 2 iff its
+    high bit is.
 
     A table of N keys over s slots with N * s <= _VECTOR_PRUNE_CELLS
-    yields one pair per k for all slots, from an s x N digit matrix, which
-    saves the fixed cost of about eight numpy calls per slot that
+    yields one pair per k for all slots, from an s x N bit-test matrix,
+    which saves the fixed cost of about eight numpy calls per slot that
     dominates small tables; its slot-major order keeps each slot's twin
     queries sorted, which searchsorted runs fastest on.  The positions
     come from the flattened matrix and one scalar division, which is
     several times faster than a 2-D nonzero.  Larger tables yield one pair
     per slot and k, so no temporary outgrows the table.  Both forms mark
-    the same states dead.  Digits are never negative, so digit >= 1 is
-    the digit's own truth value and needs no comparison.
+    the same states dead.  Each bit test compares with the scalar 0: a
+    comparison with the broadcast weight column is slower.
     """
     n = keys.size
+    tests = [(1, (1 << bits) - 1), (2, 2)][:bits]   # (k, bits of digit >= k)
     if n * nslots <= _VECTOR_PRUNE_CELLS:
-        w = base ** np.arange(nslots, dtype=np.int64)
-        digits = _digit(keys, w[:, None], base)
-        for k in range(1, base):
-            flat = np.flatnonzero(digits if k == 1 else digits >= k)
+        w = 1 << bits * np.arange(nslots, dtype=np.int64)
+        for k, test in tests:
+            flat = np.flatnonzero((keys & (test * w)[:, None]) != 0)
             cols = flat // n
-            yield flat - cols * n, w[cols] if k == 1 else k * w[cols]
+            yield flat - cols * n, (k * w)[cols]
         return
     for i in range(nslots):
-        weight = base ** i
-        digit = _digit(keys, weight, base)
-        for k in range(1, base):
-            yield np.flatnonzero(digit if k == 1 else digit >= k), k * weight
+        s = bits * i
+        for k, test in tests:
+            yield np.flatnonzero((keys & test << s) != 0), k << s
 
 
-def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
+def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
             reject_on_forget: int | None) -> DPReport:
-    """Minimum-cost DP over the layout's bags with ``base`` states per bag
-    vertex, shared by dp_is and dp_ds.  It runs one step of
-    graph.bag_steps per position: introduce the vertex with its back
-    edges, then forget the vertices that leave the bag.
+    """Minimum-cost DP over the layout's bags with a ``bits``-bit digit per
+    bag vertex, shared by dp_is (one bit) and dp_ds (two).  It runs one
+    step of graph.bag_steps per position: introduce the vertex with its
+    back edges, then forget the vertices that leave the bag.
 
-    The table is a sorted, unique int64 array of base-``base`` keys, digit
-    i holding the state of bag slot i (an introduced vertex takes the top
-    digit), with a parallel int64 cost array.  ``introduce(keys, costs,
-    top, back_weights)`` returns the states with the new top digit set and
-    the back edges applied, and how a step that forgets nothing settles
-    them (see below): None when they are settled already, else a function
-    ``settle(keys, costs, nslots, base)``; ``back_weights`` are the digit
-    weights of the earlier neighbors.  Forgetting a vertex drops the
-    states whose digit is ``reject_on_forget`` and removes the digit.  A
-    step that forgets settles by _settle, the full dedupe and prune.  The
-    forgets of a step commute and the dedupe follows the last of them, so
-    their order does not change the table.
+    The table is a sorted, unique int64 array of keys, bits bits * i to
+    bits * i + bits - 1 holding the digit of bag slot i (an introduced
+    vertex takes the top slot), with a parallel int64 cost array.  Slot
+    i's weight is 1 << bits * i.  DS digits are at most 2, so the keys
+    order the states exactly as base-3 keys of the same digits would: both
+    compare the highest differing digit first.  ``introduce(keys, costs,
+    top, low)`` returns the states with the new top digit set and the
+    back edges applied, and how a step that forgets nothing settles them
+    (see below): None when they are settled already, else a function
+    ``settle(keys, costs, nslots, bits)``; ``top`` is the new slot's
+    weight and ``low`` the sum of the earlier neighbors' weights.
+    Forgetting a vertex drops the states whose digit is
+    ``reject_on_forget`` and removes the digit: the bits below it stay and
+    the bits above it move down by ``bits``.  A step that forgets settles
+    by _settle, the full dedupe and prune.  The forgets of a step commute
+    and the dedupe follows the last of them, so their order does not
+    change the table.
 
-    A bag of w + 1 digits needs base^(w+1) < 2^63, so a decomposition of
-    width 62 (IS) or 39 (DS) or more raises ResourceLimitError.  So does a
-    step that starts from n states when 96 n bytes (six int64 arrays of
-    the 2n introduced states) exceed MEMORY_BUDGET_BYTES; both are checked
-    before allocating.
+    A bag of w + 1 slots needs bits * (w + 1) <= 62, so that keys, twin
+    shifts and 2 top stay below 2^62; a decomposition of width 62 (IS) or
+    31 (DS) or more raises ResourceLimitError.  So does a step that starts
+    from n states when 96 n bytes (six int64 arrays of the 2n introduced
+    states) exceed MEMORY_BUDGET_BYTES; both are checked before
+    allocating.
 
     The prune drops a state when its twin with a lower digit at some slot
     costs no more.  In both problems the digit order is the dominance
@@ -382,10 +375,10 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
       finds them all.
     - The twin of an out state x + d top at old slot i, digit k lower, is
       x - k w_i + d top.  Out keys are the images of distinct old keys
-      (an out key mod top is its x), so this twin exists only as the
-      image of x - k w_i, an old twin of x.  That twin cost more than
-      c(x), since the old table was settled.  No out state dies at an old
-      slot.
+      (an out key's bits below top are its x), so this twin exists only
+      as the image of x - k w_i, an old twin of x.  That twin cost more
+      than c(x), since the old table was settled.  No out state dies at
+      an old slot.
     - At the top slot, x + 2 top has no twin x + top (that would be the
       image of x, which is x + 2 top).  So the one twin of x + d top there
       is the in state x: the out state dies iff the deduped in block
@@ -403,15 +396,19 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
     amount does not grow with the table, and above the threshold the
     per-slot temporaries are no larger than the table, so the 96 n-byte
     check still bounds every allocation that scales with the state count.
-    _settle_ds_introduce allocates nothing longer than the 2n introduced
-    states: its in and out blocks and their temporaries hold n each, and
-    it drops its lookup arrays before the in block's prune, so the step
-    holds no more than six arrays of 2n at any moment.
+    A forget first filters the keys and costs (both, and their filtered
+    copies: four arrays of 2n at most) and then shifts them, holding the
+    keys, the costs, the kept low bits, the shifted high bits and their
+    union: five.  _settle_ds_introduce allocates nothing longer than the
+    2n introduced states: its in and out blocks and their temporaries hold
+    n each, and it drops its lookup arrays before the in block's prune, so
+    the step holds no more than six arrays of 2n at any moment.
     """
     steps, width = bag_steps(g, layout)
-    if base ** (width + 1) > np.iinfo(np.int64).max:
+    if bits * (width + 1) > 62:
         raise ResourceLimitError(
             f"DP state keys of width {width} do not fit in int64")
+    mask = (1 << bits) - 1
     keys = np.zeros(1, dtype=np.int64)
     costs = np.zeros(1, dtype=np.int64)
     slots: list[int] = []
@@ -426,32 +423,30 @@ def _bag_dp(g: Graph, layout: LinearLayout, base: int, introduce,
                 f"DP step of {2 * keys.size} states needs {need} bytes, over "
                 f"the {MEMORY_BUDGET_BYTES}-byte budget (width {width})")
         keys, costs, settle = introduce(
-            keys, costs, base ** len(slots),
-            [base ** slots.index(u) for u in back])
+            keys, costs, 1 << bits * len(slots),
+            sum(1 << bits * slots.index(u) for u in back))
         slots.append(v)
         for u in forget:
-            du = base ** slots.index(u)
-            high = keys // du
-            up = high // base
-            keys = keys - (high - up) * du   # higher digits move down
+            s = bits * slots.index(u)
             if reject_on_forget is not None:
-                keep = high - up * base != reject_on_forget
+                keep = (keys & mask << s) != reject_on_forget << s
                 keys, costs = keys[keep], costs[keep]
+            keys = (keys & (1 << s) - 1) | (keys >> s + bits << s)
             slots.remove(u)
         if forget:
-            keys, costs = _settle(keys, costs, len(slots), base)
+            keys, costs = _settle(keys, costs, len(slots), bits)
         elif settle is not None:
-            keys, costs = settle(keys, costs, len(slots), base)
+            keys, costs = settle(keys, costs, len(slots), bits)
         max_live = max(max_live, keys.size)
     return DPReport(int(costs.min()), max_live, g.n, width)
 
 
 def _prune(keys: np.ndarray, costs: np.ndarray, nslots: int,
-           base: int) -> tuple[np.ndarray, np.ndarray]:
+           bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted, unique table (keys, costs) without the states whose
     twin with a lower digit at some slot costs no more."""
     dead = np.zeros(keys.size, dtype=bool)
-    for idx, shift in _prune_candidates(keys, nslots, base):
+    for idx, shift in _prune_candidates(keys, nslots, bits):
         twin_key = keys[idx] - shift
         twin = np.searchsorted(keys, twin_key)    # < idx: in range
         hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
@@ -469,20 +464,20 @@ def _dedupe(keys: np.ndarray, costs: np.ndarray
 
 
 def _settle(keys: np.ndarray, costs: np.ndarray, nslots: int,
-            base: int) -> tuple[np.ndarray, np.ndarray]:
+            bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Any table of ``nslots`` digits, deduped and pruned."""
     keys, costs = _dedupe(keys, costs)
-    return _prune(keys, costs, nslots, base)
+    return _prune(keys, costs, nslots, bits)
 
 
 def _settle_ds_introduce(keys: np.ndarray, costs: np.ndarray, nslots: int,
-                         base: int) -> tuple[np.ndarray, np.ndarray]:
+                         bits: int) -> tuple[np.ndarray, np.ndarray]:
     """_settle of a table that _introduce_ds returns from a settled table
     without reporting it settled, from a dedupe (skipped when the keys
     are sorted and unique already) and prune of its in block over the old
     slots and one lookup per out state (proof in _bag_dp)."""
     half = keys.size // 2
-    top = base ** (nslots - 1)
+    top = 1 << bits * (nslots - 1)
     in_keys, in_costs = keys[:half], costs[:half]
     if not (in_keys[1:] > in_keys[:-1]).all():
         in_keys, in_costs = _dedupe(in_keys, in_costs)
@@ -490,11 +485,11 @@ def _settle_ds_introduce(keys: np.ndarray, costs: np.ndarray, nslots: int,
     # out state x + d top dies iff the in block holds x at no more cost;
     # searching right and stepping back lands on x if it is there, else
     # on a lower key or, wrapping around, on the highest one
-    x = out_keys - out_keys // top * top
+    x = out_keys & top - 1
     twin = in_keys.searchsorted(x, "right") - 1
     live = (in_keys[twin] != x) | (in_costs[twin] > out_costs)
     del x, twin   # so the step holds at most six arrays of 2n (_bag_dp)
-    in_keys, in_costs = _prune(in_keys, in_costs, nslots - 1, base)
+    in_keys, in_costs = _prune(in_keys, in_costs, nslots - 1, bits)
     return (np.concatenate([in_keys, out_keys[live]]),
             np.concatenate([in_costs, out_costs[live]]))
 

@@ -168,15 +168,32 @@ class TestDsEngine:
         g, layout = self.star_centre_last(40)
         self.assert_solve_exits_on_resource(capsys, tmp_path, g, layout, "ds")
 
-    def test_is_width_limits(self, capsys, tmp_path):
-        # 40 legs of length 2, each leaf right after its pendant, centre
-        # last: width 40, and the out state of every leaf prunes its in state
-        legs = 40
+    @staticmethod
+    def pendant_comb(legs):
+        """``legs`` (leaf, v) pairs in identity order, then a hub adjacent
+        to every v: DP width ``legs``, as every v waits for the hub."""
         g = Graph.from_edges(2 * legs + 1,
                              [(2 * i, 2 * i + 1) for i in range(legs)]
                              + [(2 * legs, 2 * i + 1) for i in range(legs)])
-        rep = dp_is(g, LinearLayout.identity(2 * legs + 1))
-        assert (rep.width_used, rep.optimum) == (40, legs + 1)
+        return g, LinearLayout.identity(2 * legs + 1)
+
+    def test_ds_width_limit_is_30(self, capsys, tmp_path):
+        # two bits per slot: 31 slots fit in 62 bits, 32 do not.  Each
+        # pair settles to the one state with v in the set, so the peak is
+        # the two states after a leaf's introduce
+        rep = dp_ds(*self.pendant_comb(30))
+        assert (rep.width_used, rep.optimum,
+                rep.max_live_states) == (30, 30, 2)
+        g, layout = self.pendant_comb(31)
+        with pytest.raises(ResourceLimitError):
+            dp_ds(g, layout)
+        self.assert_solve_exits_on_resource(capsys, tmp_path, g, layout, "ds")
+
+    def test_is_width_limits(self, capsys, tmp_path):
+        # the comb of 40 legs: width 40, and the out state of every leaf
+        # prunes its in state
+        rep = dp_is(*self.pendant_comb(40))
+        assert (rep.width_used, rep.optimum) == (40, 41)
         # 2^63 keys do not fit in int64
         g, layout = self.star_centre_last(62)
         with pytest.raises(ResourceLimitError):
@@ -266,19 +283,19 @@ class TestSettledSteps:
         dp = solvers.SOLVERS[problem][1]
         name = cls.INTRODUCE[problem]
         introduce = getattr(solvers, name)
-        base = {"is": 2, "ds": 3}[problem]
+        bits = {"is": 1, "ds": 2}[problem]
         counts = dict.fromkeys(("settled", "restricted", "in", "out"), 0)
 
         def checked_settle(settle):
-            def run(keys, costs, nslots, base):
+            def run(keys, costs, nslots, bits):
                 full_keys, full_costs = solvers._settle(keys, costs, nslots,
-                                                        base)
-                got_keys, got_costs = settle(keys, costs, nslots, base)
+                                                        bits)
+                got_keys, got_costs = settle(keys, costs, nslots, bits)
                 assert np.array_equal(got_keys, full_keys)
                 assert np.array_equal(got_costs, full_costs)
                 # the in block (keys below top) comes first, then the out
                 # block of half the introduced states
-                half, top = keys.size // 2, base ** (nslots - 1)
+                half, top = keys.size // 2, 1 << bits * (nslots - 1)
                 in_live = np.count_nonzero(got_keys < top)
                 counts["restricted"] += 1
                 counts["in"] += int(np.unique(keys[:half]).size - in_live)
@@ -286,19 +303,20 @@ class TestSettledSteps:
                 return got_keys, got_costs
             return run
 
-        def checked(keys, costs, top, back_weights):
-            keys, costs, settle = introduce(keys, costs, top, back_weights)
+        def checked(keys, costs, top, low):
+            keys, costs, settle = introduce(keys, costs, top, low)
             if settle is None:
                 counts["settled"] += 1
                 assert (keys[1:] > keys[:-1]).all()
-                nslots = len(np.base_repr(top, base))  # top = base^(s - 1)
-                pruned, _ = solvers._prune(keys, costs, nslots, base)
+                # top = 1 << bits * (s - 1)
+                nslots = (top.bit_length() - 1) // bits + 1
+                pruned, _ = solvers._prune(keys, costs, nslots, bits)
                 assert pruned.size == keys.size
                 return keys, costs, None
             return keys, costs, checked_settle(settle)
 
-        def forced(keys, costs, top, back_weights):
-            return (*introduce(keys, costs, top, back_weights)[:2],
+        def forced(keys, costs, top, low):
+            return (*introduce(keys, costs, top, low)[:2],
                     solvers._settle)
 
         out = []
@@ -357,27 +375,67 @@ class TestSettledSteps:
         assert deaths["in"] > 0 and deaths["out"] > 0, deaths
 
 
-class TestDigit:
-    @settings(max_examples=200, derandomize=True, database=None,
+class TestDigitForm:
+    """Slot i of a DS key holds its digit in bits 2i and 2i + 1.  The bit
+    formulas of _introduce_ds must do what the digit rules do on decoded
+    digit lists, and the keys must sort as the base-3 keys of the same
+    digits, so that sorting, dedupe and twins see the same order."""
+
+    @staticmethod
+    def decode(key, nslots):
+        return [key >> 2 * i & 3 for i in range(nslots)]
+
+    @staticmethod
+    def encode(digits, radix=4):
+        return sum(d * radix ** i for i, d in enumerate(digits))
+
+    @classmethod
+    def reference_introduce(cls, keys, costs, nslots, back):
+        """(keys, costs, settled) of a DS introduce with earlier neighbours
+        at the slots ``back``, on decoded digit lists."""
+        rows = [(cls.decode(x, nslots), c) for x, c in zip(keys, costs)]
+        v_in = [([1 if i in back and d == 2 else d
+                  for i, d in enumerate(x)] + [0], c + 1) for x, c in rows]
+        dominated = [(x + [1], c) for x, c in rows
+                     if any(x[i] == 0 for i in back)]
+        free = [(x + [2], c) for x, c in rows
+                if all(x[i] != 0 for i in back)]
+        out = v_in + dominated + free
+        settled = all(x[i] != 2 for x, _ in rows for i in back)
+        return ([cls.encode(x) for x, _ in out], [c for _, c in out],
+                settled)
+
+    @settings(max_examples=300, derandomize=True, database=None,
               deadline=None)
-    @given(st.lists(st.integers(0, (1 << 62) - 1), min_size=1, max_size=40),
-           st.integers(0, 61))
-    def test_base_two_is_a_bit_test(self, values, i):
-        keys = np.array(values, dtype=np.int64)
-        w = 1 << i
-        assert np.array_equal(solvers._digit(keys, w, 2), keys // w % 2)
-        column = (1 << np.arange(62, dtype=np.int64))[:, None]
-        assert np.array_equal(solvers._digit(keys, column, 2),
-                              keys // column % 2)
+    @given(st.integers(0, 30).flatmap(lambda s: st.tuples(
+        st.lists(st.tuples(st.tuples(*[st.integers(0, 2)] * s),
+                           st.integers(-5, 5)),
+                 min_size=1, max_size=30, unique_by=lambda row: row[0]),
+        st.lists(st.booleans(), min_size=s, max_size=s))))
+    def test_introduce_ds_matches_digit_lists(self, table):
+        rows, back_mask = table
+        nslots = len(back_mask)
+        back = {i for i, b in enumerate(back_mask) if b}
+        rows.sort(key=lambda row: self.encode(row[0]))
+        assert rows == sorted(rows, key=lambda row: self.encode(row[0], 3))
+        keys = np.array([self.encode(x) for x, _ in rows], dtype=np.int64)
+        costs = np.array([c for _, c in rows], dtype=np.int64)
+        got_keys, got_costs, settle = solvers._introduce_ds(
+            keys, costs, 1 << 2 * nslots, sum(1 << 2 * i for i in back))
+        want_keys, want_costs, settled = self.reference_introduce(
+            keys.tolist(), costs.tolist(), nslots, back)
+        assert got_keys.tolist() == want_keys
+        assert got_costs.tolist() == want_costs
+        assert (settle is None) == settled
 
 
-def previous_rule_candidates(keys, nslots, base):
-    """The prune rule before the full dominance order: digit base - 1
-    against its digit-(base - 2) twin only, slot by slot."""
+def previous_rule_candidates(keys, nslots, bits):
+    """The prune rule before the full dominance order: the highest digit
+    (1 for IS, 2 for DS: the value ``bits``, whose high bit is set) against
+    its twin one lower only, slot by slot."""
     for i in range(nslots):
-        weight = base ** i
-        yield (np.flatnonzero(solvers._digit(keys, weight, base) == base - 1),
-               weight)
+        s = bits * i
+        yield np.flatnonzero(keys & bits << s), 1 << s
 
 
 class TestDominanceOrder:
