@@ -406,9 +406,10 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
     counted, and Euler's formula V - E + F = 2C - I (C components, I
     isolated vertices) holds iff every component is embedded in the
     sphere, i.e. the rotation system is a planar embedding of g.
-    Returns F.  Raises InvariantError naming the first vertex whose
-    rotation is not a permutation of its neighbours, or giving V, E, F
-    and C when the genus is positive.
+    Returns F.  Raises InvariantError, before any pass over the darts,
+    when ``lens`` has a negative entry or does not sum to ``len(heads)``;
+    then naming the first vertex whose rotation is not a permutation of
+    its neighbours, or giving V, E, F and C when the genus is positive.
 
     All steps are numpy passes over the darts: sorting the darts of
     each orientation by their edge's key proves the permutations and
@@ -422,7 +423,13 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
     if len(lens) != n:
         raise InvariantError(
             f"rotation system has {len(lens)} vertices, graph has {n}")
-    darts = len(heads)
+    darts, listed = len(heads), int(lens.sum())
+    negative = bool((lens < 0).any())
+    if negative or listed != darts:
+        raise InvariantError(
+            f"rotation system lens sum to {listed}"
+            f"{' with a negative entry' if negative else ''}, heads has "
+            f"{darts} darts")
     index = np.int32 if max(n, darts) < 2**31 else np.int64
     start = np.cumsum(lens) - lens
     rev = _reverse_darts(n, lens, heads, g.edge_array, index)

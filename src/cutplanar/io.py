@@ -117,15 +117,25 @@ def graph_to_json(g: Graph) -> dict:
     return out
 
 
-# what int(), indexing and .items() raise on JSON of the wrong shape or an
-# infinite float; Graph and CrossoverGadget raise ValueError
+# what _json_int, int(), indexing and .items() raise on JSON of the wrong
+# shape, and an integer conversion past int64; Graph and CrossoverGadget
+# raise ValueError
 _BAD_JSON = (AttributeError, KeyError, OverflowError, TypeError, ValueError)
+
+
+def _json_int(value) -> int:
+    """A JSON integer as it is: int() would truncate 4.5 to 4 and take
+    true or "3" as well."""
+    if type(value) is not int:
+        raise TypeError(f"{value!r} is not an integer")
+    return value
 
 
 def graph_from_json(obj: dict) -> Graph:
     try:
-        n = int(obj["n"])
-        edges = [(int(u) - 1, int(v) - 1) for u, v in obj["edges"]]
+        n = _json_int(obj["n"])
+        edges = [(_json_int(u) - 1, _json_int(v) - 1)
+                 for u, v in obj["edges"]]
         labels = {int(k) - 1: str(s)
                   for k, s in obj.get("labels", {}).items()}
         return Graph.from_edges(n, edges, labels)
@@ -146,10 +156,10 @@ def gadget_to_json(gadget: CrossoverGadget) -> dict:
 def gadget_from_json(obj: dict) -> CrossoverGadget:
     try:
         problem = obj["problem"]
-        shift = int(obj["shift"])
-        terminals = tuple(int(t) - 1 for t in obj["terminals"])
+        shift = _json_int(obj["shift"])
+        terminals = tuple(_json_int(t) - 1 for t in obj["terminals"])
         graph = graph_from_json(obj["graph"])
-        layout = _layout_of([int(v) - 1 for v in obj["layout"]], graph)
+        layout = _layout_of([_json_int(v) - 1 for v in obj["layout"]], graph)
         return CrossoverGadget(problem, graph, terminals, layout, shift)
     except (*_BAD_JSON, InvalidLayoutError, ParseError) as exc:
         raise ParseError(f"bad gadget JSON: {exc}")

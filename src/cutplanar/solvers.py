@@ -45,7 +45,8 @@ HEURISTIC_RESTARTS = 3
 # 2-opt pass cost at least n^2 steps
 HEURISTIC_LIMIT = 10_000
 MEMORY_BUDGET_BYTES = 2 << 30
-# the largest N * s (live keys times bag slots) pruned in one numpy pass
+# the most cells (live keys times bag slots) in one block of the prune,
+# unless one slot alone has more keys
 _VECTOR_PRUNE_CELLS = 1 << 15
 
 
@@ -268,35 +269,32 @@ def _prune_candidates(keys: np.ndarray, nslots: int, bits: int):
     """Yield (idx, shift) pairs covering every (state, slot, k) with
     1 <= k <= the state's digit at the slot: idx indexes ``keys`` and
     ``keys[idx] - shift`` is the twin whose digit there is k lower (shift
-    is k times the slot's weight, a scalar or an array parallel to idx).
-    Digits are at most ``bits`` (1 for IS, 2 for DS), so k is 1 or 2: a
-    digit is at least 1 iff any of its bits is set, and at least 2 iff its
-    high bit is.
+    is k times the slot's weight, an array parallel to idx).  Digits are
+    at most ``bits`` (1 for IS, 2 for DS), so k is 1 or 2: a digit is at
+    least 1 iff any of its bits is set, and at least 2 iff its high bit
+    is.
 
-    A table of N keys over s slots with N * s <= _VECTOR_PRUNE_CELLS
-    yields one pair per k for all slots, from an s x N bit-test matrix,
-    which saves the fixed cost of about eight numpy calls per slot that
-    dominates small tables; its slot-major order keeps each slot's twin
+    The slots go in blocks of b = max(1, _VECTOR_PRUNE_CELLS // N) for a
+    table of N keys, and each block yields one pair per k from a b x N
+    bit-test matrix, so no matrix holds more than
+    max(_VECTOR_PRUNE_CELLS, N) cells.  A small table is one block, which
+    saves the fixed cost of about eight numpy calls per slot that
+    dominates it; a table of more than _VECTOR_PRUNE_CELLS / 2 keys takes
+    one slot per block.  The slot-major order keeps each slot's twin
     queries sorted, which searchsorted runs fastest on.  The positions
     come from the flattened matrix and one scalar division, which is
-    several times faster than a 2-D nonzero.  Larger tables yield one pair
-    per slot and k, so no temporary outgrows the table.  Both forms mark
-    the same states dead.  Each bit test compares with the scalar 0: a
-    comparison with the broadcast weight column is slower.
+    several times faster than a 2-D nonzero.  Each bit test compares with
+    the scalar 0: a comparison with the broadcast weight column is slower.
     """
     n = keys.size
     tests = [(1, (1 << bits) - 1), (2, 2)][:bits]   # (k, bits of digit >= k)
-    if n * nslots <= _VECTOR_PRUNE_CELLS:
-        w = 1 << bits * np.arange(nslots, dtype=np.int64)
+    block = max(1, _VECTOR_PRUNE_CELLS // n)
+    for lo in range(0, nslots, block):
+        w = 1 << bits * np.arange(lo, min(lo + block, nslots), dtype=np.int64)
         for k, test in tests:
             flat = np.flatnonzero((keys & (test * w)[:, None]) != 0)
             cols = flat // n
             yield flat - cols * n, (k * w)[cols]
-        return
-    for i in range(nslots):
-        s = bits * i
-        for k, test in tests:
-            yield np.flatnonzero((keys & test << s) != 0), k << s
 
 
 def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
@@ -391,11 +389,11 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
     the in state x, costs c(x) + 1, more than it.  _introduce_ds reports
     that table as settled.
 
-    The one-pass prune of small tables (_prune_candidates) adds about a
-    dozen arrays of at most 2^15 elements (a few MiB together); that fixed
-    amount does not grow with the table, and above the threshold the
-    per-slot temporaries are no larger than the table, so the 96 n-byte
-    check still bounds every allocation that scales with the state count.
+    A block of the prune (_prune_candidates) adds about a dozen arrays of
+    at most max(2^15, n) elements: a few MiB together for a table below
+    2^15 states, and arrays no longer than the table for a larger one, so
+    the 96 n-byte check still bounds every allocation that scales with
+    the state count.
     A forget first filters the keys and costs (both, and their filtered
     copies: four arrays of 2n at most) and then shifts them, holding the
     keys, the costs, the kept low bits, the shifted high bits and their

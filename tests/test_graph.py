@@ -8,8 +8,9 @@ from hypothesis import assume, given, settings, strategies as st
 from cutplanar import graph
 from cutplanar.errors import InvalidLayoutError, InvariantError, OracleLimitError
 from cutplanar.graph import (CopyLabels, CutProfile, Graph, LinearLayout,
-                             bag_steps,
-                             check_embedding, cut_profile, edge_positions,
+                             bag_steps, check_embedding,
+                             check_embedding_arrays, cut_profile,
+                             edge_positions,
                              exact_cutwidth,
                              is_planar, layout_to_path_decomposition,
                              planar_rotation, random_graph)
@@ -453,6 +454,18 @@ class TestEmbeddingCheck:
         with pytest.raises(InvariantError,
                            match=r"^rotation at vertex X0:b is not a perm"):
             check_embedding(g, [[1, 2], [0, 2, 4], [1], []])
+
+    # the path 0-1-2 has the flat rotation lens [1, 2, 1], heads
+    # [1, 0, 2, 1]; these lens do not split the three heads given
+    @pytest.mark.parametrize("lens, message", [
+        ([1, 2, 1], r"^rotation system lens sum to 4, heads has 3 darts$"),
+        ([2, -1, 2], r"^rotation system lens sum to 3 with a negative "
+                     r"entry, heads has 3 darts$"),
+    ], ids=["sum", "negative"])
+    def test_lens_must_split_heads(self, lens, message):
+        with pytest.raises(InvariantError, match=message):
+            check_embedding_arrays(path(3), np.array(lens, dtype=np.int64),
+                                   np.array([1, 0, 2], dtype=np.int64))
 
     def test_agrees_with_face_tracer(self):
         rng = random.Random(7)

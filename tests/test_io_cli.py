@@ -196,6 +196,33 @@ class TestGadgetJson:
         assert back.shift == gadget.shift
         assert back.layout == gadget.layout
 
+    # an integer field of the gadget file, and the path of its first
+    # entry inside the file's graph object or the file itself
+    INT_FIELDS = {"shift": ("shift",), "terminal": ("terminals", 0),
+                  "n": ("graph", "n"), "edge-end": ("graph", "edges", 0, 1),
+                  "layout": ("layout", 3)}
+    # in place of the integer x; x + 0.5 used to be truncated back to x
+    NOT_INTS = {"float": lambda x: x + 0.5, "integral-float": float,
+                "bool": lambda x: True, "string": str}
+
+    @pytest.mark.parametrize("kind", NOT_INTS)
+    @pytest.mark.parametrize("field", INT_FIELDS)
+    def test_integer_fields_take_json_integers_only(self, field, kind):
+        obj = json.loads(json.dumps(cio.gadget_to_json(gjs_is_gadget())))
+        *parents, key = self.INT_FIELDS[field]
+        inner = obj
+        for k in parents:
+            inner = inner[k]
+        inner[key] = value = self.NOT_INTS[kind](inner[key])
+        graph = "bad graph JSON: " if parents[:1] == ["graph"] else ""
+        with pytest.raises(ParseError, match=re.escape(
+                f"bad gadget JSON: {graph}{value!r} is not an integer")):
+            cio.gadget_from_json(obj)
+        if graph:
+            with pytest.raises(ParseError, match=re.escape(
+                    f"bad graph JSON: {value!r} is not an integer")):
+                cio.graph_from_json(obj["graph"])
+
 
 @pytest.fixture
 def k4_files(tmp_path):
@@ -438,6 +465,18 @@ class TestCli:
         code, rep = run_cli(capsys, ["certify", str(gpath)])
         assert code == cli.EXIT_PARSE
         assert rep["error"].startswith("parse error: bad gadget JSON")
+
+    def test_certify_fractional_layout_entry_exit_code(self, capsys,
+                                                       tmp_path):
+        # "layout": [1, 2, 3, 4.5] used to certify as [1, 2, 3, 4]
+        obj = cio.gadget_to_json(gjs_is_gadget())
+        obj["layout"][3] += 0.5
+        gpath = tmp_path / "fractional.json"
+        gpath.write_text(json.dumps(obj))
+        code, rep = run_cli(capsys, ["certify", str(gpath), "--hosts", "4"])
+        assert code == cli.EXIT_PARSE == 2
+        assert rep["error"] == (f"parse error: bad gadget JSON: "
+                                f"{obj['layout'][3]!r} is not an integer")
 
     def test_certify_needs_at_least_one_host(self, capsys, tmp_path):
         # the DS verdict rests on the host checks alone, so without hosts

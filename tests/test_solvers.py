@@ -212,15 +212,19 @@ class TestDsEngine:
 
 
 class TestPruneForms:
-    """Twin pruning runs as one numpy pass over all bag slots on small
-    tables and as a per-slot loop on large ones; both must mark the same
-    states dead, so every DPReport agrees."""
+    """Twin pruning tests the bag slots in blocks of
+    max(1, _VECTOR_PRUNE_CELLS // N) slots for a table of N keys.  The
+    budgets below give one slot per block, mixed blocks and one block for
+    all slots; every budget must mark the same states dead, so every
+    DPReport agrees."""
 
-    @staticmethod
-    def reports(monkeypatch, problem, g, layout):
+    BUDGETS = (0, 1 << 6, 1 << 10, 1 << 62)
+
+    @classmethod
+    def reports(cls, monkeypatch, problem, g, layout):
         dp = solvers.SOLVERS[problem][1]
         out = []
-        for cells in (0, 1 << 62):   # always the loop, always one pass
+        for cells in cls.BUDGETS:
             monkeypatch.setattr(solvers, "_VECTOR_PRUNE_CELLS", cells)
             out.append(dp(g, layout))
         return out
@@ -245,9 +249,9 @@ class TestPruneForms:
     def test_planarized_hosts(self, monkeypatch, problem, make, expect):
         g, layout = make()
         res = planarize(g, layout, 0, builtin_gadget(problem))
-        loop, one_pass = self.reports(monkeypatch, problem, res.g_prime,
-                                      res.layout_prime)
-        assert loop == one_pass == solvers.DPReport(*expect)
+        reports = self.reports(monkeypatch, problem, res.g_prime,
+                               res.layout_prime)
+        assert reports == [solvers.DPReport(*expect)] * len(self.BUDGETS)
 
     @pytest.mark.parametrize("problem", ["is", "ds"])
     def test_random_graphs(self, monkeypatch, problem):
@@ -257,9 +261,35 @@ class TestPruneForms:
             g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
             order = list(range(n))
             rng.shuffle(order)
-            loop, one_pass = self.reports(monkeypatch, problem, g,
-                                          LinearLayout(tuple(order)))
-            assert loop == one_pass, (sorted(g.edges), order)
+            first, *rest = self.reports(monkeypatch, problem, g,
+                                        LinearLayout(tuple(order)))
+            assert rest == [first] * len(rest), (sorted(g.edges), order)
+
+    @pytest.mark.parametrize("problem, make", [
+        ("is", lambda: (complete(10), LinearLayout.identity(10))),
+        ("ds", lambda: single_crossing_host(6)),
+    ], ids=["K10-is", "sc-6-ds"])
+    def test_blocks_stay_within_the_cell_budget(self, monkeypatch, problem,
+                                                make):
+        # a block's bit-test matrix of b slots by N keys holds at most
+        # max(_VECTOR_PRUNE_CELLS, N) cells: it yields no more positions,
+        # and its positions come from no more distinct slots (shifts)
+        candidates = solvers._prune_candidates
+        wide = []
+
+        def checked(keys, nslots, bits):
+            limit = max(solvers._VECTOR_PRUNE_CELLS, keys.size)
+            wide.append(keys.size * nslots > limit)
+            for idx, shift in candidates(keys, nslots, bits):
+                assert idx.size <= limit
+                assert np.unique(shift).size * keys.size <= limit
+                yield idx, shift
+
+        monkeypatch.setattr(solvers, "_prune_candidates", checked)
+        res = planarize(*make(), 0, builtin_gadget(problem))
+        solvers.SOLVERS[problem][1](res.g_prime, res.layout_prime)
+        # some table needed more than one block
+        assert any(wide)
 
 
 class TestSettledSteps:
@@ -441,11 +471,11 @@ def previous_rule_candidates(keys, nslots, bits):
 class TestDominanceOrder:
     """A state dies when a twin with a lower digit at one slot costs no
     more.  Optima must match an unpruned reference DP and brute force
-    under both prune forms."""
+    at every block budget of TestPruneForms."""
 
     @staticmethod
     def assert_exact(monkeypatch, g, layout):
-        """Both prune forms give the optimum of brute force and of the
+        """Every block budget gives the optimum of brute force and of the
         unpruned reference DP, and the peak of the reference DP pruned by
         the same rule."""
         brute = {"is": brute_is(g), "ds": brute_ds(g)}
