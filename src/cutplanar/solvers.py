@@ -266,35 +266,37 @@ def _introduce_ds(keys, costs, top, low):
 
 
 def _prune_candidates(keys: np.ndarray, nslots: int, bits: int):
-    """Yield (idx, shift) pairs covering every (state, slot, k) with
-    1 <= k <= the state's digit at the slot: idx indexes ``keys`` and
-    ``keys[idx] - shift`` is the twin whose digit there is k lower (shift
-    is k times the slot's weight, an array parallel to idx).  Digits are
-    at most ``bits`` (1 for IS, 2 for DS), so k is 1 or 2: a digit is at
-    least 1 iff any of its bits is set, and at least 2 iff its high bit
-    is.
+    """Yield (flat, twin_key) pairs covering every (state, slot, k) with
+    1 <= k <= the state's digit at the slot: flat % N is the state's
+    position among the N ``keys`` and twin_key the key whose digit there
+    is k lower.  Digits are at most ``bits`` (1 for IS, 2 for DS): every
+    digit d >= 1 meets its twin with digit 0 (k = d), and a DS digit 2
+    also its twin with digit 1 (k = 1).
 
-    The slots go in blocks of b = max(1, _VECTOR_PRUNE_CELLS // N) for a
-    table of N keys, and each block yields one pair per k from a b x N
-    bit-test matrix, so no matrix holds more than
-    max(_VECTOR_PRUNE_CELLS, N) cells.  A small table is one block, which
-    saves the fixed cost of about eight numpy calls per slot that
-    dominates it; a table of more than _VECTOR_PRUNE_CELLS / 2 keys takes
-    one slot per block.  The slot-major order keeps each slot's twin
-    queries sorted, which searchsorted runs fastest on.  The positions
-    come from the flattened matrix and one scalar division, which is
-    several times faster than a 2-D nonzero.  Each bit test compares with
-    the scalar 0: a comparison with the broadcast weight column is slower.
+    The slots go in blocks of b = max(1, _VECTOR_PRUNE_CELLS // N), and
+    flat indexes the block's b x N matrices slot-major, so no matrix
+    holds more than max(_VECTOR_PRUNE_CELLS, N) cells.  A small table is
+    one block, which saves the fixed cost of about eight numpy calls per
+    slot that dominates it; a table of more than _VECTOR_PRUNE_CELLS / 2
+    keys takes one slot per block.  The twin keys are read by flat from
+    the keys with the slot's digit lowered, so no candidate needs its
+    position: _prune recovers it only for the candidates whose twin
+    exists.  Each bit test compares with the scalar 0 or with the keys: a
+    comparison with the broadcast weight column is slower.
     """
     n = keys.size
-    tests = [(1, (1 << bits) - 1), (2, 2)][:bits]   # (k, bits of digit >= k)
     block = max(1, _VECTOR_PRUNE_CELLS // n)
     for lo in range(0, nslots, block):
-        w = 1 << bits * np.arange(lo, min(lo + block, nslots), dtype=np.int64)
-        for k, test in tests:
-            flat = np.flatnonzero((keys & (test * w)[:, None]) != 0)
-            cols = flat // n
-            yield flat - cols * n, (k * w)[cols]
+        w = 1 << bits * np.arange(lo, min(lo + block, nslots),
+                                  dtype=np.int64)[:, None]
+        lower = keys & ~(((1 << bits) - 1) * w)    # the slot's digit 0
+        flat = np.flatnonzero(lower != keys)
+        twin_key = lower.ravel()[flat]
+        del lower    # so no matrix outlives its block's pass
+        yield flat, twin_key
+        if bits == 2:                               # a digit 2 against 1
+            flat = np.flatnonzero((keys & 2 * w) != 0)
+            yield flat, (keys - w).ravel()[flat]
 
 
 def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
@@ -443,12 +445,14 @@ def _prune(keys: np.ndarray, costs: np.ndarray, nslots: int,
            bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The sorted, unique table (keys, costs) without the states whose
     twin with a lower digit at some slot costs no more."""
-    dead = np.zeros(keys.size, dtype=bool)
-    for idx, shift in _prune_candidates(keys, nslots, bits):
-        twin_key = keys[idx] - shift
-        twin = np.searchsorted(keys, twin_key)    # < idx: in range
-        hit = (keys[twin] == twin_key) & (costs[twin] <= costs[idx])
-        dead[idx[hit]] = True
+    n = keys.size
+    dead = np.zeros(n, dtype=bool)
+    for flat, twin_key in _prune_candidates(keys, nslots, bits):
+        twin = np.searchsorted(keys, twin_key)    # below the state: in range
+        found = keys[twin] == twin_key
+        flat, twin = flat[found], twin[found]
+        flat -= flat // n * n                     # the states' positions
+        dead[flat[costs[twin] <= costs[flat]]] = True
     return keys[~dead], costs[~dead]
 
 

@@ -271,19 +271,19 @@ class TestPruneForms:
     ], ids=["K10-is", "sc-6-ds"])
     def test_blocks_stay_within_the_cell_budget(self, monkeypatch, problem,
                                                 make):
-        # a block's bit-test matrix of b slots by N keys holds at most
-        # max(_VECTOR_PRUNE_CELLS, N) cells: it yields no more positions,
-        # and its positions come from no more distinct slots (shifts)
+        # a block's matrices of b slots by N keys hold at most
+        # max(_VECTOR_PRUNE_CELLS, N) cells, and every candidate indexes
+        # one of their cells
         candidates = solvers._prune_candidates
         wide = []
 
         def checked(keys, nslots, bits):
             limit = max(solvers._VECTOR_PRUNE_CELLS, keys.size)
             wide.append(keys.size * nslots > limit)
-            for idx, shift in candidates(keys, nslots, bits):
-                assert idx.size <= limit
-                assert np.unique(shift).size * keys.size <= limit
-                yield idx, shift
+            for flat, twin_key in candidates(keys, nslots, bits):
+                assert flat.size <= limit
+                assert flat.max(initial=0) < limit
+                yield flat, twin_key
 
         monkeypatch.setattr(solvers, "_prune_candidates", checked)
         res = planarize(*make(), 0, builtin_gadget(problem))
@@ -465,7 +465,8 @@ def previous_rule_candidates(keys, nslots, bits):
     its twin one lower only, slot by slot."""
     for i in range(nslots):
         s = bits * i
-        yield np.flatnonzero(keys & bits << s), 1 << s
+        idx = np.flatnonzero(keys & bits << s)
+        yield idx, keys[idx] - (1 << s)
 
 
 class TestDominanceOrder:
