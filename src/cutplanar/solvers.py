@@ -269,20 +269,17 @@ def _prune_candidates(keys: np.ndarray, nslots: int, bits: int):
     """Yield (flat, twin_key) pairs covering every (state, slot, k) with
     1 <= k <= the state's digit at the slot: flat % N is the state's
     position among the N ``keys`` and twin_key the key whose digit there
-    is k lower.  Digits are at most ``bits`` (1 for IS, 2 for DS): every
-    digit d >= 1 meets its twin with digit 0 (k = d), and a DS digit 2
-    also its twin with digit 1 (k = 1).
+    is k lower.  Every digit d >= 1 meets its twin with digit 0 (k = d),
+    and a DS digit 2 also its twin with digit 1 (k = 1).
 
     The slots go in blocks of b = max(1, _VECTOR_PRUNE_CELLS // N), and
     flat indexes the block's b x N matrices slot-major, so no matrix
-    holds more than max(_VECTOR_PRUNE_CELLS, N) cells.  A small table is
-    one block, which saves the fixed cost of about eight numpy calls per
-    slot that dominates it; a table of more than _VECTOR_PRUNE_CELLS / 2
-    keys takes one slot per block.  The twin keys are read by flat from
-    the keys with the slot's digit lowered, so no candidate needs its
-    position: _prune recovers it only for the candidates whose twin
-    exists.  Each bit test compares with the scalar 0 or with the keys: a
-    comparison with the broadcast weight column is slower.
+    holds more than max(_VECTOR_PRUNE_CELLS, N) cells: a small table is
+    one block, saving the fixed numpy calls per slot that dominate it,
+    and one of over _VECTOR_PRUNE_CELLS / 2 keys takes a slot per block.
+    Twin keys are read by flat from the keys with the digit lowered, so
+    _prune recovers a position only where the twin exists.  Bit tests
+    compare with 0 or with the keys; the broadcast weights are slower.
     """
     n = keys.size
     block = max(1, _VECTOR_PRUNE_CELLS // n)
