@@ -246,6 +246,7 @@ def _fx(value: Fraction) -> str:
 def to_svg(d: ArcDrawing) -> str:
     """Deterministic SVG of the arc diagram: labeled dots on a baseline,
     semicircular arcs, small markers at crossings."""
+    from html import escape    # imported here: only SVG export needs it
     pos = d.layout.position()
     n = d.graph.n
     max_span = max((abs(pos[u] - pos[v]) for u, v in d.graph.edges),
@@ -279,7 +280,7 @@ def to_svg(d: ArcDrawing) -> str:
         lines.append(
             f'  <circle cx="{px(c.x)}" cy="{yy:.3f}" r="3" fill="#cc3333"/>')
     for i, v in enumerate(d.layout.order):
-        label = d.graph.labels.get(v, str(v + 1))
+        label = escape(d.graph.labels.get(v, str(v + 1)), quote=False)
         x = px(i + 1)
         lines.append(f'  <circle cx="{x}" cy="{base_y}" r="4" fill="#222"/>')
         lines.append(

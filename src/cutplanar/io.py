@@ -217,6 +217,7 @@ def write_dot(g: Graph) -> str:
     for v in range(g.n):
         label = g.labels.get(v)
         if label:
+            label = label.replace("\\", "\\\\").replace('"', '\\"')
             lines.append(f'  {v + 1} [label="{label}"];')
         else:
             lines.append(f"  {v + 1};")

@@ -15,11 +15,10 @@ indexing it instead of branching on the problem:
   costs no more (the digit order is the dominance order of both
   problems), so it handles widths up to 61 (IS) resp. 30 (DS) within
   MEMORY_BUDGET_BYTES.  A step whose introduce provably keeps that table
-  settled and that forgets nothing skips the dedupe and the prune; one
-  that forgets nothing after any other DS introduce dedupes and prunes
-  only the states with v in the set and drops each other state by one
-  lookup.  Both problems read, test and remove digits by shifts and
-  masks; an introduce tests all earlier neighbours at once.
+  settled and that forgets nothing skips the dedupe and the prune; every
+  other step runs the full dedupe and prune.  Both problems read, test
+  and remove digits by shifts and masks; an introduce tests all earlier
+  neighbours at once.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
@@ -231,7 +230,7 @@ def _introduce_is(keys, costs, top, low):
     # bit test against the sum of their weights.  Always settled (_bag_dp).
     free = (keys & low) == 0
     return (np.concatenate([keys, keys[free] + top]),
-            np.concatenate([costs, costs[free] - 1]), None)
+            np.concatenate([costs, costs[free] - 1]), True)
 
 
 def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
@@ -252,8 +251,7 @@ def _introduce_ds(keys, costs, top, low):
     # pairs 00, 01, 10: a back digit is 2 iff its bit in low << 1 is set,
     # and 0 iff its bit in low is clear in keys | keys >> 1.  Subtracting
     # half of the set high bits lowers every back 2 to 1.  Settled when
-    # no back digit is 2 in any state, so that v_in is still keys; else
-    # settled by _settle_ds_introduce (_bag_dp).
+    # no back digit is 2 in any state, so that v_in is still keys (_bag_dp).
     undominated = keys & low << 1
     settled = not undominated.any()
     v_in = keys if settled else keys - (undominated >> 1)
@@ -262,7 +260,7 @@ def _introduce_ds(keys, costs, top, low):
     return (np.concatenate([v_in, keys[dominated] + top,
                             keys[free] + 2 * top]),
             np.concatenate([costs + 1, costs[dominated], costs[free]]),
-            None if settled else _settle_ds_introduce)
+            settled)
 
 
 def _prune_candidates(keys: np.ndarray, nslots: int, bits: int):
@@ -310,16 +308,14 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
     order the states exactly as base-3 keys of the same digits would: both
     compare the highest differing digit first.  ``introduce(keys, costs,
     top, low)`` returns the states with the new top digit set and the
-    back edges applied, and how a step that forgets nothing settles them
-    (see below): None when they are settled already, else a function
-    ``settle(keys, costs, nslots, bits)``; ``top`` is the new slot's
-    weight and ``low`` the sum of the earlier neighbors' weights.
-    Forgetting a vertex drops the states whose digit is
-    ``reject_on_forget`` and removes the digit: the bits below it stay and
-    the bits above it move down by ``bits``.  A step that forgets settles
-    by _settle, the full dedupe and prune.  The forgets of a step commute
-    and the dedupe follows the last of them, so their order does not
-    change the table.
+    back edges applied, and whether they are settled already (see below);
+    ``top`` is the new slot's weight and ``low`` the sum of the earlier
+    neighbors' weights.  Forgetting a vertex drops the states whose digit
+    is ``reject_on_forget`` and removes the digit: the bits below it stay
+    and the bits above it move down by ``bits``.  A step that forgets, or
+    whose introduce is not settled, settles by _settle, the full dedupe
+    and prune.  The forgets of a step commute and the dedupe follows the
+    last of them, so their order does not change the table.
 
     A bag of w + 1 slots needs bits * (w + 1) <= 62, so that keys, twin
     shifts and 2 top stay below 2^62; a decomposition of width 62 (IS) or
@@ -346,9 +342,9 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
     state with a twin that costs no more (a survivor's twin was looked
     up before the removals, so it either was absent or cost more; it is
     still absent or costs more).  Below, x is an old key, c(x) its cost
-    and w_i the weight of old slot i.  An introduce that returns no
-    settle function returns a settled table again, so a step that forgets
-    nothing skips the dedupe and the prune; they could not change it.
+    and w_i the weight of old slot i.  An introduce that reports itself
+    settled returns a settled table again, so a step that forgets nothing
+    skips the dedupe and the prune; they could not change it.
     _introduce_is is always settled.  Its out states keep the old keys x
     and costs c(x), so their twins are the old twins.  Its in state
     x + top costs c(x) - 1.  The twin at the new slot, x, costs more.  A
@@ -360,33 +356,21 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
     _introduce_ds returns an in block, each x with its back digits 2
     lowered to 1 at cost c(x) + 1, then an out block, the images x + d top
     at cost c(x), where d is 1 if x has a back digit 0 (v is dominated)
-    and 2 otherwise, those with d = 1 first.  Each part of the out block
-    is the sorted old keys shifted by a constant, and all x + top lie
-    below 2 top, so the out block is sorted and unique.  In keys lie below
-    top and out keys do not.  _settle_ds_introduce returns what _settle
-    would, by these steps:
-    - The dedupe merges in states only, and the deduped in block followed
-      by the out block is sorted.
-    - An in state has top digit 0, so its twins lie at old slots and are
-      in states.  The prune of the deduped in block over the old slots
-      finds them all.
-    - The twin of an out state x + d top at old slot i, digit k lower, is
-      x - k w_i + d top.  Out keys are the images of distinct old keys
-      (an out key's bits below top are its x), so this twin exists only
-      as the image of x - k w_i, an old twin of x.  That twin cost more
-      than c(x), since the old table was settled.  No out state dies at
-      an old slot.
-    - At the top slot, x + 2 top has no twin x + top (that would be the
-      image of x, which is x + 2 top).  So the one twin of x + d top there
-      is the in state x: the out state dies iff the deduped in block
-      holds x at cost at most c(x).  That lookup precedes the in block's
-      prune, just as _prune looks up every twin before removing any.
-    When no x has a back digit 2 (always so without back edges), the in
-    block is the old table at cost c(x) + 1: sorted and unique, and its
-    twins are the old twins at one more cost, so no in state dies.  No
-    out state dies at an old slot (above), and at the top slot its twin,
-    the in state x, costs c(x) + 1, more than it.  _introduce_ds reports
-    that table as settled.
+    and 2 otherwise, those with d = 1 first.  It is settled when no x has
+    a back digit 2 (always so without back edges).  Then the in block is
+    the old table at cost c(x) + 1: in keys lie below top and out keys do
+    not, and each part of the out block is the sorted old keys shifted by
+    a constant, with all x + top below 2 top, so the table is sorted and
+    unique.  An in state has top digit 0, so its twins lie at old slots
+    and are in states: the old twins at one more cost, so no in state
+    dies.  The twin of an out state x + d top at old slot i, digit k
+    lower, is x - k w_i + d top.  Out keys are the images of distinct old
+    keys (an out key's bits below top are its x), so this twin exists only
+    as the image of x - k w_i, an old twin of x, which cost more than c(x)
+    since the old table was settled: no out state dies at an old slot.
+    At the top slot, x + 2 top has no twin x + top (that would be the
+    image of x, which is x + 2 top), so the one twin of x + d top there is
+    the in state x, at cost c(x) + 1, more than it.
 
     A block of the prune (_prune_candidates) adds about a dozen arrays of
     at most max(2^15, n) elements: a few MiB together for a table below
@@ -396,10 +380,7 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
     A forget first filters the keys and costs (both, and their filtered
     copies: four arrays of 2n at most) and then shifts them, holding the
     keys, the costs, the kept low bits, the shifted high bits and their
-    union: five.  _settle_ds_introduce allocates nothing longer than the
-    2n introduced states: its in and out blocks and their temporaries hold
-    n each, and it drops its lookup arrays before the in block's prune, so
-    the step holds no more than six arrays of 2n at any moment.
+    union: five.
     """
     steps, width = bag_steps(g, layout)
     if bits * (width + 1) > 62:
@@ -419,7 +400,7 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
             raise ResourceLimitError(
                 f"DP step of {2 * keys.size} states needs {need} bytes, over "
                 f"the {MEMORY_BUDGET_BYTES}-byte budget (width {width})")
-        keys, costs, settle = introduce(
+        keys, costs, settled = introduce(
             keys, costs, 1 << bits * len(slots),
             sum(1 << bits * slots.index(u) for u in back))
         slots.append(v)
@@ -430,10 +411,8 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
                 keys, costs = keys[keep], costs[keep]
             keys = (keys & (1 << s) - 1) | (keys >> s + bits << s)
             slots.remove(u)
-        if forget:
+        if forget or not settled:
             keys, costs = _settle(keys, costs, len(slots), bits)
-        elif settle is not None:
-            keys, costs = settle(keys, costs, len(slots), bits)
         max_live = max(max_live, keys.size)
     return DPReport(int(costs.min()), max_live, g.n, width)
 
@@ -467,30 +446,6 @@ def _settle(keys: np.ndarray, costs: np.ndarray, nslots: int,
     """Any table of ``nslots`` digits, deduped and pruned."""
     keys, costs = _dedupe(keys, costs)
     return _prune(keys, costs, nslots, bits)
-
-
-def _settle_ds_introduce(keys: np.ndarray, costs: np.ndarray, nslots: int,
-                         bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """_settle of a table that _introduce_ds returns from a settled table
-    without reporting it settled, from a dedupe (skipped when the keys
-    are sorted and unique already) and prune of its in block over the old
-    slots and one lookup per out state (proof in _bag_dp)."""
-    half = keys.size // 2
-    top = 1 << bits * (nslots - 1)
-    in_keys, in_costs = keys[:half], costs[:half]
-    if not (in_keys[1:] > in_keys[:-1]).all():
-        in_keys, in_costs = _dedupe(in_keys, in_costs)
-    out_keys, out_costs = keys[half:], costs[half:]
-    # out state x + d top dies iff the in block holds x at no more cost;
-    # searching right and stepping back lands on x if it is there, else
-    # on a lower key or, wrapping around, on the highest one
-    x = out_keys & top - 1
-    twin = in_keys.searchsorted(x, "right") - 1
-    live = (in_keys[twin] != x) | (in_costs[twin] > out_costs)
-    del x, twin   # so the step holds at most six arrays of 2n (_bag_dp)
-    in_keys, in_costs = _prune(in_keys, in_costs, nslots - 1, bits)
-    return (np.concatenate([in_keys, out_keys[live]]),
-            np.concatenate([in_costs, out_costs[live]]))
 
 
 # the exact solvers of each problem: (brute force, layout DP)

@@ -296,6 +296,7 @@ def write_dot_by_tuples(g: Graph) -> str:
     for v in range(g.n):
         label = g.labels.get(v)
         if label:
+            label = "".join("\\" + c if c in '"\\' else c for c in label)
             lines.append(f'  {v + 1} [label="{label}"];')
         else:
             lines.append(f"  {v + 1};")

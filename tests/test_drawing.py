@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction
+from xml.etree import ElementTree
 
 import numpy as np
 
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cutplanar import drawing
+from cutplanar import io as cio
 from cutplanar.drawing import (build_arc_drawing, count_crossings,
                                element_order, to_svg, vertical_cut_edges)
 from cutplanar.errors import InvalidLayoutError, ResourceLimitError
@@ -298,3 +300,13 @@ class TestSvg:
         s = to_svg(build_arc_drawing(g, LinearLayout.identity(3)))
         assert s.count("<path") == 2
         assert s.count("<circle") == 3  # no crossing markers
+
+    def test_labels_are_escaped(self):
+        # &, < and > in a label would make the SVG text not well-formed
+        g = cio.graph_from_json({"n": 2, "edges": [[1, 2]], "labels": {
+            "1": 'a"b', "2": "x<y&z"}})
+        s = to_svg(build_arc_drawing(g, LinearLayout.identity(2)))
+        assert "x&lt;y&amp;z" in s
+        root = ElementTree.fromstring(s)
+        texts = root.findall("{http://www.w3.org/2000/svg}text")
+        assert [t.text for t in texts] == ['a"b', "x<y&z"]

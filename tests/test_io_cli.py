@@ -123,6 +123,16 @@ class TestWriters:
         assert (json.dumps(cio.graph_to_json(g))
                 == json.dumps(graph_to_json_by_tuples(g)))
 
+    def test_dot_labels_are_escaped(self):
+        # a quote or backslash in a label would end or bend the DOT string
+        g = cio.graph_from_json({"n": 3, "edges": [[1, 2]], "labels": {
+            "1": 'a"b', "2": "x<y&z", "3": "c\\d"}})
+        lines = cio.write_dot(g).splitlines()
+        assert lines[1:4] == ['  1 [label="a\\"b"];',
+                              '  2 [label="x<y&z"];',
+                              '  3 [label="c\\\\d"];']
+        self.assert_same_bytes(g)
+
     @pytest.mark.parametrize("problem", ["is", "ds"])
     def test_pipeline_never_builds_the_edge_set_of_g_prime(self, monkeypatch,
                                                            problem):

@@ -10,7 +10,7 @@ from cutplanar import cli, solvers
 from cutplanar import io as cio
 from cutplanar.errors import OracleLimitError, ResourceLimitError
 from cutplanar.gadgets import builtin_gadget
-from cutplanar.graph import (Graph, LinearLayout, cut_profile,
+from cutplanar.graph import (Graph, LinearLayout, bag_steps, cut_profile,
                              layout_to_path_decomposition, random_graph)
 from cutplanar.planarize import planarize
 from cutplanar.solvers import (brute_ds, brute_is, brute_vc, dp_ds, dp_is,
@@ -294,60 +294,49 @@ class TestPruneForms:
 
 class TestSettledSteps:
     """A step that forgets nothing after an introduce that reports a
-    settled table skips the dedupe and the prune, and one after any other
-    DS introduce settles by the restricted rule (_settle_ds_introduce).  Forcing the full dedupe and prune on every
-    step must leave every DPReport as it is, a table reported as settled
-    must be sorted, unique and give the prune nothing to remove, and the
-    restricted rule must return exactly what the full dedupe and prune
-    return."""
+    settled table skips the dedupe and the prune; every other step runs
+    the full dedupe and prune.  Every step must end with a settled table,
+    sorted, unique and giving the prune nothing to remove, and so must an
+    introduce that reports one.  Forcing the full dedupe and prune on
+    every step must leave every DPReport as it is."""
 
     INTRODUCE = {"is": "_introduce_is", "ds": "_introduce_ds"}
 
     @classmethod
     def reports(cls, problem, g, layout):
-        """(report with every settle checked, report with every step forced
-        to the full dedupe and prune, counts): counts holds the steps whose
-        introduce reported a settled table ("settled"), the steps settled
-        by the restricted rule ("restricted") and the states that rule
-        removed from the in block ("in") and the out block ("out")."""
+        """(report with every settled table checked, report with every
+        step forced to the full dedupe and prune, counts): counts holds
+        the steps whose introduce reported a settled table ("settled")
+        and the steps that forget nothing after an introduce that did not
+        ("unsettled")."""
         dp = solvers.SOLVERS[problem][1]
         name = cls.INTRODUCE[problem]
         introduce = getattr(solvers, name)
         bits = {"is": 1, "ds": 2}[problem]
-        counts = dict.fromkeys(("settled", "restricted", "in", "out"), 0)
+        forgets = iter([forget for _, _, forget in bag_steps(g, layout)[0]])
+        counts = dict.fromkeys(("settled", "unsettled"), 0)
 
-        def checked_settle(settle):
-            def run(keys, costs, nslots, bits):
-                full_keys, full_costs = solvers._settle(keys, costs, nslots,
-                                                        bits)
-                got_keys, got_costs = settle(keys, costs, nslots, bits)
-                assert np.array_equal(got_keys, full_keys)
-                assert np.array_equal(got_costs, full_costs)
-                # the in block (keys below top) comes first, then the out
-                # block of half the introduced states
-                half, top = keys.size // 2, 1 << bits * (nslots - 1)
-                in_live = np.count_nonzero(got_keys < top)
-                counts["restricted"] += 1
-                counts["in"] += int(np.unique(keys[:half]).size - in_live)
-                counts["out"] += int(half - (got_keys.size - in_live))
-                return got_keys, got_costs
-            return run
+        def assert_settled(keys, costs, nslots):
+            assert (keys[1:] > keys[:-1]).all()
+            pruned, _ = solvers._prune(keys, costs, nslots, bits)
+            assert pruned.size == keys.size
 
         def checked(keys, costs, top, low):
-            keys, costs, settle = introduce(keys, costs, top, low)
-            if settle is None:
+            # the table the previous step ended with, of s = top's slot
+            # slots (top = 1 << bits * s)
+            nslots = (top.bit_length() - 1) // bits
+            assert_settled(keys, costs, nslots)
+            keys, costs, settled = introduce(keys, costs, top, low)
+            forget = next(forgets)
+            if settled:
                 counts["settled"] += 1
-                assert (keys[1:] > keys[:-1]).all()
-                # top = 1 << bits * (s - 1)
-                nslots = (top.bit_length() - 1) // bits + 1
-                pruned, _ = solvers._prune(keys, costs, nslots, bits)
-                assert pruned.size == keys.size
-                return keys, costs, None
-            return keys, costs, checked_settle(settle)
+                assert_settled(keys, costs, nslots + 1)
+            elif not forget:
+                counts["unsettled"] += 1
+            return keys, costs, settled
 
         def forced(keys, costs, top, low):
-            return (*introduce(keys, costs, top, low)[:2],
-                    solvers._settle)
+            return (*introduce(keys, costs, top, low)[:2], False)
 
         out = []
         # patched in a context of its own, so the next call wraps the real
@@ -373,7 +362,9 @@ class TestSettledSteps:
             problem, res.g_prime, res.layout_prime)
         assert checked == forced
         assert counts["settled"] > 0
-        assert (counts["restricted"] > 0) == (problem == "ds")
+        # DS hosts also settle fully after an unsettled introduce that
+        # forgets nothing, so that branch is not vacuous
+        assert (counts["unsettled"] > 0) == (problem == "ds"), counts
 
     @pytest.mark.parametrize("problem", ["is", "ds"])
     def test_random_graphs(self, problem):
@@ -386,23 +377,6 @@ class TestSettledSteps:
             checked, forced, _ = self.reports(problem, g,
                                               LinearLayout(tuple(order)))
             assert checked == forced, (sorted(g.edges), order)
-
-    def test_restricted_rule_removes_in_and_out_states(self):
-        # both kinds of death occur, so the equality checks of the
-        # restricted rule are not vacuous
-        rng = random.Random(5)
-        deaths = {"in": 0, "out": 0}
-        for _ in range(300):
-            n = rng.randint(1, 14)
-            g = random_graph(n, rng.choice([0.15, 0.3, 0.5, 0.8]), rng)
-            order = list(range(n))
-            rng.shuffle(order)
-            checked, forced, counts = self.reports(
-                "ds", g, LinearLayout(tuple(order)))
-            assert checked == forced, (sorted(g.edges), order)
-            deaths["in"] += counts["in"]
-            deaths["out"] += counts["out"]
-        assert deaths["in"] > 0 and deaths["out"] > 0, deaths
 
 
 class TestDigitForm:
@@ -450,13 +424,13 @@ class TestDigitForm:
         assert rows == sorted(rows, key=lambda row: self.encode(row[0], 3))
         keys = np.array([self.encode(x) for x, _ in rows], dtype=np.int64)
         costs = np.array([c for _, c in rows], dtype=np.int64)
-        got_keys, got_costs, settle = solvers._introduce_ds(
+        got_keys, got_costs, got_settled = solvers._introduce_ds(
             keys, costs, 1 << 2 * nslots, sum(1 << 2 * i for i in back))
         want_keys, want_costs, settled = self.reference_introduce(
             keys.tolist(), costs.tolist(), nslots, back)
         assert got_keys.tolist() == want_keys
         assert got_costs.tolist() == want_costs
-        assert (settle is None) == settled
+        assert got_settled is settled
 
 
 def previous_rule_candidates(keys, nslots, bits):
