@@ -77,6 +77,9 @@ class CrossoverGadget:
     shift: int
     frozen_rotation: tuple[tuple[int, ...], ...] | None = field(
         default=None, compare=False, repr=False)
+    # the transfer tables by problem, each built on first use
+    _transfers: dict = field(default_factory=dict, init=False,
+                             compare=False, repr=False)
 
     def __post_init__(self):
         if self.problem not in ("is", "ds"):
@@ -118,6 +121,17 @@ class CrossoverGadget:
             raise GadgetError("frozen rotation does not fit the gadget's "
                               "layout") from exc
         return _proven_rotation(self, rot)
+
+    def transfer(self, problem: str) -> solvers.Transfer:
+        """The gadget's transfer table under ``problem``'s DP
+        (``solvers.transfer_table``), which a block step reads for each
+        copy of the gadget.  Built on the first call for each problem,
+        never when the gadget is built, and kept on the gadget."""
+        table = self._transfers.get(problem)
+        if table is None:
+            table = self._transfers[problem] = solvers.transfer_table(
+                self.graph, self.terminals, self.layout, problem)
+        return table
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,10 @@ connector slots filled in.  ``graph.check_embedding_arrays`` then
 counts the faces of this rotation system, handed over as flat arrays,
 and checks Euler's formula with numpy passes over the darts, so no
 general planarity test runs on G'.
+
+``verify_planarization`` solves G' with one DP block step per gadget
+copy (``planarized_optimum``), after checking that every copy is an
+exact copy of the gadget attached at its four terminals.
 """
 
 from __future__ import annotations
@@ -25,7 +29,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drawing import build_arc_drawing, count_crossings
-from .errors import InvariantError, OracleLimitError, ResourceLimitError
+from .errors import (InvariantError, OracleLimitError, PreconditionError,
+                     ResourceLimitError)
 from .gadgets import CrossoverGadget
 from .graph import (CopyLabels, CutProfile, Graph, LinearLayout,
                     check_embedding_arrays, cut_profile)
@@ -50,6 +55,8 @@ class PlanarizationResult:
     gadget_width: int
     # per-gap cuts of layout_prime on g_prime
     cut_profile: CutProfile
+    # the gadget whose copies replaced the crossings
+    gadget: CrossoverGadget
 
 
 def planarize(g: Graph, layout: LinearLayout, t: int,
@@ -168,7 +175,7 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
         g_prime=g_prime, layout_prime=layout_prime,
         t_prime=t + ell * gadget.shift, crossings_replaced=ell,
         width_in=width_in, width_out=prof_out.max_width,
-        gadget_width=gadget.width, cut_profile=prof_out,
+        gadget_width=gadget.width, cut_profile=prof_out, gadget=gadget,
     )
     _assert_invariants(result, h, ell, g)
     check_embedding_arrays(g_prime, lens, rotation)
@@ -210,7 +217,8 @@ def verify_planarization(g: Graph, t: int, result: PlanarizationResult,
                          problem: str) -> bool:
     """Check the cutwidth inequality and the optimum shift
     opt(G') = opt(G) + crossings * shift using brute force on the input
-    (at most VERIFY_HOST_LIMIT vertices) and the layout DP on the output.
+    (at most VERIFY_HOST_LIMIT vertices) and ``planarized_optimum`` on
+    the output.  An unknown problem raises PreconditionError.
 
     Planarity of G' is not tested again: ``planarize`` proves it before
     returning and raises InvariantError otherwise.
@@ -221,8 +229,110 @@ def verify_planarization(g: Graph, t: int, result: PlanarizationResult,
         raise OracleLimitError(
             f"host graph too large for the brute-force oracle ({g.n})")
     if problem not in solvers.SOLVERS:
-        raise ValueError(f"unknown problem {problem!r}")
-    brute, dp = solvers.SOLVERS[problem]
-    before = brute(g)
-    after = dp(result.g_prime, result.layout_prime).optimum
+        raise PreconditionError(f"unknown problem {problem!r}")
+    before = solvers.SOLVERS[problem][0](g)
+    after = planarized_optimum(result, problem)
     return after == before + result.t_prime - t
+
+
+def planarized_optimum(result: PlanarizationResult, problem: str) -> int:
+    """opt(G') of ``problem``, solved with one block step per gadget copy.
+
+    G' is contracted to C: each copy's u is merged into u' and its v into
+    v', and its other vertices are dropped; the two merged terminals take
+    the place of the copy's layout block.  ``solvers.block_dp`` sweeps C
+    and crosses each copy with one block step, which reads the gadget's
+    transfer table (``CrossoverGadget.transfer``, built once per gadget
+    and problem) at the digits of the two vertices before u and v.  The
+    optimum equals the layout DP's on G' (``dp_is``/``dp_ds``) because a
+    copy meets the rest of G' only at its four terminals, one edge each,
+    which ``_contract`` checks first.
+    """
+    ell = result.crossings_replaced
+    transfer = result.gadget.transfer(problem) if ell else None
+    c, layout, first = _contract(result)
+    return solvers.block_dp(c, layout, first, transfer, problem)
+
+
+def _contract(result: PlanarizationResult
+              ) -> tuple[Graph, LinearLayout, int]:
+    """The contracted graph C of ``planarized_optimum``, its layout and
+    its first block vertex.  C keeps the host ids; copy k becomes
+    U = first + 2k (u and u') and V = first + 2k + 1 (v and v'), with V
+    right after U where the copy's first vertex stands in the layout of
+    G'.  The order inside a copy's block does not matter.
+
+    Raises InvariantError naming the copy (X{e}) unless every copy is an
+    exact copy of the gadget: its induced edges are the gadget's edges
+    plus its base id, only u, u', v and v' have an edge leaving it, one
+    each, and in C the vertex before u (the end of u's edge) and the one
+    before v are distinct, U comes after the first and before the end of
+    the edge of u', and V after the second and before the end of the
+    edge of v'.  So U and V each have exactly one earlier neighbour,
+    the one a block step reads.
+    """
+    gp, h, ell = result.g_prime, result.gadget.graph, result.crossings_replaced
+    first = gp.n - ell * h.n
+    if first < 0:
+        raise InvariantError(
+            f"G' has {gp.n} vertices, fewer than {ell} gadget copies")
+    result.layout_prime.validate(gp)
+    e = gp.edge_array
+    copy = np.where(e >= first, (e - first) // h.n, -1)
+    inside = (copy[:, 0] == copy[:, 1]) & (copy[:, 0] >= 0)
+    # the induced edges of each copy, by their gadget ids
+    k = copy[inside, 0]
+    sizes = np.bincount(k, minlength=ell)
+    bad = sizes != h.m
+    if not bad.any():
+        local = (e[inside] - first - h.n * k[:, None]).reshape(ell, h.m, 2)
+        bad = (local != h.edge_array).any(axis=(1, 2))
+    # the edges leaving each copy, per gadget vertex
+    out = e[~inside]
+    ends = out[out >= first] - first
+    terminal = np.zeros(h.n, dtype=np.int64)
+    terminal[list(result.gadget.terminals)] = 1
+    bad |= (np.bincount(ends, minlength=ell * h.n).reshape(ell, h.n)
+            != terminal).any(axis=1)
+    _raise_for_copy(result, first, bad)
+
+    u, up, v, vp = result.gadget.terminals
+    # a terminal's C id, less first + 2k; -1 marks the dropped vertices
+    merged = np.full(h.n, -1, dtype=np.int64)
+    merged[[u, up, v, vp]] = 0, 0, 1, 1
+    cid = np.concatenate((np.arange(first), first + (
+        2 * np.arange(ell)[:, None] + merged).ravel()))
+    edges = cid[out]
+    # C's layout: host vertices at their positions, U and V at the
+    # copy's first position
+    pos = np.empty(gp.n, dtype=np.int64)
+    pos[result.layout_prime.order_array] = np.arange(gp.n)
+    at = pos[first:].reshape(ell, h.n).min(axis=1, initial=gp.n)
+    key = np.concatenate((2 * pos[:first], (2 * at[:, None] + (0, 1)).ravel()))
+    order = np.argsort(key)
+    pos_c = np.empty(first + 2 * ell, dtype=np.int64)
+    pos_c[order] = np.arange(order.size)
+    # the C id beyond each terminal's edge; a, b, c and d are the
+    # positions in C of those beyond u, u', v and v'
+    beyond = np.empty(ell * h.n, dtype=np.int64)
+    for side in (0, 1):
+        mine = out[:, side] >= first
+        beyond[out[mine, side] - first] = edges[mine, 1 - side]
+    a, b, c, d = pos_c[beyond.reshape(ell, h.n)[:, [u, up, v, vp]].T]
+    here = pos_c[first::2]
+    _raise_for_copy(result, first, (a >= here) | (b <= here) | (c >= here + 1)
+                    | (d <= here + 1) | (a == c))
+    return (Graph.from_edges(first + 2 * ell, edges), LinearLayout(order),
+            first)
+
+
+def _raise_for_copy(result: PlanarizationResult, first: int,
+                    bad: np.ndarray) -> None:
+    """Raise InvariantError naming the first copy that ``bad`` marks."""
+    if bad.any():
+        k = int(np.argmax(bad))
+        w = first + k * result.gadget.graph.n
+        label = result.g_prime.labels.get(w, str(w))
+        raise InvariantError(
+            f"gadget copy {label.split(':')[0]} of G' is not an exact copy "
+            f"of the gadget attached at its four terminals")

@@ -9,7 +9,7 @@ indexing it instead of branching on the problem:
 * dp_*    : dynamic programming over the path decomposition derived from
   a linear layout, with 2 states per bag vertex for IS and 3 for DS.
   Peak live states stay within 2^(w+1) resp. 3^(w+1) for a layout of
-  cutwidth w.  Both run on one engine, _bag_dp, that keeps only the
+  cutwidth w.  Both run on one engine, _sweep, that keeps only the
   live states, as sorted int64 keys with one resp. two bits per bag
   slot, and drops a state when a twin with a lower digit at one bag slot
   costs no more (the digit order is the dominance order of both
@@ -19,6 +19,11 @@ indexing it instead of branching on the problem:
   other step runs the full dedupe and prune.  Both problems read, test
   and remove digits by shifts and masks; an introduce tests all earlier
   neighbours at once.
+* block_dp: the same sweep over a contracted graph in which each vertex
+  pair stands for a gadget copy, crossed in one block step by the
+  gadget's transfer table (transfer_table: the same sweep over the
+  gadget with its two entering neighbours pinned, one run per input
+  pair).  planarize.verify_planarization solves G' this way.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
@@ -30,12 +35,14 @@ Graph.relabel and call these solvers on it.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-from dataclasses import dataclass, replace
+import itertools
+from collections.abc import Callable, Iterable
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .errors import OracleLimitError, ResourceLimitError
+from .errors import OracleLimitError, PreconditionError, ResourceLimitError
 from .graph import Graph, LinearLayout, bag_steps
 
 BRUTE_LIMIT = 28
@@ -221,8 +228,7 @@ def dp_is(g: Graph, layout: LinearLayout) -> DPReport:
     Per-vertex states: 0 = out of the set, 1 = in.  Costs are negated
     sizes, so the shared engine minimizes.
     """
-    rep = _bag_dp(g, layout, 1, _introduce_is, None)
-    return replace(rep, optimum=-rep.optimum)
+    return _bag_dp(g, layout, _rule("is"))
 
 
 def _introduce_is(keys, costs, top, low):
@@ -240,7 +246,7 @@ def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
     2 = out and not yet dominated.  Forgetting rejects state 2, so
     isolated vertices are forced into the set.
     """
-    return _bag_dp(g, layout, 2, _introduce_ds, 2)
+    return _bag_dp(g, layout, _rule("ds"))
 
 
 def _introduce_ds(keys, costs, top, low):
@@ -294,35 +300,95 @@ def _prune_candidates(keys: np.ndarray, nslots: int, bits: int):
             yield flat, (keys - w).ravel()[flat]
 
 
-def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
-            reject_on_forget: int | None) -> DPReport:
-    """Minimum-cost DP over the layout's bags with a ``bits``-bit digit per
-    bag vertex, shared by dp_is (one bit) and dp_ds (two).  It runs one
-    step of graph.bag_steps per position: introduce the vertex with its
-    back edges, then forget the vertices that leave the bag.
+class _Rule(NamedTuple):
+    """How one problem's DP reads its digits: ``bits`` bits per bag slot
+    hold the digits 0 .. ``highest``; ``introduce`` and ``reject_on_forget``
+    are as in _sweep; the optimum is ``sign`` times the least cost."""
+    bits: int
+    highest: int
+    introduce: Callable
+    reject_on_forget: int | None
+    sign: int
+
+
+def _rule(problem: str) -> _Rule:
+    """The DP rule of ``problem``, with the introduce the module holds
+    when called.  An unknown problem raises PreconditionError."""
+    if problem == "is":
+        return _Rule(1, 1, _introduce_is, None, -1)
+    if problem == "ds":
+        return _Rule(2, 2, _introduce_ds, 2, 1)
+    raise PreconditionError(f"unknown problem {problem!r}")
+
+
+def _bag_dp(g: Graph, layout: LinearLayout, rule: _Rule) -> DPReport:
+    """Minimum-cost DP over the layout's bags, shared by dp_is and dp_ds:
+    one vertex step of graph.bag_steps per position, run by _sweep from
+    the one empty state."""
+    steps, width = bag_steps(g, layout)
+    _check_key_width(steps, rule.bits)
+    keys, costs, _, max_live = _sweep(steps, _EMPTY, _EMPTY, [], rule)
+    return DPReport(rule.sign * int(costs.min()), max_live, g.n, width)
+
+
+# the table of the one state with no slots, at cost 0
+_EMPTY = np.zeros(1, dtype=np.int64)
+_EMPTY.flags.writeable = False
+
+
+def _check_key_width(steps, bits: int, held: int = 0) -> None:
+    """Raise ResourceLimitError, before anything is allocated, when some
+    step of ``steps`` holds more bag slots than 62 bits of key fit;
+    ``held`` slots are live before the first step."""
+    peak = held
+    for v, _, forget in steps:
+        held += len(v) if isinstance(v, tuple) else 1
+        peak = max(peak, held)
+        held -= len(forget)
+    if bits * peak > 62:
+        raise ResourceLimitError(
+            f"DP state keys of width {peak - 1} do not fit in int64")
+
+
+def _reserve(need: int, states: int) -> None:
+    """Raise ResourceLimitError when a step that grows the table to
+    ``states`` states needs ``need`` bytes, over MEMORY_BUDGET_BYTES."""
+    if need > MEMORY_BUDGET_BYTES:
+        raise ResourceLimitError(
+            f"DP step of {states} states needs {need} bytes, over the "
+            f"{MEMORY_BUDGET_BYTES}-byte budget")
+
+
+def _sweep(steps, keys: np.ndarray, costs: np.ndarray, slots, rule: _Rule,
+           transfer: Transfer | None = None):
+    """Run ``steps`` from the table (keys, costs) whose bag slots hold
+    the vertices ``slots``; return the final keys, costs and slots and
+    the most live states after any step.
 
     The table is a sorted, unique int64 array of keys, bits bits * i to
     bits * i + bits - 1 holding the digit of bag slot i (an introduced
     vertex takes the top slot), with a parallel int64 cost array.  Slot
     i's weight is 1 << bits * i.  DS digits are at most 2, so the keys
     order the states exactly as base-3 keys of the same digits would: both
-    compare the highest differing digit first.  ``introduce(keys, costs,
-    top, low)`` returns the states with the new top digit set and the
-    back edges applied, and whether they are settled already (see below);
-    ``top`` is the new slot's weight and ``low`` the sum of the earlier
-    neighbors' weights.  Forgetting a vertex drops the states whose digit
-    is ``reject_on_forget`` and removes the digit: the bits below it stay
-    and the bits above it move down by ``bits``.  A step that forgets, or
-    whose introduce is not settled, settles by _settle, the full dedupe
-    and prune.  The forgets of a step commute and the dedupe follows the
-    last of them, so their order does not change the table.
+    compare the highest differing digit first.
 
-    A bag of w + 1 slots needs bits * (w + 1) <= 62, so that keys, twin
-    shifts and 2 top stay below 2^62; a decomposition of width 62 (IS) or
-    31 (DS) or more raises ResourceLimitError.  So does a step that starts
-    from n states when 96 n bytes (six int64 arrays of the 2n introduced
-    states) exceed MEMORY_BUDGET_BYTES; both are checked before
-    allocating.
+    A step is (v, back, forget).  A vertex step introduces v with its
+    earlier neighbours ``back``: ``introduce(keys, costs, top, low)``
+    returns the states with the new top digit set and the back edges
+    applied, and whether they are settled already (see below); ``top`` is
+    the new slot's weight and ``low`` the sum of the earlier neighbours'
+    weights.  A block step, with v the pair (U, V) of a gadget copy's
+    merged terminals and back the pair (a, b) of the vertices before its
+    entry terminals, grows each state by the rows of ``transfer`` for
+    its digits at a and b (_transfer_step): it rewrites those two digits
+    and sets U's and V's in two new top slots.  Then the step forgets the
+    vertices that leave the bag: a forget drops the states whose digit is
+    ``reject_on_forget`` and removes the digit, the bits below it staying
+    and the bits above it moving down by ``bits``.  A step that forgets,
+    a block step, and a step whose introduce is not settled end with the
+    full dedupe (_dedupe) and prune (_prune).  The forgets of a step
+    commute and the dedupe follows the last of them, so their order does
+    not change the table.
 
     The prune drops a state when its twin with a lower digit at some slot
     costs no more.  In both problems the digit order is the dominance
@@ -331,12 +397,14 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
     DS, in the set (0) passes the forget rule, dominates every later
     neighbour at introduce and has its cost already paid, so it allows
     all that dominated (1) or undominated (2) does; dominated allows all
-    that undominated does.  Introduce and forget keep this order slot by
-    slot, so a dropped state's twin keeps an extension at least as cheap
-    as each of the state's.  All twins are looked up in the table before
-    any state is removed, so the dead set does not depend on the slot
-    order.  A twin's key is strictly lower than its state's, so every
-    chain of dead states ends at a survivor that costs no more.
+    that undominated does.  Introduce, block steps (their rows depend on
+    the digits at a and b only through the same order, see
+    transfer_table) and forget keep this order slot by slot, so a dropped
+    state's twin keeps an extension at least as cheap as each of the
+    state's.  All twins are looked up in the table before any state is
+    removed, so the dead set does not depend on the slot order.  A twin's
+    key is strictly lower than its state's, so every chain of dead states
+    ends at a survivor that costs no more.
 
     Every step ends with a settled table: sorted, unique keys, and no
     state with a twin that costs no more (a survivor's twin was looked
@@ -372,49 +440,185 @@ def _bag_dp(g: Graph, layout: LinearLayout, bits: int, introduce,
     image of x, which is x + 2 top), so the one twin of x + d top there is
     the in state x, at cost c(x) + 1, more than it.
 
-    A block of the prune (_prune_candidates) adds about a dozen arrays of
-    at most max(2^15, n) elements: a few MiB together for a table below
-    2^15 states, and arrays no longer than the table for a larger one, so
-    the 96 n-byte check still bounds every allocation that scales with
-    the state count.
-    A forget first filters the keys and costs (both, and their filtered
-    copies: four arrays of 2n at most) and then shifts them, holding the
-    keys, the costs, the kept low bits, the shifted high bits and their
-    union: five.
+    Memory: each step checks, before allocating, that 64 bytes (eight
+    int64 arrays) per state it may hold fit MEMORY_BUDGET_BYTES: 2n
+    states for a vertex step from n states, and n (R + 1) for a block
+    step, R the most rows of one input pair of ``transfer``.  An
+    introduce makes two arrays of at most 2n; _transfer_step holds at
+    most six arrays of n R and seven of n.  A forget filters the keys and
+    costs (both, and their filtered copies: four arrays) and then shifts
+    them, holding the keys, the costs, the kept low bits, the shifted
+    high bits and their union: five.  _dedupe holds at most eight: its
+    input keys and costs, the sort order, the sorted keys and costs, the
+    run starts and the unique keys and least costs (its boolean arrays
+    are freed before the last two are made).  _prune holds the keys and
+    costs, and per block of _prune_candidates about six arrays of at most
+    max(2^15, N) elements for a table of N states: a few MiB together for
+    a table below 2^15 states, and arrays no longer than the table for a
+    larger one.
     """
-    steps, width = bag_steps(g, layout)
-    if bits * (width + 1) > 62:
-        raise ResourceLimitError(
-            f"DP state keys of width {width} do not fit in int64")
+    bits, reject = rule.bits, rule.reject_on_forget
     mask = (1 << bits) - 1
-    keys = np.zeros(1, dtype=np.int64)
-    costs = np.zeros(1, dtype=np.int64)
-    slots: list[int] = []
-    max_live = 1
+    slots = list(slots)
+    max_live = keys.size
     for v, back, forget in steps:
-        # Introduce at most doubles the states; no moment of the step holds
-        # more than six int64 arrays of that length (keys, costs and the
-        # temporaries of a forget or of the settle).
-        need = 6 * 8 * 2 * keys.size
-        if need > MEMORY_BUDGET_BYTES:
-            raise ResourceLimitError(
-                f"DP step of {2 * keys.size} states needs {need} bytes, over "
-                f"the {MEMORY_BUDGET_BYTES}-byte budget (width {width})")
-        keys, costs, settled = introduce(
-            keys, costs, 1 << bits * len(slots),
-            sum(1 << bits * slots.index(u) for u in back))
-        slots.append(v)
+        at = [bits * slots.index(u) for u in back]
+        st = bits * len(slots)    # the bit offset of the new top slot
+        if isinstance(v, tuple):
+            rows = transfer.widest
+            _reserve(64 * keys.size * (rows + 1), keys.size * rows)
+            keys, costs = _transfer_step(keys, costs, transfer, *at, st,
+                                         bits)
+            slots.extend(v)
+            settled = False
+        else:
+            _reserve(64 * 2 * keys.size, 2 * keys.size)
+            keys, costs, settled = rule.introduce(
+                keys, costs, 1 << st, sum(1 << s for s in at))
+            slots.append(v)
         for u in forget:
             s = bits * slots.index(u)
-            if reject_on_forget is not None:
-                keep = (keys & mask << s) != reject_on_forget << s
+            if reject is not None:
+                keep = (keys & mask << s) != reject << s
                 keys, costs = keys[keep], costs[keep]
             keys = (keys & (1 << s) - 1) | (keys >> s + bits << s)
             slots.remove(u)
         if forget or not settled:
-            keys, costs = _settle(keys, costs, len(slots), bits)
+            keys, costs = _dedupe(keys, costs)
+            keys, costs = _prune(keys, costs, len(slots), bits)
         max_live = max(max_live, keys.size)
-    return DPReport(int(costs.min()), max_live, g.n, width)
+    return keys, costs, slots, max_live
+
+
+def _transfer_step(keys: np.ndarray, costs: np.ndarray, transfer: Transfer,
+                   sa: int, sb: int, st: int, bits: int
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """The states of a block step, unsorted: a state x with digits i at
+    bit offset sa and j at sb becomes, for each row (i', j', s, t, c) of
+    the input pair (i, j) of ``transfer``, x with digits i' and j' there
+    and s and t at the new offsets st and st + bits, at cost
+    c(x) + c."""
+    mask = (1 << bits) - 1
+    pair = (keys >> sa & mask) << bits | keys >> sb & mask
+    first = transfer.starts[pair]
+    count = transfer.starts[pair + 1] - first
+    del pair
+    state = np.repeat(np.arange(keys.size), count)
+    # the rows of each state: its first row, then one on per repeat
+    ends = np.cumsum(count)
+    row = np.arange(state.size) + np.repeat(first + count - ends, count)
+    d = transfer.digits
+    delta = (d[:, 0] << sa | d[:, 1] << sb | d[:, 2] << st
+             | d[:, 3] << st + bits)
+    return ((keys & ~(mask << sa | mask << sb))[state] + delta[row],
+            costs[state] + transfer.costs[row])
+
+
+class Transfer(NamedTuple):
+    """A gadget's transfer table under one problem's DP: what a gadget
+    copy does to the digits around it in a block step of _sweep.
+
+    An input pair (i, j) gives the digits of a and b, the vertices before
+    the entry terminals u and v.  Its rows are starts[p] to
+    starts[p + 1] - 1, with p = i << bits | j; row r holds the digits
+    (a', b', u', v') that a, b and the exit terminals u' and v' have after
+    the gadget, in digits[r], and the cost of the gadget's vertices, in
+    costs[r].  Built by transfer_table."""
+
+    starts: np.ndarray
+    digits: np.ndarray
+    costs: np.ndarray
+
+    @property
+    def widest(self) -> int:
+        """The most rows of one input pair."""
+        return int(np.diff(self.starts).max())
+
+
+def transfer_table(h: Graph, terminals: tuple[int, int, int, int],
+                   layout: LinearLayout, problem: str) -> Transfer:
+    """The transfer table of the gadget graph ``h`` with terminals
+    (u, u', v, v') under ``problem``'s DP, from the gadget's ``layout``.
+
+    Each input pair runs _sweep over the gadget's steps in that layout on
+    h plus pinned vertices a-u and b-v and a sentinel adjacent to a, b,
+    u' and v', whose step is left off: the run starts from the one state
+    with the pair's digits at a and b, at cost 0, and ends with the
+    table over exactly a, b, u' and v', each gadget vertex paid for.  Its
+    rows are all that the gadget can do to those four digits, pruned as
+    any table of the sweep is.  A pruned row has a twin, a lower digit at
+    one of the four, that costs no more.  In a host that twin stays the
+    better choice: every state of the block step that takes the row has
+    a twin that takes the twin row, at no more cost, and that twin
+    allows all that the state allows (the dominance order of _sweep).
+
+    The DS introduce reads a back digit only as 0 or not 0 and lowers a
+    back digit 2 to 1, so the digits 1 and 2 at a pinned vertex run
+    alike: from 1 the digit ends as 1, from 2 as 1 or 2.  So only the
+    digits 0 and ``highest`` are run at each pinned vertex (four runs; IS
+    has no other digit), and the rows of a DS digit 1 are those of 2
+    with the digit lowered to 1, deduped and pruned again.
+    """
+    rule = _rule(problem)
+    bits = rule.bits
+    u, up, v, vp = terminals
+    a, b, z = h.n, h.n + 1, h.n + 2
+    g = Graph.from_edges(h.n + 3, np.concatenate((h.edge_array, [
+        (a, u), (b, v), (z, a), (z, b), (z, up), (z, vp)])))
+    order = np.concatenate(([a, b], layout.order_array, [z]))
+    steps = bag_steps(g, LinearLayout(order))[0][2:-1]
+    _check_key_width(steps, bits, 2)
+    shifts = bits * np.arange(4, dtype=np.int64)
+    runs = {}
+    for i, j in itertools.product((0, rule.highest), repeat=2):
+        keys, costs, slots, _ = _sweep(
+            steps, np.array([i | j << bits], dtype=np.int64), _EMPTY,
+            [a, b], rule)
+        at = np.array([bits * slots.index(w) for w in (a, b, up, vp)])
+        runs[i, j] = keys[:, None] >> at & (1 << bits) - 1, costs
+    digits, costs, counts = [], [], []
+    for p in range(1 << 2 * bits):
+        i, j = p >> bits, p & (1 << bits) - 1
+        if max(i, j) > rule.highest:
+            counts.append(0)
+            continue
+        d, c = runs[i and rule.highest, j and rule.highest]
+        d = np.concatenate((np.minimum(d[:, :2], (i, j)), d[:, 2:]), axis=1)
+        keys, c = _prune(*_dedupe((d << shifts).sum(axis=1), c), 4, bits)
+        digits.append(keys[:, None] >> shifts & (1 << bits) - 1)
+        costs.append(c)
+        counts.append(keys.size)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    return Transfer(starts, np.concatenate(digits), np.concatenate(costs))
+
+
+def block_dp(g: Graph, layout: LinearLayout, first: int,
+             transfer: Transfer | None, problem: str) -> int:
+    """The optimum of ``problem`` on the graph that the contracted graph
+    ``g`` stands for: each vertex pair U = first + 2k, V = first + 2k + 1
+    of ``g`` is the merged entry and exit terminals of a copy of the
+    gadget of ``transfer``, and is solved as one block step of _sweep.
+
+    The layout must place V right after U, and each of them after
+    exactly one neighbour: the vertex before u resp. v on its crossed
+    edge; else PreconditionError.  Keys must fit as for dp_is and dp_ds.
+    """
+    rule = _rule(problem)
+    vertex_steps = iter(bag_steps(g, layout)[0])
+    steps = []
+    for v, back, forget in vertex_steps:
+        if v < first:
+            steps.append((v, back, forget))
+            continue
+        w, back_w, forget_w = next(vertex_steps, (None, (), ()))
+        if w != v + 1 or len(back) != 1 or len(back_w) != 1:
+            raise PreconditionError(
+                f"block vertex {v} is not followed by its pair, or one of "
+                f"them has no single earlier neighbour")
+        steps.append(((v, w), (back[0], back_w[0]), forget + forget_w))
+    _check_key_width(steps, rule.bits)
+    keys, costs, _, _ = _sweep(steps, _EMPTY, _EMPTY, [], rule, transfer)
+    return rule.sign * int(costs.min())
 
 
 def _prune(keys: np.ndarray, costs: np.ndarray, nslots: int,
@@ -439,13 +643,6 @@ def _dedupe(keys: np.ndarray, costs: np.ndarray
     keys, costs = keys[order], costs[order]
     starts = np.flatnonzero(np.concatenate([[True], keys[1:] != keys[:-1]]))
     return keys[starts], np.minimum.reduceat(costs, starts)
-
-
-def _settle(keys: np.ndarray, costs: np.ndarray, nslots: int,
-            bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Any table of ``nslots`` digits, deduped and pruned."""
-    keys, costs = _dedupe(keys, costs)
-    return _prune(keys, costs, nslots, bits)
 
 
 # the exact solvers of each problem: (brute force, layout DP)

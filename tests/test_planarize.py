@@ -2,8 +2,10 @@ import dataclasses
 import hashlib
 import importlib
 import itertools
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import networkx as nx
 import numpy as np
@@ -12,15 +14,20 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cutplanar import io as cio
 from cutplanar.drawing import build_arc_drawing, element_order
-from cutplanar.errors import InvariantError, ResourceLimitError
-from cutplanar.gadgets import builtin_gadget, ds_crossover_gadget, gjs_is_gadget
-from cutplanar.graph import (Graph, LinearLayout, check_embedding,
+from cutplanar import gadgets, solvers
+from cutplanar.errors import (InvariantError, PreconditionError,
+                              ResourceLimitError)
+from cutplanar.gadgets import (CrossoverGadget, builtin_gadget,
+                               ds_crossover_gadget, gjs_is_gadget)
+from cutplanar.graph import (Graph, LinearLayout, bag_steps, check_embedding,
                              check_embedding_arrays, cut_profile, is_planar,
                              random_graph)
-from cutplanar.planarize import _assert_invariants, planarize, verify_planarization
-from cutplanar.solvers import brute_is, dp_is
+from cutplanar.planarize import (_assert_invariants, planarize,
+                                 planarized_optimum, verify_planarization)
+from cutplanar.solvers import SOLVERS, brute_is, dp_is
 
-from oracles import gap_cuts, pairwise_crossings, trace_faces
+from oracles import (band24_host, gap_cuts, pairwise_crossings,
+                     single_crossing_host, trace_faces)
 
 # the package exports the function planarize under the module's name
 planarize_module = importlib.import_module("cutplanar.planarize")
@@ -455,3 +462,260 @@ class TestPinnedOutput:
             layout.update(cio.write_layout(res.layout_prime).encode())
         got = tuple(d.hexdigest()[:16] for d in (rotation, graph, layout))
         assert got == PINNED[hosts, problem]
+
+
+def identity_host(n):
+    return complete(n), LinearLayout.identity(n)
+
+
+def both_optima(g, layout, problem, gadget=None):
+    """opt(G') of ``problem`` by the block route and by the layout DP on
+    G', for G' built with ``gadget`` (the built-in one by default)."""
+    res = planarize(g, layout, 0, gadget or builtin_gadget(problem))
+    return (planarized_optimum(res, problem),
+            SOLVERS[problem][1](res.g_prime, res.layout_prime).optimum)
+
+
+def sc_pool():
+    """The generator seeds of the verify-ds workload's single-crossing
+    hosts."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "golden.json"
+    return json.loads(path.read_text())["pools"]["sc"]
+
+
+class TestBlockRoute:
+    """planarized_optimum sweeps the contracted graph with one block step
+    per gadget copy; its optimum must be the layout DP's on G'."""
+
+    @pytest.mark.parametrize("problem, make", [
+        ("ds", lambda: identity_host(4)),
+        ("ds", lambda: identity_host(5)),
+        *[("is", lambda n=n: identity_host(n)) for n in range(5, 11)],
+        ("is", lambda: band24_host(1)),
+        ("is", lambda: band24_host(2)),
+        ("is", lambda: band24_host(16)),
+    ], ids=["K4-ds", "K5-ds", *[f"K{n}-is" for n in range(5, 11)],
+            "band24-1-is", "band24-2-is", "band24-16-is"])
+    def test_equals_layout_dp(self, problem, make):
+        block, layered = both_optima(*make(), problem)
+        assert block == layered
+
+    def test_k6_ds(self):
+        # the layout DP takes about 12 s on this G' of 3 321 vertices and
+        # gives 721 = 1 + 15 * 48
+        res = planarize(complete(6), LinearLayout.identity(6), 1,
+                        ds_crossover_gadget())
+        assert planarized_optimum(res, "ds") == 721
+
+    def test_sc_pool(self):
+        pool = sc_pool()
+        assert len(pool) == 16
+        for seed in pool:
+            block, layered = both_optima(*single_crossing_host(seed), "ds")
+            assert block == layered, seed
+
+    @pytest.mark.parametrize("gadget", [gjs_is_gadget(), ds_crossover_gadget()],
+                             ids=["is", "ds"])
+    def test_concurrent_triple_crossings(self, gadget):
+        for g in triple_hosts():
+            block, layered = both_optima(g, LinearLayout.identity(g.n),
+                                         gadget.problem, gadget)
+            assert block == layered, sorted(g.edges)
+
+    @settings(max_examples=60, derandomize=True, database=None,
+              deadline=None)
+    @given(hosts())
+    def test_random_hosts(self, host):
+        g, layout, problem = host
+        # a DS gadget copy has over 200 vertices
+        assume(problem == "is" or len(pairwise_crossings(g, layout)) <= 3)
+        block, layered = both_optima(g, layout, problem)
+        assert block == layered
+
+    def test_custom_gadget_and_other_problem(self):
+        # a gadget read from a file carries no rotation; this one also
+        # lays the IS gadget out in reverse.  Verifying G' under either
+        # problem, whichever the gadget was made for, gives the layout
+        # DP's answer
+        base = gjs_is_gadget()
+        custom = CrossoverGadget("is", base.graph, base.terminals,
+                                 LinearLayout(base.layout.order_array[::-1]),
+                                 base.shift)
+        g = complete(5)
+        for gadget in (custom, ds_crossover_gadget()):
+            res = planarize(g, LinearLayout.identity(5), 1, gadget)
+            for problem in ("is", "ds"):
+                brute, dp = SOLVERS[problem]
+                after = dp(res.g_prime, res.layout_prime).optimum
+                assert planarized_optimum(res, problem) == after
+                assert verify_planarization(g, 1, res, problem) == (
+                    after == brute(g) + res.t_prime - 1)
+        assert verify_planarization(
+            g, 1, planarize(g, LinearLayout.identity(5), 1, custom), "is")
+
+    def test_unknown_problem(self):
+        g = complete(4)
+        res = planarize(g, LinearLayout.identity(4), 1, gjs_is_gadget())
+        with pytest.raises(PreconditionError, match="unknown problem 'vc'"):
+            verify_planarization(g, 1, res, "vc")
+        with pytest.raises(PreconditionError, match="unknown problem 'vc'"):
+            planarized_optimum(res, "vc")
+
+
+class TestStructureCheck:
+    """Before the block route solves G', every gadget copy must be an
+    exact copy of the gadget that meets the rest of G' at its four
+    terminals, one edge each; else InvariantError names the copy."""
+
+    @staticmethod
+    def mutated(res, k, add=(), drop=()):
+        """res with edges added to and gadget edges dropped from copy k;
+        the ids are the gadget's, except a negative one, which names the
+        host vertex -1 - id.  Returns the result and the copy's tag."""
+        h = res.gadget.graph
+        first = res.g_prime.n - res.crossings_replaced * h.n
+        base = first + k * h.n
+
+        def gid(w):
+            return -1 - w if w < 0 else base + w
+        edges = res.g_prime.edge_array
+        gone = {(base + a, base + b) for a, b in drop}
+        keep = [tuple(e) not in gone for e in edges.tolist()]
+        assert len(keep) - sum(keep) == len(drop)
+        new = [(gid(a), gid(b)) for a, b in add]
+        g_prime = Graph.from_edges(res.g_prime.n, np.concatenate(
+            (edges[keep], np.array(new, dtype=np.int64).reshape(-1, 2))),
+            res.g_prime.labels)
+        tag = res.g_prime.labels[base].split(":")[0]
+        return dataclasses.replace(res, g_prime=g_prime), tag
+
+    @pytest.fixture
+    def k5(self):
+        return planarize(complete(5), LinearLayout.identity(5), 1,
+                         gjs_is_gadget())
+
+    def interior_pair(self, gadget):
+        """Two non-adjacent vertices of the gadget that are no terminals."""
+        h = gadget.graph
+        inner = [w for w in range(h.n) if w not in gadget.terminals]
+        return next((a, b) for a, b in itertools.combinations(inner, 2)
+                    if not h.has_edge(a, b))
+
+    def test_unchanged_copies_pass(self, k5):
+        assert verify_planarization(complete(5), 1, k5, "is")
+
+    @pytest.mark.parametrize("k", [0, 2, 4])
+    def test_extra_edge_inside_a_copy(self, k5, k):
+        bad, tag = self.mutated(k5, k, add=[self.interior_pair(k5.gadget)])
+        with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
+            planarized_optimum(bad, "is")
+
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_interior_vertex_wired_outside(self, k5, k):
+        w = next(w for w in range(k5.gadget.graph.n)
+                 if w not in k5.gadget.terminals)
+        bad, tag = self.mutated(k5, k, add=[(w, -1)])
+        with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
+            verify_planarization(complete(5), 1, bad, "is")
+
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_missing_gadget_edge(self, k5, k):
+        edge = tuple(k5.gadget.graph.edge_array[k].tolist())
+        bad, tag = self.mutated(k5, k, drop=[edge])
+        with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
+            planarized_optimum(bad, "is")
+
+    def test_rewired_edge_inside_a_copy(self, k5):
+        # as many induced edges as the gadget has, but not the same ones
+        edge = tuple(k5.gadget.graph.edge_array[0].tolist())
+        bad, tag = self.mutated(k5, 1, add=[self.interior_pair(k5.gadget)],
+                                drop=[edge])
+        with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
+            planarized_optimum(bad, "is")
+
+    def test_copy_before_its_entering_vertex(self, k5):
+        # reversed, every copy comes before the vertex before its u
+        bad = dataclasses.replace(k5, layout_prime=LinearLayout(
+            k5.layout_prime.order_array[::-1]))
+        with pytest.raises(InvariantError, match="gadget copy X"):
+            planarized_optimum(bad, "is")
+
+
+def table_rows(table, bits):
+    """The transfer table as {input pair: {(a', b', u', v'): cost}}."""
+    out = {}
+    for p in range(len(table.starts) - 1):
+        lo, hi = table.starts[p], table.starts[p + 1]
+        rows = dict(zip(map(tuple, table.digits[lo:hi].tolist()),
+                        table.costs[lo:hi].tolist()))
+        assert len(rows) == hi - lo
+        out[p >> bits, p & (1 << bits) - 1] = rows
+    return out
+
+
+class TestTransferTable:
+    GADGETS = [gjs_is_gadget(), ds_crossover_gadget()]
+    CASES = [(g, p) for g in GADGETS for p in ("is", "ds")]
+    IDS = [f"{g.problem}-gadget-{p}" for g, p in CASES]
+
+    @pytest.mark.parametrize("gadget, problem", CASES, ids=IDS)
+    def test_no_row_has_a_dominating_twin(self, gadget, problem):
+        bits, highest = (1, 1) if problem == "is" else (2, 2)
+        tables = table_rows(gadget.transfer(problem), bits)
+        assert {p for p, rows in tables.items() if rows} == set(
+            itertools.product(range(highest + 1), repeat=2))
+        for rows in tables.values():
+            for row, cost in rows.items():
+                for i, d in enumerate(row):
+                    for k in range(d):
+                        twin = row[:i] + (k,) + row[i + 1:]
+                        assert rows.get(twin, cost + 1) > cost, (row, twin)
+
+    @pytest.mark.parametrize("gadget, problem", CASES, ids=IDS)
+    def test_equals_one_run_per_input_pair(self, gadget, problem):
+        # the table runs the digits 0 and highest at each pinned vertex and
+        # derives the digits in between; running every pair gives the same
+        rule = solvers._rule(problem)
+        h, (u, up, v, vp) = gadget.graph, gadget.terminals
+        a, b, z = h.n, h.n + 1, h.n + 2
+        g = Graph.from_edges(h.n + 3, list(h.edges) + [
+            (a, u), (b, v), (z, a), (z, b), (z, up), (z, vp)])
+        order = [a, b, *gadget.layout.order, z]
+        steps = bag_steps(g, LinearLayout(order))[0][2:-1]
+        expect = {}
+        for i, j in itertools.product(range(rule.highest + 1), repeat=2):
+            keys, costs, slots, _ = solvers._sweep(
+                steps, np.array([i | j << rule.bits]), np.zeros(1, np.int64),
+                [a, b], rule)
+            rows = {}
+            for key, cost in zip(keys.tolist(), costs.tolist()):
+                digits = tuple(key >> rule.bits * slots.index(w)
+                               & (1 << rule.bits) - 1 for w in (a, b, up, vp))
+                rows[digits] = min(cost, rows.get(digits, cost))
+            expect[i, j] = rows
+        got = table_rows(gadget.transfer(problem), rule.bits)
+        assert {p: rows for p, rows in got.items() if p in expect} == expect
+
+    def test_built_once_per_gadget_and_problem(self, monkeypatch):
+        built = []
+        table = solvers.transfer_table
+
+        def counted(h, terminals, layout, problem):
+            built.append(problem)
+            return table(h, terminals, layout, problem)
+        monkeypatch.setattr(solvers, "transfer_table", counted)
+        # an uncached build of the IS gadget builds no table
+        gadget = gadgets.gjs_is_gadget.__wrapped__()
+        assert built == []
+        g = complete(5)
+        res = planarize(g, LinearLayout.identity(5), 1, gadget)
+        assert built == []
+        for problem in ("is", "ds", "is", "ds"):
+            verify_planarization(g, 1, res, problem)
+        assert built == ["is", "ds"]
+        # a host without crossings needs no table
+        fresh = gadgets.gjs_is_gadget.__wrapped__()
+        path = Graph.from_edges(3, [(0, 1), (1, 2)])
+        assert verify_planarization(
+            path, 0, planarize(path, LinearLayout.identity(3), 0, fresh), "is")
+        assert built == ["is", "ds"]

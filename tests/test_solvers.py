@@ -1,6 +1,7 @@
 import itertools
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from cutplanar.errors import OracleLimitError, ResourceLimitError
 from cutplanar.gadgets import builtin_gadget
 from cutplanar.graph import (Graph, LinearLayout, bag_steps, cut_profile,
                              layout_to_path_decomposition, random_graph)
-from cutplanar.planarize import planarize
+from cutplanar.planarize import planarize, planarized_optimum
 from cutplanar.solvers import (brute_ds, brute_is, brute_vc, dp_ds, dp_is,
                                heuristic_layout)
 
@@ -209,6 +210,85 @@ class TestDsEngine:
         monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES", budget)
         with pytest.raises(ResourceLimitError):
             dp(gadget.graph, gadget.layout)
+
+
+class TestMemoryCheck:
+    """Each step checks, before allocating, that 64 bytes per state it
+    may hold fit MEMORY_BUDGET_BYTES: 128 n bytes for a vertex step from
+    n states, 64 n (R + 1) for a block step whose transfer table has at
+    most R rows per input pair.  No step's traced peak may exceed the
+    bytes its check assumed."""
+
+    # a step's Python objects (array headers, slot lists) beside its arrays
+    SLACK = 16 << 10
+
+    @staticmethod
+    def step_peaks(monkeypatch, run):
+        """(assumed bytes, traced peak over the step's start) per step of
+        ``run()``.  The prune takes one slot per block, so that no
+        fixed-size block matrix hides in the peaks of small tables."""
+        monkeypatch.setattr(solvers, "_VECTOR_PRUNE_CELLS", 0)
+        reserve = solvers._reserve
+        steps = []
+
+        def close():
+            if steps and steps[-1][2] is None:
+                steps[-1][2] = (tracemalloc.get_traced_memory()[1]
+                                - steps[-1][1])
+
+        def traced(need, states):
+            close()
+            steps.append([need, tracemalloc.get_traced_memory()[0], None])
+            tracemalloc.reset_peak()
+            reserve(need, states)
+        monkeypatch.setattr(solvers, "_reserve", traced)
+        tracemalloc.start()
+        try:
+            run()
+            close()
+        finally:
+            tracemalloc.stop()
+        return [(need, peak) for need, _, peak in steps]
+
+    @staticmethod
+    def planarized(n):
+        gadget = builtin_gadget("ds")
+        return planarize(complete(n), LinearLayout.identity(n), 0, gadget)
+
+    @pytest.mark.parametrize("run, largest", [
+        (lambda: dp_ds(TestMemoryCheck.planarized(5).g_prime,
+                       TestMemoryCheck.planarized(5).layout_prime), 4 << 20),
+        (lambda: planarized_optimum(TestMemoryCheck.planarized(5), "ds"),
+         16 << 10),
+        (lambda: planarized_optimum(TestMemoryCheck.planarized(7), "ds"),
+         1 << 20),
+        (lambda: dp_ds(random_graph(24, 0.3, random.Random(5)),
+                       LinearLayout.identity(24)), 8 << 20),
+    ], ids=["K5-ds-layout-dp", "K5-ds-blocks", "K7-ds-blocks", "random-ds"])
+    def test_no_step_exceeds_its_check(self, monkeypatch, run, largest):
+        builtin_gadget("ds").transfer("ds")
+        peaks = self.step_peaks(monkeypatch, run)
+        # the check was tried on large tables
+        assert max(need for need, _ in peaks) > largest
+        over = [(need, peak) for need, peak in peaks
+                if peak > need + self.SLACK]
+        assert not over
+
+    def test_block_step_counts_its_expansion(self, monkeypatch):
+        # K5-DS: the largest block step grows 48 states by the DS table's
+        # 9 rows per input pair; a budget just below its 64 * 48 * 10
+        # bytes refuses it, and every other step fits
+        res = TestMemoryCheck.planarized(5)
+        widest = builtin_gadget("ds").transfer("ds").widest
+        assert widest == 9
+        monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES",
+                            64 * 48 * (widest + 1) - 1)
+        with pytest.raises(ResourceLimitError,
+                           match=r"DP step of 432 states needs 30720 bytes"):
+            planarized_optimum(res, "ds")
+        monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES",
+                            64 * 48 * (widest + 1))
+        assert planarized_optimum(res, "ds") == 241
 
 
 class TestPruneForms:
