@@ -15,6 +15,7 @@ verification failure, including a broken construction invariant
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -167,6 +168,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@functools.cache    # each build leaves hundreds of objects in cycles
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="cutplanar",
@@ -178,7 +180,6 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("layout", nargs="?")
     pc.add_argument("--exact", action="store_true")
     pc.add_argument("--seed", type=int, default=0)
-    pc.set_defaults(func=cmd_cutwidth)
 
     pp = sub.add_parser("planarize", help="replace drawing crossings by gadgets")
     pp.add_argument("graph")
@@ -187,7 +188,6 @@ def build_parser() -> argparse.ArgumentParser:
     pp.add_argument("--t", type=int, required=True)
     pp.add_argument("--verify", action="store_true")
     pp.add_argument("--out-prefix")
-    pp.set_defaults(func=cmd_planarize)
 
     ps = sub.add_parser("solve", help="exact optimum via brute force or DP")
     ps.add_argument("graph")
@@ -195,20 +195,17 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--problem", choices=("is", "ds"), required=True)
     ps.add_argument("--algo", choices=("dp", "brute"), default="dp")
     ps.add_argument("--seed", type=int, default=0)
-    ps.set_defaults(func=cmd_solve)
 
     pg = sub.add_parser("certify", help="certify a gadget JSON file")
     pg.add_argument("gadget")
     pg.add_argument("--hosts", type=_positive_int, default=25)
     pg.add_argument("--seed", type=int, default=0)
-    pg.set_defaults(func=cmd_certify)
 
     pe = sub.add_parser("export", help="DOT or SVG arc diagram")
     pe.add_argument("graph")
     pe.add_argument("layout", nargs="?")
     pe.add_argument("--format", choices=("dot", "svg"), required=True)
     pe.add_argument("-o", "--out")
-    pe.set_defaults(func=cmd_export)
     return p
 
 
@@ -232,7 +229,8 @@ def main(argv: list[str] | None = None) -> int:
     args.inputs = {}
     t0 = time.perf_counter()
     try:
-        results = args.func(args)
+        # looked up per call, not kept in the parser that is built once
+        results = globals()[f"cmd_{args.cmd}"](args)
         code = 0
     except _VerificationFailed as exc:
         results = exc.report

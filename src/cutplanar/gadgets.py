@@ -30,9 +30,9 @@ brute-force optimum oracles; the structural facts used by the
 correctness arguments (disjoint closed neighborhoods, interior cover
 bounds, domination patterns) are asserted in the test suite rather than
 trusted; the lemma checks of the dominating-set argument live with the
-test oracles.  The certification here (boundary function, minimum covers
-with required vertices, host-shift checks) computes its optima with the
-exact solvers of solvers.py.
+test oracles.  The certification here reads the IS boundary function
+off the transfer table that --verify reads, and runs its other checks
+on the exact solvers of solvers.py.
 """
 
 from __future__ import annotations
@@ -124,8 +124,8 @@ class CrossoverGadget:
 
     def transfer(self, problem: str) -> solvers.Transfer:
         """The gadget's transfer table under ``problem``'s DP
-        (``solvers.transfer_table``), which a block step reads for each
-        copy of the gadget.  Built on the first call for each problem,
+        (``solvers.transfer_table``), which block steps and
+        boundary_function read.  Built on the first call for each problem,
         never when the gadget is built, and kept on the gadget."""
         table = self._transfers.get(problem)
         if table is None:
@@ -145,11 +145,9 @@ class BoundaryFunction:
         return self.values[frozenset(fs)]
 
     def is_antitone(self) -> bool:
-        for f1, v1 in self.values.items():
-            for f2, v2 in self.values.items():
-                if f1 <= f2 and v1 < v2:
-                    return False
-        return True
+        return not any(f1 <= f2 and v1 < v2
+                       for f1, v1 in self.values.items()
+                       for f2, v2 in self.values.items())
 
 
 def _shape_certificate(gadget: CrossoverGadget) -> Graph:
@@ -766,20 +764,23 @@ def replacement_layout(host: Graph, e1: Edge, e2: Edge,
 
 def boundary_function(gadget: CrossoverGadget) -> BoundaryFunction:
     """Maximum independent set sizes of the gadget graph under all 16
-    terminal-avoidance patterns, each by the layout DP on the gadget
-    minus F under the gadget's layout restricted to what remains."""
+    terminal-avoidance patterns, read off its IS transfer table T: F
+    takes the input pair whose digit 1 before u resp. v keeps u resp. v
+    out if in F, and h(F) is minus the least cost of its rows with digit
+    0 at u' resp. v' if in F.  Exact, as a row T's prune dropped has a
+    twin one digit lower that costs no more and meets every F it meets.
+    """
     if gadget.problem != "is":
         raise GadgetError("boundary function applies to IS gadgets")
-    g = gadget.graph
+    table = gadget.transfer("is")
+    u, up, v, vp = gadget.terminals
     values = {}
     for k in range(5):
         for F in itertools.combinations(gadget.terminals, k):
-            keep = {w: i for i, w in enumerate(w for w in range(g.n)
-                                               if w not in F)}
-            sub_layout = LinearLayout(
-                tuple(keep[w] for w in gadget.layout.order if w in keep))
-            values[frozenset(F)] = solvers.dp_is(
-                g.relabel(keep, len(keep)), sub_layout).optimum
+            p = (u in F) << 1 | (v in F)
+            rows = slice(table.starts[p], table.starts[p + 1])
+            out = table.digits[rows, 2:] @ [up in F, vp in F] == 0
+            values[frozenset(F)] = -int(table.costs[rows][out].min())
     return BoundaryFunction(values)
 
 

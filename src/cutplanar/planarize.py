@@ -251,7 +251,7 @@ def planarized_optimum(result: PlanarizationResult, problem: str) -> int:
     ell = result.crossings_replaced
     transfer = result.gadget.transfer(problem) if ell else None
     c, layout, first = _contract(result)
-    return solvers.block_dp(c, layout, first, transfer, problem)
+    return solvers.block_dp(c, layout, first, transfer, problem).optimum
 
 
 def _contract(result: PlanarizationResult

@@ -19,11 +19,11 @@ indexing it instead of branching on the problem:
   other step runs the full dedupe and prune.  Both problems read, test
   and remove digits by shifts and masks; an introduce tests all earlier
   neighbours at once.
-* block_dp: the same sweep over a contracted graph in which each vertex
-  pair stands for a gadget copy, crossed in one block step by the
-  gadget's transfer table (transfer_table: the same sweep over the
-  gadget with its two entering neighbours pinned, one run per input
-  pair).  planarize.verify_planarization solves G' this way.
+* block_dp: the one DP entry.  dp_* call it with no block vertices, and
+  verify_planarization on a contracted graph whose vertex pairs stand for
+  gadget copies, each crossed in one block step by the gadget's transfer
+  table (transfer_table: the same sweep over the gadget with its two
+  entering neighbours pinned), which gadgets.boundary_function reads too.
 
 brute_ds is the only Dominating Set search; its ``avoid`` set also
 serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
@@ -228,12 +228,12 @@ def dp_is(g: Graph, layout: LinearLayout) -> DPReport:
     Per-vertex states: 0 = out of the set, 1 = in.  Costs are negated
     sizes, so the shared engine minimizes.
     """
-    return _bag_dp(g, layout, _rule("is"))
+    return block_dp(g, layout, g.n, None, "is")
 
 
 def _introduce_is(keys, costs, top, low):
     # v out keeps every state; v in needs every earlier neighbor out, one
-    # bit test against the sum of their weights.  Always settled (_bag_dp).
+    # bit test against the sum of their weights.  Always settled (_sweep).
     free = (keys & low) == 0
     return (np.concatenate([keys, keys[free] + top]),
             np.concatenate([costs, costs[free] - 1]), True)
@@ -246,7 +246,7 @@ def dp_ds(g: Graph, layout: LinearLayout) -> DPReport:
     2 = out and not yet dominated.  Forgetting rejects state 2, so
     isolated vertices are forced into the set.
     """
-    return _bag_dp(g, layout, _rule("ds"))
+    return block_dp(g, layout, g.n, None, "ds")
 
 
 def _introduce_ds(keys, costs, top, low):
@@ -257,7 +257,7 @@ def _introduce_ds(keys, costs, top, low):
     # pairs 00, 01, 10: a back digit is 2 iff its bit in low << 1 is set,
     # and 0 iff its bit in low is clear in keys | keys >> 1.  Subtracting
     # half of the set high bits lowers every back 2 to 1.  Settled when
-    # no back digit is 2 in any state, so that v_in is still keys (_bag_dp).
+    # no back digit is 2 in any state, so that v_in is still keys (_sweep).
     undominated = keys & low << 1
     settled = not undominated.any()
     v_in = keys if settled else keys - (undominated >> 1)
@@ -319,16 +319,6 @@ def _rule(problem: str) -> _Rule:
     if problem == "ds":
         return _Rule(2, 2, _introduce_ds, 2, 1)
     raise PreconditionError(f"unknown problem {problem!r}")
-
-
-def _bag_dp(g: Graph, layout: LinearLayout, rule: _Rule) -> DPReport:
-    """Minimum-cost DP over the layout's bags, shared by dp_is and dp_ds:
-    one vertex step of graph.bag_steps per position, run by _sweep from
-    the one empty state."""
-    steps, width = bag_steps(g, layout)
-    _check_key_width(steps, rule.bits)
-    keys, costs, _, max_live = _sweep(steps, _EMPTY, _EMPTY, [], rule)
-    return DPReport(rule.sign * int(costs.min()), max_live, g.n, width)
 
 
 # the table of the one state with no slots, at cost 0
@@ -593,18 +583,24 @@ def transfer_table(h: Graph, terminals: tuple[int, int, int, int],
 
 
 def block_dp(g: Graph, layout: LinearLayout, first: int,
-             transfer: Transfer | None, problem: str) -> int:
-    """The optimum of ``problem`` on the graph that the contracted graph
-    ``g`` stands for: each vertex pair U = first + 2k, V = first + 2k + 1
-    of ``g`` is the merged entry and exit terminals of a copy of the
-    gadget of ``transfer``, and is solved as one block step of _sweep.
+             transfer: Transfer | None, problem: str) -> DPReport:
+    """DP of ``problem`` over the layout's bags, run by _sweep from the
+    one empty state: one vertex step of graph.bag_steps per position,
+    but each pair U = first + 2k, V = first + 2k + 1 of ``g`` (none if
+    first = g.n: dp_is, dp_ds) is the merged entry and exit terminals of
+    a copy of the gadget of ``transfer``, crossed in one block step.
 
     The layout must place V right after U, and each of them after
     exactly one neighbour: the vertex before u resp. v on its crossed
-    edge; else PreconditionError.  Keys must fit as for dp_is and dp_ds.
+    edge; block vertices need ``transfer``; else PreconditionError.
+    Keys must fit in 62 bits, else ResourceLimitError.
     """
     rule = _rule(problem)
-    vertex_steps = iter(bag_steps(g, layout)[0])
+    if transfer is None and first < g.n:
+        raise PreconditionError(
+            f"block vertices {first} to {g.n - 1} have no transfer table")
+    vertex_steps, width = bag_steps(g, layout)
+    vertex_steps = iter(vertex_steps)
     steps = []
     for v, back, forget in vertex_steps:
         if v < first:
@@ -617,8 +613,8 @@ def block_dp(g: Graph, layout: LinearLayout, first: int,
                 f"them has no single earlier neighbour")
         steps.append(((v, w), (back[0], back_w[0]), forget + forget_w))
     _check_key_width(steps, rule.bits)
-    keys, costs, _, _ = _sweep(steps, _EMPTY, _EMPTY, [], rule, transfer)
-    return rule.sign * int(costs.min())
+    _, costs, _, live = _sweep(steps, _EMPTY, _EMPTY, [], rule, transfer)
+    return DPReport(rule.sign * int(costs.min()), live, g.n, width)
 
 
 def _prune(keys: np.ndarray, costs: np.ndarray, nslots: int,

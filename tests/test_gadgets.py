@@ -4,10 +4,13 @@ import random
 
 import networkx
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cutplanar import gadgets, solvers
 from cutplanar.errors import GadgetError, OracleLimitError, PreconditionError
 from cutplanar.gadgets import (CONNECTOR, BoundaryFunction, CrossoverGadget,
-                               boundary_function, certify_is_gadget,
+                               boundary_function, certify_gadget,
+                               certify_is_gadget,
                                double_path_interior, ds_crossover_gadget,
                                gjs_is_gadget, insert_double_path,
                                is_gadget_conditions, replace_edges_by_gadget,
@@ -16,7 +19,7 @@ from cutplanar.gadgets import (CONNECTOR, BoundaryFunction, CrossoverGadget,
                                verify_vc_crossing_bounds)
 from cutplanar.graph import Graph, LinearLayout, is_planar, random_graph
 from cutplanar.io import gadget_from_json, gadget_to_json
-from cutplanar.planarize import planarize
+from cutplanar.planarize import planarize, verify_planarization
 from cutplanar.solvers import (brute_ds, brute_is, brute_is_excluding, dp_ds,
                                heuristic_layout)
 
@@ -229,6 +232,57 @@ class TestBoundaryFunction:
                 assert h[F] == brute_is_excluding(small.graph, set(F)) + rest
         with pytest.raises(OracleLimitError):
             brute_is_excluding(g, set(small.terminals))
+
+    @staticmethod
+    def assert_matches_brute(gadget):
+        h = boundary_function(gadget)
+        for k in range(5):
+            for F in itertools.combinations(gadget.terminals, k):
+                assert h[F] == brute_is_excluding(gadget.graph, set(F)), F
+
+    def test_edge_deletion_mutants_match_brute(self):
+        # every single-edge-deletion mutant of the IS gadget, read off its
+        # own transfer table
+        small = gjs_is_gadget()
+        for edge in small.graph.sorted_edges():
+            rest = [e for e in small.graph.sorted_edges() if e != edge]
+            self.assert_matches_brute(dataclasses.replace(
+                small, graph=Graph.from_edges(small.graph.n, rest)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_gadgets_match_brute(self, data):
+        n = data.draw(st.integers(4, 10))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = data.draw(st.sets(st.sampled_from(pairs), max_size=2 * n))
+        terminals = tuple(data.draw(st.permutations(range(n)))[:4])
+        order = tuple(data.draw(st.permutations(range(n))))
+        self.assert_matches_brute(CrossoverGadget(
+            "is", Graph.from_edges(n, edges), terminals, LinearLayout(order),
+            1))
+
+    def test_reads_the_table_that_verify_reads(self, monkeypatch):
+        # no layout DP of its own: the IS transfer table is built once and
+        # serves the conditions, the boundary function and --verify
+        def no_dp(*args):
+            raise AssertionError("boundary function ran the layout DP")
+        monkeypatch.setattr(solvers, "dp_is", no_dp)
+        built = []
+        table = solvers.transfer_table
+
+        def counted(h, terminals, layout, problem):
+            built.append(problem)
+            return table(h, terminals, layout, problem)
+        monkeypatch.setattr(solvers, "transfer_table", counted)
+        gadget = gadgets.gjs_is_gadget.__wrapped__()   # no cached table
+        report = certify_gadget(gadget, 2, 0)
+        assert report["verdict"] == "PASS"
+        assert all(report["conditions"].values())
+        assert boundary_function(gadget)[()] == 9
+        host = Graph.from_edges(5, itertools.combinations(range(5), 2))
+        res = planarize(host, LinearLayout.identity(5), 1, gadget)
+        assert verify_planarization(host, 1, res, "is")
+        assert built == ["is"]
 
 
 class TestIsGadget:

@@ -1,4 +1,5 @@
 import builtins
+import gc
 import hashlib
 import importlib
 import json
@@ -364,6 +365,26 @@ class TestCli:
                 ["cutwidth", gpath, "--exact", "--oracle-limit", "30"])
         assert ei.value.code == 2
         assert "--oracle-limit" in capsys.readouterr().err
+
+    def test_repeated_main_calls_leave_little_cyclic_garbage(
+            self, capsys, k4_files, tmp_path):
+        # a parser built per call left about 270 objects in reference
+        # cycles per call, which the in-process benchmark rounds pile up
+        gpath, lpath = k4_files
+        argv = ["planarize", gpath, lpath, "--problem", "ds", "--t", "1",
+                "--verify", "--out-prefix", str(tmp_path / "out")]
+        calls = 20
+        assert cli.main(argv) == 0
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(calls):
+                assert cli.main(argv) == 0
+            garbage = gc.collect()
+        finally:
+            gc.enable()
+        capsys.readouterr()
+        assert garbage < 50 * calls
 
     def test_planarize_k4_is(self, capsys, k4_files, tmp_path):
         gpath, lpath = k4_files

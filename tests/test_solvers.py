@@ -9,7 +9,8 @@ from hypothesis import given, settings, strategies as st
 
 from cutplanar import cli, solvers
 from cutplanar import io as cio
-from cutplanar.errors import OracleLimitError, ResourceLimitError
+from cutplanar.errors import (OracleLimitError, PreconditionError,
+                              ResourceLimitError)
 from cutplanar.gadgets import builtin_gadget
 from cutplanar.graph import (Graph, LinearLayout, bag_steps, cut_profile,
                              layout_to_path_decomposition, random_graph)
@@ -121,6 +122,29 @@ class TestLayoutDP:
             g2 = Graph.from_edges(n, list(g.edges) + [e])
             assert brute_is(g2) <= brute_is(g)
             assert brute_ds(g2) <= brute_ds(g)
+
+
+class TestBlockDP:
+    # 0 and 1 stand before the block pair U = 2, V = 3
+    G = Graph.from_edges(4, [(0, 2), (1, 3)])
+
+    def test_block_vertices_need_a_transfer_table(self):
+        with pytest.raises(PreconditionError,
+                           match="block vertices 2 to 3 have no transfer"):
+            solvers.block_dp(self.G, LinearLayout.identity(4), 2, None, "is")
+
+    @pytest.mark.parametrize("order, extra", [
+        ((0, 2, 1, 3), []),           # U is followed by a host vertex
+        ((0, 1, 3, 2), []),           # V comes before U
+        ((0, 1, 2, 3), [(1, 2)]),     # U has two earlier neighbours
+        ((0, 2, 3, 1), []),           # V has no earlier neighbour
+    ], ids=["not-followed", "swapped", "two-back", "no-back"])
+    def test_block_pair_precondition(self, order, extra):
+        g = Graph.from_edges(4, list(self.G.edges) + extra)
+        table = builtin_gadget("is").transfer("is")
+        with pytest.raises(PreconditionError,
+                           match="is not followed by its pair"):
+            solvers.block_dp(g, LinearLayout(order), 2, table, "is")
 
 
 class TestDsEngine:
