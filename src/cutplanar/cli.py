@@ -96,14 +96,14 @@ def cmd_planarize(args) -> dict:
         "t_prime": res.t_prime,
         "width_in": res.width_in,
         "width_out": res.width_out,
-        "gadget_width": res.gadget_width,
+        "gadget_width": gadget.width,
         "n_prime": res.g_prime.n,
         "m_prime": res.g_prime.m,
         "cut_profile": res.cut_profile.width_array.tolist(),
         "files": {"graph": graph_out, "layout": layout_out},
     }
     if args.verify:
-        ok = verify_planarization(g, args.t, res, args.problem)
+        ok = verify_planarization(g, args.t, res)
         out["verified"] = ok
         if not ok:
             raise _VerificationFailed(out)
@@ -184,7 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
     pp = sub.add_parser("planarize", help="replace drawing crossings by gadgets")
     pp.add_argument("graph")
     pp.add_argument("layout")
-    pp.add_argument("--problem", choices=("is", "ds"), required=True)
+    pp.add_argument("--problem", choices=solvers.SOLVERS, required=True)
     pp.add_argument("--t", type=int, required=True)
     pp.add_argument("--verify", action="store_true")
     pp.add_argument("--out-prefix")
@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps = sub.add_parser("solve", help="exact optimum via brute force or DP")
     ps.add_argument("graph")
     ps.add_argument("layout", nargs="?")
-    ps.add_argument("--problem", choices=("is", "ds"), required=True)
+    ps.add_argument("--problem", choices=solvers.SOLVERS, required=True)
     ps.add_argument("--algo", choices=("dp", "brute"), default="dp")
     ps.add_argument("--seed", type=int, default=0)
 

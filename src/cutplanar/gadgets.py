@@ -62,8 +62,9 @@ CONNECTOR = -1
 class CrossoverGadget:
     """Gadget graph with terminals (u, u', v, v'), a layout and a shift.
 
-    ``problem`` is "is" or "ds".  The layout is any valid layout of the
-    gadget graph; its cutwidth feeds the planarizer's width bound.
+    ``problem``, a key of ``solvers.SOLVERS``, picks the DP of
+    ``transfer``, so --verify solves G' under it.  The layout is any valid
+    layout of the gadget graph; its cutwidth feeds the width bound.
     ``frozen_rotation``, if given, is ``rotation`` keyed by layout
     position: entry i lists the positions of the neighbours of the
     vertex at position i, in the same order.  The built-in gadgets
@@ -77,12 +78,9 @@ class CrossoverGadget:
     shift: int
     frozen_rotation: tuple[tuple[int, ...], ...] | None = field(
         default=None, compare=False, repr=False)
-    # the transfer tables by problem, each built on first use
-    _transfers: dict = field(default_factory=dict, init=False,
-                             compare=False, repr=False)
 
     def __post_init__(self):
-        if self.problem not in ("is", "ds"):
+        if self.problem not in solvers.SOLVERS:
             raise ValueError(f"unknown problem {self.problem!r}")
         if len(set(self.terminals)) != 4:
             raise ValueError("terminals must be four distinct vertices")
@@ -91,7 +89,7 @@ class CrossoverGadget:
                 raise ValueError("terminal outside gadget graph")
         self.layout.validate(self.graph)
 
-    @property
+    @cached_property
     def width(self) -> int:
         return cut_profile(self.graph, self.layout).max_width
 
@@ -122,16 +120,14 @@ class CrossoverGadget:
                               "layout") from exc
         return _proven_rotation(self, rot)
 
-    def transfer(self, problem: str) -> solvers.Transfer:
-        """The gadget's transfer table under ``problem``'s DP
+    @cached_property
+    def transfer(self) -> solvers.Transfer:
+        """The gadget's transfer table under its problem's DP
         (``solvers.transfer_table``), which block steps and
-        boundary_function read.  Built on the first call for each problem,
-        never when the gadget is built, and kept on the gadget."""
-        table = self._transfers.get(problem)
-        if table is None:
-            table = self._transfers[problem] = solvers.transfer_table(
-                self.graph, self.terminals, self.layout, problem)
-        return table
+        boundary_function read.  Built on first use, never when the
+        gadget is built, and kept on the gadget."""
+        return solvers.transfer_table(self.graph, self.terminals,
+                                      self.layout, self.problem)
 
 
 @dataclass(frozen=True)
@@ -772,7 +768,7 @@ def boundary_function(gadget: CrossoverGadget) -> BoundaryFunction:
     """
     if gadget.problem != "is":
         raise GadgetError("boundary function applies to IS gadgets")
-    table = gadget.transfer("is")
+    table = gadget.transfer
     u, up, v, vp = gadget.terminals
     values = {}
     for k in range(5):

@@ -268,23 +268,22 @@ def layout_error(entries: int, n: int) -> InvalidLayoutError:
 class CutProfile:
     """Per-gap edge-crossing counts of a layout: ``width_array``[i], a
     read-only int64 array made from the list, tuple or array given, is
-    the cut after position i+1 (so there are n-1 entries).  The tuple of
-    Python ints ``widths`` is built from the array when first read."""
+    the cut after position i+1 (so there are n-1 entries), and
+    ``max_width`` its largest entry (0 if none).  The tuple of Python
+    ints ``widths`` is built from the array when first read."""
 
     width_array: np.ndarray
-    max_width: int
+    max_width: int = field(init=False)
 
     def __post_init__(self):
         a = _frozen_int64(self.width_array)
         object.__setattr__(self, "width_array", a)
-        if self.max_width != (int(a.max()) if a.size else 0):
-            raise ValueError("max_width inconsistent with widths")
+        object.__setattr__(self, "max_width", int(a.max()) if a.size else 0)
 
     def __eq__(self, other):
         if not isinstance(other, CutProfile):
             return NotImplemented
-        return (self.max_width == other.max_width
-                and np.array_equal(self.width_array, other.width_array))
+        return np.array_equal(self.width_array, other.width_array)
 
     @cached_property
     def widths(self) -> tuple[int, ...]:
@@ -314,7 +313,7 @@ def cut_profile(g: Graph, layout: LinearLayout) -> CutProfile:
     diffs = (np.bincount(lo, minlength=g.n + 1)
              - np.bincount(hi, minlength=g.n + 1))
     widths = np.cumsum(diffs[1:g.n])
-    return CutProfile(widths, int(widths.max()) if widths.size else 0)
+    return CutProfile(widths)
 
 
 def exact_cutwidth(g: Graph) -> tuple[int, LinearLayout]:

@@ -16,9 +16,10 @@ counts the faces of this rotation system, handed over as flat arrays,
 and checks Euler's formula with numpy passes over the darts, so no
 general planarity test runs on G'.
 
-``verify_planarization`` solves G' with one DP block step per gadget
-copy (``planarized_optimum``), after checking that every copy is an
-exact copy of the gadget attached at its four terminals.
+``verify_planarization`` solves G' under the gadget's problem with one
+DP block step per gadget copy (``planarized_optimum``), after checking
+that every copy is an exact copy of the gadget attached at its four
+terminals.
 """
 
 from __future__ import annotations
@@ -29,8 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .drawing import build_arc_drawing, count_crossings
-from .errors import (InvariantError, OracleLimitError, PreconditionError,
-                     ResourceLimitError)
+from .errors import InvariantError, OracleLimitError, ResourceLimitError
 from .gadgets import CrossoverGadget
 from .graph import (CopyLabels, CutProfile, Graph, LinearLayout,
                     check_embedding_arrays, cut_profile)
@@ -51,12 +51,14 @@ class PlanarizationResult:
     t_prime: int
     crossings_replaced: int
     width_in: int
-    width_out: int
-    gadget_width: int
     # per-gap cuts of layout_prime on g_prime
     cut_profile: CutProfile
     # the gadget whose copies replaced the crossings
     gadget: CrossoverGadget
+
+    @property
+    def width_out(self) -> int:
+        return self.cut_profile.max_width
 
 
 def planarize(g: Graph, layout: LinearLayout, t: int,
@@ -169,24 +171,23 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     order[(floors + h.n * np.arange(ell))[:, None] + np.arange(h.n)] = (
         bases[:, None] + gadget.layout.order_array)
     layout_prime = LinearLayout(order)
-    prof_out = cut_profile(g_prime, layout_prime)
 
     result = PlanarizationResult(
         g_prime=g_prime, layout_prime=layout_prime,
         t_prime=t + ell * gadget.shift, crossings_replaced=ell,
-        width_in=width_in, width_out=prof_out.max_width,
-        gadget_width=gadget.width, cut_profile=prof_out, gadget=gadget,
+        width_in=width_in, cut_profile=cut_profile(g_prime, layout_prime),
+        gadget=gadget,
     )
-    _assert_invariants(result, h, ell, g)
+    _assert_invariants(result, g)
     check_embedding_arrays(g_prime, lens, rotation)
     return result
 
 
-def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
-                       g: Graph) -> None:
+def _assert_invariants(res: PlanarizationResult, g: Graph) -> None:
     """Hard runtime checks of the construction's guarantees; a violation
     falsifies the width argument and must never be shipped past."""
-    bound = res.width_in + res.gadget_width + 4
+    h, ell = res.gadget.graph, res.crossings_replaced
+    bound = res.width_in + res.gadget.width + 4
     # per-gap claims: original-vertex gaps <= width_in, gadget gaps <= bound
     order = res.layout_prime.order_array[:-1]
     widths = res.cut_profile.width_array
@@ -213,45 +214,43 @@ def _assert_invariants(res: PlanarizationResult, h: Graph, ell: int,
         raise InvariantError("edge count mismatch")
 
 
-def verify_planarization(g: Graph, t: int, result: PlanarizationResult,
-                         problem: str) -> bool:
+def verify_planarization(g: Graph, t: int,
+                         result: PlanarizationResult) -> bool:
     """Check the cutwidth inequality and the optimum shift
-    opt(G') = opt(G) + crossings * shift using brute force on the input
-    (at most VERIFY_HOST_LIMIT vertices) and ``planarized_optimum`` on
-    the output.  An unknown problem raises PreconditionError.
+    opt(G') = opt(G) + crossings * shift of the gadget's problem, using
+    brute force on the input (at most VERIFY_HOST_LIMIT vertices) and
+    ``planarized_optimum`` on the output.
 
     Planarity of G' is not tested again: ``planarize`` proves it before
     returning and raises InvariantError otherwise.
     """
-    if result.width_out > result.width_in + result.gadget_width + 4:
+    if result.width_out > result.width_in + result.gadget.width + 4:
         return False
     if g.n > VERIFY_HOST_LIMIT:
         raise OracleLimitError(
             f"host graph too large for the brute-force oracle ({g.n})")
-    if problem not in solvers.SOLVERS:
-        raise PreconditionError(f"unknown problem {problem!r}")
-    before = solvers.SOLVERS[problem][0](g)
-    after = planarized_optimum(result, problem)
-    return after == before + result.t_prime - t
+    before = solvers.SOLVERS[result.gadget.problem][0](g)
+    return planarized_optimum(result) == before + result.t_prime - t
 
 
-def planarized_optimum(result: PlanarizationResult, problem: str) -> int:
-    """opt(G') of ``problem``, solved with one block step per gadget copy.
+def planarized_optimum(result: PlanarizationResult) -> int:
+    """opt(G') under the gadget's problem, solved with one block step per
+    gadget copy.
 
     G' is contracted to C: each copy's u is merged into u' and its v into
     v', and its other vertices are dropped; the two merged terminals take
     the place of the copy's layout block.  ``solvers.block_dp`` sweeps C
     and crosses each copy with one block step, which reads the gadget's
-    transfer table (``CrossoverGadget.transfer``, built once per gadget
-    and problem) at the digits of the two vertices before u and v.  The
-    optimum equals the layout DP's on G' (``dp_is``/``dp_ds``) because a
-    copy meets the rest of G' only at its four terminals, one edge each,
+    transfer table (``CrossoverGadget.transfer``, built once per gadget)
+    at the digits of the two vertices before u and v.  The optimum
+    equals the layout DP's on G' (``dp_is``/``dp_ds``) because a copy
+    meets the rest of G' only at its four terminals, one edge each,
     which ``_contract`` checks first.
     """
-    ell = result.crossings_replaced
-    transfer = result.gadget.transfer(problem) if ell else None
+    gadget = result.gadget
+    transfer = gadget.transfer if result.crossings_replaced else None
     c, layout, first = _contract(result)
-    return solvers.block_dp(c, layout, first, transfer, problem).optimum
+    return solvers.block_dp(c, layout, first, transfer, gadget.problem).optimum
 
 
 def _contract(result: PlanarizationResult

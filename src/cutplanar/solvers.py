@@ -3,7 +3,8 @@ Vertex Cover.
 
 Two independent routes are provided for IS and DS, and SOLVERS maps
 each problem to its pair (brute, dp), so callers pick a solver by
-indexing it instead of branching on the problem:
+indexing it instead of branching on the problem.  Its keys are the one
+list of problem names, which gadgets and the CLI read:
 
 * brute_* : branch-and-bound over vertex bitmasks, exact for small n.
 * dp_*    : dynamic programming over the path decomposition derived from
@@ -103,6 +104,7 @@ def brute_is_excluding(g: Graph, excluded: set[int],
         grow(av & ~(adj[pick] | (1 << pick)), size + 1)  # take pick
         grow(av & ~(1 << pick), size)                    # skip pick
     grow(avail, 0)
+    del grow    # it refers to itself: free the cycle now, not in gc
     return best
 
 
@@ -155,6 +157,7 @@ def brute_ds(g: Graph, limit: int = BRUTE_LIMIT,
             search(dominated | closed[w], size + 1)
             mm ^= lb
     search(0, 0)
+    del search    # it refers to itself: free the cycle now, not in gc
     return best
 
 
@@ -207,6 +210,7 @@ def brute_vc(g: Graph, limit: int = BRUTE_LIMIT) -> int:
         search(alive & ~(1 << v), size + 1)
         search(alive & ~(1 << w), size + 1)
     search((1 << g.n) - 1, 0)
+    del search    # it refers to itself: free the cycle now, not in gc
     return best
 
 

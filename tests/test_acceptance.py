@@ -344,7 +344,7 @@ def test_criterion_6_planarization_invariants():
             res = planarize(g, layout, 7, gadget)
             assert is_planar(res.g_prime)
             assert res.t_prime == 7 + res.crossings_replaced * gadget.shift
-            bound = res.width_in + res.gadget_width + 4
+            bound = res.width_in + res.gadget.width + 4
             assert res.width_out <= bound
             prof = cut_profile(res.g_prime, res.layout_prime)
             for i, v in enumerate(res.layout_prime.order[:-1]):

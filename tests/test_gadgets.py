@@ -281,7 +281,7 @@ class TestBoundaryFunction:
         assert boundary_function(gadget)[()] == 9
         host = Graph.from_edges(5, itertools.combinations(range(5), 2))
         res = planarize(host, LinearLayout.identity(5), 1, gadget)
-        assert verify_planarization(host, 1, res, "is")
+        assert verify_planarization(host, 1, res)
         assert built == ["is"]
 
 

@@ -229,8 +229,9 @@ class TestCutProfile:
             rng.shuffle(order)
             layout = LinearLayout(tuple(order))
             widths = gap_cuts(g, layout)
-            assert cut_profile(g, layout) == CutProfile(widths,
-                                                        max(widths, default=0))
+            prof = cut_profile(g, layout)
+            assert prof == CutProfile(widths)
+            assert prof.max_width == max(widths, default=0)
 
 
 class TestEdgePositions:
@@ -261,8 +262,8 @@ class TestLayoutArrays:
         assert all(type(v) is int for v in layout.order)
         a = layout.order_array
         assert a.dtype == np.int64 and not a.flags.writeable
-        prof = CutProfile(kind((1, 2)), 2)
-        assert prof == CutProfile((1, 2), 2) != CutProfile((2, 1), 2)
+        prof = CutProfile(kind((1, 2)))
+        assert prof == CutProfile((1, 2)) != CutProfile((2, 1))
         assert prof.widths == (1, 2)
         assert all(type(w) is int for w in prof.widths)
         assert not prof.width_array.flags.writeable
@@ -273,11 +274,12 @@ class TestLayoutArrays:
         source[0] = 0
         assert layout.order == (1, 0)
 
-    def test_max_width_checked(self):
-        with pytest.raises(ValueError, match="max_width inconsistent"):
-            CutProfile(np.array([1, 3]), 2)
-        with pytest.raises(ValueError, match="max_width inconsistent"):
-            CutProfile((), 1)
+    def test_max_width_derived(self):
+        assert CutProfile(np.array([1, 3])).max_width == 3
+        assert CutProfile(()).max_width == 0
+        assert type(CutProfile((1, 3)).max_width) is int
+        with pytest.raises(TypeError):
+            CutProfile((1, 3), 3)
 
     @pytest.mark.parametrize("order", [
         (0, 0, 2), (0, 2, 2), (0, 1, 3), (-1, 1, 2), (0, 1), (), (0, 1, 2, 0),

@@ -15,8 +15,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cutplanar import io as cio
 from cutplanar.drawing import build_arc_drawing, element_order
 from cutplanar import gadgets, solvers
-from cutplanar.errors import (InvariantError, PreconditionError,
-                              ResourceLimitError)
+from cutplanar.errors import InvariantError, ResourceLimitError
 from cutplanar.gadgets import (CrossoverGadget, builtin_gadget,
                                ds_crossover_gadget, gjs_is_gadget)
 from cutplanar.graph import (Graph, LinearLayout, bag_steps, check_embedding,
@@ -56,7 +55,7 @@ class TestPlanarize:
         assert is_planar(res.g_prime)
         assert res.width_out <= res.width_in + gadget.width + 4
         assert res.g_prime.n == 4 + 22
-        assert verify_planarization(g, 1, res, "is")
+        assert verify_planarization(g, 1, res)
         # optimum moves from 1 to 10
         assert dp_is(res.g_prime, res.layout_prime).optimum == 10
 
@@ -86,7 +85,7 @@ class TestPlanarize:
             layout = LinearLayout(tuple(order))
             res = planarize(g, layout, 0, gadget)
             prof = cut_profile(res.g_prime, res.layout_prime)
-            bound = res.width_in + res.gadget_width + 4
+            bound = res.width_in + res.gadget.width + 4
             for i, v in enumerate(res.layout_prime.order[:-1]):
                 if v < g.n:
                     assert prof.widths[i] <= res.width_in
@@ -117,7 +116,7 @@ class TestPlanarize:
         g = complete(4)
         res = planarize(g, LinearLayout.identity(4), 1, gjs_is_gadget())
         bad = dataclasses.replace(res, t_prime=res.t_prime + 1)
-        assert not verify_planarization(g, 1, bad, "is")
+        assert not verify_planarization(g, 1, bad)
 
     def test_forged_width_raises_invariant_error(self):
         g = complete(4)
@@ -125,12 +124,12 @@ class TestPlanarize:
         res = planarize(g, LinearLayout.identity(4), 1, gadget)
         assert res.cut_profile == cut_profile(res.g_prime, res.layout_prime)
         with pytest.raises(InvariantError, match=r"^gap 0: .* original vertex 0 "):
-            _assert_invariants(dataclasses.replace(res, width_in=0),
-                               gadget.graph, 1, g)
+            _assert_invariants(dataclasses.replace(res, width_in=0), g)
         # with the gadget width forged down, a gap inside copy X2 fails first
+        forged = dataclasses.replace(gadget)
+        forged.__dict__["width"] = -4
         with pytest.raises(InvariantError, match=r"gadget copy X2 "):
-            _assert_invariants(dataclasses.replace(res, gadget_width=-4),
-                               gadget.graph, 1, g)
+            _assert_invariants(dataclasses.replace(res, gadget=forged), g)
 
     def test_edge_crossed_multiple_times(self):
         # three pairwise interleaving edges: every edge is crossed twice,
@@ -140,7 +139,7 @@ class TestPlanarize:
         res = planarize(g, LinearLayout.identity(6), 0, gadget)
         assert res.crossings_replaced == 3
         assert is_planar(res.g_prime)
-        assert verify_planarization(g, 0, res, "is")
+        assert verify_planarization(g, 0, res)
         assert dp_is(res.g_prime, res.layout_prime).optimum == brute_is(g) + 27
 
     def test_random_hosts_verify_is_shift(self):
@@ -154,7 +153,7 @@ class TestPlanarize:
             rng.shuffle(order)
             layout = LinearLayout(tuple(order))
             res = planarize(g, layout, 2, gadget)
-            assert verify_planarization(g, 2, res, "is")
+            assert verify_planarization(g, 2, res)
             done += 1
 
     def test_ds_double_crossing_shift(self):
@@ -472,7 +471,7 @@ def both_optima(g, layout, problem, gadget=None):
     """opt(G') of ``problem`` by the block route and by the layout DP on
     G', for G' built with ``gadget`` (the built-in one by default)."""
     res = planarize(g, layout, 0, gadget or builtin_gadget(problem))
-    return (planarized_optimum(res, problem),
+    return (planarized_optimum(res),
             SOLVERS[problem][1](res.g_prime, res.layout_prime).optimum)
 
 
@@ -505,7 +504,7 @@ class TestBlockRoute:
         # gives 721 = 1 + 15 * 48
         res = planarize(complete(6), LinearLayout.identity(6), 1,
                         ds_crossover_gadget())
-        assert planarized_optimum(res, "ds") == 721
+        assert planarized_optimum(res) == 721
 
     def test_sc_pool(self):
         pool = sc_pool()
@@ -534,9 +533,10 @@ class TestBlockRoute:
 
     def test_custom_gadget_and_other_problem(self):
         # a gadget read from a file carries no rotation; this one also
-        # lays the IS gadget out in reverse.  Verifying G' under either
-        # problem, whichever the gadget was made for, gives the layout
-        # DP's answer
+        # lays the IS gadget out in reverse.  Solving G' under either
+        # problem, whichever the gadget was made for, by block steps over
+        # that problem's transfer table gives the layout DP's answer;
+        # verify solves it under the gadget's own problem
         base = gjs_is_gadget()
         custom = CrossoverGadget("is", base.graph, base.terminals,
                                  LinearLayout(base.layout.order_array[::-1]),
@@ -544,22 +544,20 @@ class TestBlockRoute:
         g = complete(5)
         for gadget in (custom, ds_crossover_gadget()):
             res = planarize(g, LinearLayout.identity(5), 1, gadget)
+            c, layout, first = planarize_module._contract(res)
             for problem in ("is", "ds"):
                 brute, dp = SOLVERS[problem]
                 after = dp(res.g_prime, res.layout_prime).optimum
-                assert planarized_optimum(res, problem) == after
-                assert verify_planarization(g, 1, res, problem) == (
-                    after == brute(g) + res.t_prime - 1)
+                table = solvers.transfer_table(
+                    gadget.graph, gadget.terminals, gadget.layout, problem)
+                assert solvers.block_dp(c, layout, first, table,
+                                        problem).optimum == after
+                if problem == gadget.problem:
+                    assert planarized_optimum(res) == after
+                    assert verify_planarization(g, 1, res) == (
+                        after == brute(g) + res.t_prime - 1)
         assert verify_planarization(
-            g, 1, planarize(g, LinearLayout.identity(5), 1, custom), "is")
-
-    def test_unknown_problem(self):
-        g = complete(4)
-        res = planarize(g, LinearLayout.identity(4), 1, gjs_is_gadget())
-        with pytest.raises(PreconditionError, match="unknown problem 'vc'"):
-            verify_planarization(g, 1, res, "vc")
-        with pytest.raises(PreconditionError, match="unknown problem 'vc'"):
-            planarized_optimum(res, "vc")
+            g, 1, planarize(g, LinearLayout.identity(5), 1, custom))
 
 
 class TestStructureCheck:
@@ -602,13 +600,13 @@ class TestStructureCheck:
                     if not h.has_edge(a, b))
 
     def test_unchanged_copies_pass(self, k5):
-        assert verify_planarization(complete(5), 1, k5, "is")
+        assert verify_planarization(complete(5), 1, k5)
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_extra_edge_inside_a_copy(self, k5, k):
         bad, tag = self.mutated(k5, k, add=[self.interior_pair(k5.gadget)])
         with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
-            planarized_optimum(bad, "is")
+            planarized_optimum(bad)
 
     @pytest.mark.parametrize("k", [0, 3])
     def test_interior_vertex_wired_outside(self, k5, k):
@@ -616,14 +614,14 @@ class TestStructureCheck:
                  if w not in k5.gadget.terminals)
         bad, tag = self.mutated(k5, k, add=[(w, -1)])
         with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
-            verify_planarization(complete(5), 1, bad, "is")
+            verify_planarization(complete(5), 1, bad)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_missing_gadget_edge(self, k5, k):
         edge = tuple(k5.gadget.graph.edge_array[k].tolist())
         bad, tag = self.mutated(k5, k, drop=[edge])
         with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
-            planarized_optimum(bad, "is")
+            planarized_optimum(bad)
 
     def test_rewired_edge_inside_a_copy(self, k5):
         # as many induced edges as the gadget has, but not the same ones
@@ -631,14 +629,14 @@ class TestStructureCheck:
         bad, tag = self.mutated(k5, 1, add=[self.interior_pair(k5.gadget)],
                                 drop=[edge])
         with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
-            planarized_optimum(bad, "is")
+            planarized_optimum(bad)
 
     def test_copy_before_its_entering_vertex(self, k5):
         # reversed, every copy comes before the vertex before its u
         bad = dataclasses.replace(k5, layout_prime=LinearLayout(
             k5.layout_prime.order_array[::-1]))
         with pytest.raises(InvariantError, match="gadget copy X"):
-            planarized_optimum(bad, "is")
+            planarized_optimum(bad)
 
 
 def table_rows(table, bits):
@@ -658,10 +656,17 @@ class TestTransferTable:
     CASES = [(g, p) for g in GADGETS for p in ("is", "ds")]
     IDS = [f"{g.problem}-gadget-{p}" for g, p in CASES]
 
+    @staticmethod
+    def table(gadget, problem):
+        """The gadget's transfer table under ``problem``, which need not
+        be the gadget's own."""
+        return solvers.transfer_table(gadget.graph, gadget.terminals,
+                                      gadget.layout, problem)
+
     @pytest.mark.parametrize("gadget, problem", CASES, ids=IDS)
     def test_no_row_has_a_dominating_twin(self, gadget, problem):
         bits, highest = (1, 1) if problem == "is" else (2, 2)
-        tables = table_rows(gadget.transfer(problem), bits)
+        tables = table_rows(self.table(gadget, problem), bits)
         assert {p for p, rows in tables.items() if rows} == set(
             itertools.product(range(highest + 1), repeat=2))
         for rows in tables.values():
@@ -693,10 +698,10 @@ class TestTransferTable:
                                & (1 << rule.bits) - 1 for w in (a, b, up, vp))
                 rows[digits] = min(cost, rows.get(digits, cost))
             expect[i, j] = rows
-        got = table_rows(gadget.transfer(problem), rule.bits)
+        got = table_rows(self.table(gadget, problem), rule.bits)
         assert {p: rows for p, rows in got.items() if p in expect} == expect
 
-    def test_built_once_per_gadget_and_problem(self, monkeypatch):
+    def test_built_once_per_gadget(self, monkeypatch):
         built = []
         table = solvers.transfer_table
 
@@ -704,18 +709,20 @@ class TestTransferTable:
             built.append(problem)
             return table(h, terminals, layout, problem)
         monkeypatch.setattr(solvers, "transfer_table", counted)
-        # an uncached build of the IS gadget builds no table
-        gadget = gadgets.gjs_is_gadget.__wrapped__()
-        assert built == []
-        g = complete(5)
-        res = planarize(g, LinearLayout.identity(5), 1, gadget)
-        assert built == []
-        for problem in ("is", "ds", "is", "ds"):
-            verify_planarization(g, 1, res, problem)
+        # an uncached build of a gadget builds no table; verify builds it
+        # on first use, under the gadget's problem, and then reuses it
+        g = complete(4)
+        for make in (gadgets.gjs_is_gadget, gadgets.ds_crossover_gadget):
+            gadget = make.__wrapped__()
+            res = planarize(g, LinearLayout.identity(4), 1, gadget)
+            before = list(built)
+            assert verify_planarization(g, 1, res)
+            assert verify_planarization(g, 1, res)
+            assert built == before + [gadget.problem]
         assert built == ["is", "ds"]
         # a host without crossings needs no table
         fresh = gadgets.gjs_is_gadget.__wrapped__()
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert verify_planarization(
-            path, 0, planarize(path, LinearLayout.identity(3), 0, fresh), "is")
+            path, 0, planarize(path, LinearLayout.identity(3), 0, fresh))
         assert built == ["is", "ds"]

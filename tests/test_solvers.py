@@ -141,7 +141,7 @@ class TestBlockDP:
     ], ids=["not-followed", "swapped", "two-back", "no-back"])
     def test_block_pair_precondition(self, order, extra):
         g = Graph.from_edges(4, list(self.G.edges) + extra)
-        table = builtin_gadget("is").transfer("is")
+        table = builtin_gadget("is").transfer
         with pytest.raises(PreconditionError,
                            match="is not followed by its pair"):
             solvers.block_dp(g, LinearLayout(order), 2, table, "is")
@@ -282,15 +282,15 @@ class TestMemoryCheck:
     @pytest.mark.parametrize("run, largest", [
         (lambda: dp_ds(TestMemoryCheck.planarized(5).g_prime,
                        TestMemoryCheck.planarized(5).layout_prime), 4 << 20),
-        (lambda: planarized_optimum(TestMemoryCheck.planarized(5), "ds"),
+        (lambda: planarized_optimum(TestMemoryCheck.planarized(5)),
          16 << 10),
-        (lambda: planarized_optimum(TestMemoryCheck.planarized(7), "ds"),
+        (lambda: planarized_optimum(TestMemoryCheck.planarized(7)),
          1 << 20),
         (lambda: dp_ds(random_graph(24, 0.3, random.Random(5)),
                        LinearLayout.identity(24)), 8 << 20),
     ], ids=["K5-ds-layout-dp", "K5-ds-blocks", "K7-ds-blocks", "random-ds"])
     def test_no_step_exceeds_its_check(self, monkeypatch, run, largest):
-        builtin_gadget("ds").transfer("ds")
+        builtin_gadget("ds").transfer
         peaks = self.step_peaks(monkeypatch, run)
         # the check was tried on large tables
         assert max(need for need, _ in peaks) > largest
@@ -303,16 +303,16 @@ class TestMemoryCheck:
         # 9 rows per input pair; a budget just below its 64 * 48 * 10
         # bytes refuses it, and every other step fits
         res = TestMemoryCheck.planarized(5)
-        widest = builtin_gadget("ds").transfer("ds").widest
+        widest = builtin_gadget("ds").transfer.widest
         assert widest == 9
         monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES",
                             64 * 48 * (widest + 1) - 1)
         with pytest.raises(ResourceLimitError,
                            match=r"DP step of 432 states needs 30720 bytes"):
-            planarized_optimum(res, "ds")
+            planarized_optimum(res)
         monkeypatch.setattr(solvers, "MEMORY_BUDGET_BYTES",
                             64 * 48 * (widest + 1))
-        assert planarized_optimum(res, "ds") == 241
+        assert planarized_optimum(res) == 241
 
 
 class TestPruneForms:
