@@ -92,7 +92,7 @@ def cmd_planarize(args) -> dict:
     out = {
         "problem": args.problem,
         "crossings_replaced": res.crossings_replaced,
-        "t": args.t,
+        "t": res.t,
         "t_prime": res.t_prime,
         "width_in": res.width_in,
         "width_out": res.width_out,
@@ -103,7 +103,7 @@ def cmd_planarize(args) -> dict:
         "files": {"graph": graph_out, "layout": layout_out},
     }
     if args.verify:
-        ok = verify_planarization(g, args.t, res)
+        ok = verify_planarization(res)
         out["verified"] = ok
         if not ok:
             raise _VerificationFailed(out)

@@ -30,7 +30,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import InvalidLayoutError, ResourceLimitError
-from .graph import Graph, LinearLayout, edge_positions
+from .graph import Graph, LinearLayout, _ranges, edge_positions
 
 Edge = tuple[int, int]
 
@@ -89,13 +89,6 @@ def _arcs(g: Graph, layout: LinearLayout) -> np.ndarray:
     lo, hi = edge_positions(g, layout)
     order = np.lexsort((-hi, lo))
     return np.stack((lo[order], hi[order]), axis=1)
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The concatenation of range(s, s + c) over the pairs (s, c)."""
-    ends = np.cumsum(counts)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.arange(total) + np.repeat(starts - (ends - counts), counts)
 
 
 def count_crossings(g: Graph, layout: LinearLayout) -> int:

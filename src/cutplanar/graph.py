@@ -296,6 +296,12 @@ class PathDecomposition:
     width: int
 
 
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The concatenation of range(s, s + c) over the pairs (s, c)."""
+    firsts = np.cumsum(counts) - counts
+    return np.arange(counts.sum()) + np.repeat(starts - firsts, counts)
+
+
 def edge_positions(g: Graph, layout: LinearLayout
                    ) -> tuple[np.ndarray, np.ndarray]:
     """Validates the layout; the 1-based left and right position of every

@@ -46,9 +46,11 @@ PLANARIZE_VERTEX_LIMIT = 10**7
 
 @dataclass(frozen=True)
 class PlanarizationResult:
+    # the host G and threshold t of the instance (G, t) that was reduced
+    host: Graph
+    t: int
     g_prime: Graph
     layout_prime: LinearLayout
-    t_prime: int
     crossings_replaced: int
     width_in: int
     # per-gap cuts of layout_prime on g_prime
@@ -59,6 +61,10 @@ class PlanarizationResult:
     @property
     def width_out(self) -> int:
         return self.cut_profile.max_width
+
+    @property
+    def t_prime(self) -> int:
+        return self.t + self.crossings_replaced * self.gadget.shift
 
 
 def planarize(g: Graph, layout: LinearLayout, t: int,
@@ -173,20 +179,19 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     layout_prime = LinearLayout(order)
 
     result = PlanarizationResult(
-        g_prime=g_prime, layout_prime=layout_prime,
-        t_prime=t + ell * gadget.shift, crossings_replaced=ell,
-        width_in=width_in, cut_profile=cut_profile(g_prime, layout_prime),
-        gadget=gadget,
+        host=g, t=t, g_prime=g_prime, layout_prime=layout_prime,
+        crossings_replaced=ell, width_in=width_in,
+        cut_profile=cut_profile(g_prime, layout_prime), gadget=gadget,
     )
-    _assert_invariants(result, g)
+    _assert_invariants(result)
     check_embedding_arrays(g_prime, lens, rotation)
     return result
 
 
-def _assert_invariants(res: PlanarizationResult, g: Graph) -> None:
+def _assert_invariants(res: PlanarizationResult) -> None:
     """Hard runtime checks of the construction's guarantees; a violation
     falsifies the width argument and must never be shipped past."""
-    h, ell = res.gadget.graph, res.crossings_replaced
+    g, h, ell = res.host, res.gadget.graph, res.crossings_replaced
     bound = res.width_in + res.gadget.width + 4
     # per-gap claims: original-vertex gaps <= width_in, gadget gaps <= bound
     order = res.layout_prime.order_array[:-1]
@@ -214,23 +219,23 @@ def _assert_invariants(res: PlanarizationResult, g: Graph) -> None:
         raise InvariantError("edge count mismatch")
 
 
-def verify_planarization(g: Graph, t: int,
-                         result: PlanarizationResult) -> bool:
+def verify_planarization(result: PlanarizationResult) -> bool:
     """Check the cutwidth inequality and the optimum shift
     opt(G') = opt(G) + crossings * shift of the gadget's problem, using
-    brute force on the input (at most VERIFY_HOST_LIMIT vertices) and
-    ``planarized_optimum`` on the output.
+    brute force on the host G (at most VERIFY_HOST_LIMIT vertices) and
+    ``planarized_optimum`` on G'.
 
     Planarity of G' is not tested again: ``planarize`` proves it before
     returning and raises InvariantError otherwise.
     """
     if result.width_out > result.width_in + result.gadget.width + 4:
         return False
+    g = result.host
     if g.n > VERIFY_HOST_LIMIT:
         raise OracleLimitError(
             f"host graph too large for the brute-force oracle ({g.n})")
     before = solvers.SOLVERS[result.gadget.problem][0](g)
-    return planarized_optimum(result) == before + result.t_prime - t
+    return planarized_optimum(result) == before + result.t_prime - result.t
 
 
 def planarized_optimum(result: PlanarizationResult) -> int:
@@ -256,25 +261,27 @@ def planarized_optimum(result: PlanarizationResult) -> int:
 def _contract(result: PlanarizationResult
               ) -> tuple[Graph, LinearLayout, int]:
     """The contracted graph C of ``planarized_optimum``, its layout and
-    its first block vertex.  C keeps the host ids; copy k becomes
+    its first block vertex, host.n.  C keeps the host ids; copy k becomes
     U = first + 2k (u and u') and V = first + 2k + 1 (v and v'), with V
     right after U where the copy's first vertex stands in the layout of
     G'.  The order inside a copy's block does not matter.
 
-    Raises InvariantError naming the copy (X{e}) unless every copy is an
-    exact copy of the gadget: its induced edges are the gadget's edges
-    plus its base id, only u, u', v and v' have an edge leaving it, one
-    each, and in C the vertex before u (the end of u's edge) and the one
-    before v are distinct, U comes after the first and before the end of
-    the edge of u', and V after the second and before the end of the
-    edge of v'.  So U and V each have exactly one earlier neighbour,
-    the one a block step reads.
+    Raises InvariantError with both counts unless G' has host.n +
+    crossings * h.n vertices, and naming the copy (X{e}) unless every
+    copy is an exact copy of the gadget: its induced edges are the
+    gadget's edges plus its base id, only u, u', v and v' have an edge
+    leaving it, one each, and in C the vertex before u (the end of u's
+    edge) and the one before v are distinct, U comes after the first and
+    before the end of the edge of u', and V after the second and before
+    the end of the edge of v'.  So U and V each have exactly one earlier
+    neighbour, the one a block step reads.
     """
     gp, h, ell = result.g_prime, result.gadget.graph, result.crossings_replaced
-    first = gp.n - ell * h.n
-    if first < 0:
+    first = result.host.n
+    if gp.n != first + ell * h.n:
         raise InvariantError(
-            f"G' has {gp.n} vertices, fewer than {ell} gadget copies")
+            f"G' has {gp.n} vertices, not the {first + ell * h.n} of "
+            f"{first} host vertices and {ell} gadget copies")
     result.layout_prime.validate(gp)
     e = gp.edge_array
     copy = np.where(e >= first, (e - first) // h.n, -1)

@@ -26,8 +26,8 @@ list of problem names, which gadgets and the CLI read:
   table (transfer_table: the same sweep over the gadget with its two
   entering neighbours pinned), which gadgets.boundary_function reads too.
 
-brute_ds is the only Dominating Set search; its ``avoid`` set also
-serves the DS gadget's lemma checks in the test oracles.  brute_vc is a
+brute_ds is the only Dominating Set search.  Its ``avoid`` set, like
+brute_is's, serves the gadgets' lemma checks in the tests.  brute_vc is a
 separate edge-branching search, deliberately not derived from brute_is,
 so the IS/VC complementarity can be asserted as a real cross-check.  Callers
 that need an optimum with vertices deleted build that graph with
@@ -44,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import OracleLimitError, PreconditionError, ResourceLimitError
-from .graph import Graph, LinearLayout, bag_steps
+from .graph import Graph, LinearLayout, _ranges, bag_steps
 
 BRUTE_LIMIT = 28
 HEURISTIC_RESTARTS = 3
@@ -67,18 +67,14 @@ def _check_brute_size(g: Graph, limit: int) -> None:
             f"graph has {g.n} vertices, brute-force limit is {limit}")
 
 
-def brute_is(g: Graph, limit: int = BRUTE_LIMIT) -> int:
-    """Maximum independent set size by branch and bound."""
-    return brute_is_excluding(g, set(), limit)
-
-
-def brute_is_excluding(g: Graph, excluded: set[int],
-                       limit: int = BRUTE_LIMIT) -> int:
-    """Maximum independent set avoiding all vertices in ``excluded``."""
+def brute_is(g: Graph, limit: int = BRUTE_LIMIT,
+             avoid: Iterable[int] = ()) -> int:
+    """Maximum size of an independent set disjoint from ``avoid`` by
+    branch and bound."""
     _check_brute_size(g, limit)
     adj = g.adjacency_masks()
     avail = (1 << g.n) - 1
-    for v in excluded:
+    for v in avoid:
         avail &= ~(1 << v)
     best = 0
 
@@ -455,11 +451,11 @@ def _sweep(steps, keys: np.ndarray, costs: np.ndarray, slots, rule: _Rule,
     mask = (1 << bits) - 1
     slots = list(slots)
     max_live = keys.size
+    rows = transfer.widest if transfer is not None else 0
     for v, back, forget in steps:
         at = [bits * slots.index(u) for u in back]
         st = bits * len(slots)    # the bit offset of the new top slot
         if isinstance(v, tuple):
-            rows = transfer.widest
             _reserve(64 * keys.size * (rows + 1), keys.size * rows)
             keys, costs = _transfer_step(keys, costs, transfer, *at, st,
                                          bits)
@@ -498,9 +494,7 @@ def _transfer_step(keys: np.ndarray, costs: np.ndarray, transfer: Transfer,
     count = transfer.starts[pair + 1] - first
     del pair
     state = np.repeat(np.arange(keys.size), count)
-    # the rows of each state: its first row, then one on per repeat
-    ends = np.cumsum(count)
-    row = np.arange(state.size) + np.repeat(first + count - ends, count)
+    row = _ranges(first, count)
     d = transfer.digits
     delta = (d[:, 0] << sa | d[:, 1] << sb | d[:, 2] << st
              | d[:, 3] << st + bits)

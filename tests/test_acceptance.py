@@ -22,8 +22,8 @@ from cutplanar.gadgets import (boundary_function, certify_is_gadget,
                                _COMPOSITE_CROSSINGS, _strand_triangle)
 from cutplanar.graph import (Graph, LinearLayout, cut_profile, is_planar,
                              random_graph)
-from cutplanar.solvers import (brute_ds, brute_is, brute_is_excluding,
-                               brute_vc, dp_ds, dp_is, heuristic_layout)
+from cutplanar.solvers import (brute_ds, brute_is, brute_vc, dp_ds, dp_is,
+                               heuristic_layout)
 from cutplanar.planarize import planarize
 
 from oracles import connected_graph_classes
@@ -207,7 +207,7 @@ def test_criterion_4_crossing_core_bounds():
     blocked = set(tset)
     for t in tset:
         blocked |= core.neighbors(t)
-    min_cover_avoiding_all = core.n - (4 + brute_is_excluding(core, blocked))
+    min_cover_avoiding_all = core.n - (4 + brute_is(core, avoid=blocked))
     assert min_cover_avoiding_all >= 11
     # eleven-vertex covers with one terminal per axis exist (these are
     # what the +9 replacement argument uses); covers containing both

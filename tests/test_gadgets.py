@@ -20,8 +20,7 @@ from cutplanar.gadgets import (CONNECTOR, BoundaryFunction, CrossoverGadget,
 from cutplanar.graph import Graph, LinearLayout, is_planar, random_graph
 from cutplanar.io import gadget_from_json, gadget_to_json
 from cutplanar.planarize import planarize, verify_planarization
-from cutplanar.solvers import (brute_ds, brute_is, brute_is_excluding, dp_ds,
-                               heuristic_layout)
+from cutplanar.solvers import brute_ds, brute_is, dp_ds, heuristic_layout
 
 from oracles import (subsets_ds_covers, verify_domset_is_vc,
                      verify_simplicial_avoidance)
@@ -229,16 +228,16 @@ class TestBoundaryFunction:
         rest = brute_is(small.graph)
         for k in range(5):
             for F in itertools.combinations(small.terminals, k):
-                assert h[F] == brute_is_excluding(small.graph, set(F)) + rest
+                assert h[F] == brute_is(small.graph, avoid=F) + rest
         with pytest.raises(OracleLimitError):
-            brute_is_excluding(g, set(small.terminals))
+            brute_is(g, avoid=small.terminals)
 
     @staticmethod
     def assert_matches_brute(gadget):
         h = boundary_function(gadget)
         for k in range(5):
             for F in itertools.combinations(gadget.terminals, k):
-                assert h[F] == brute_is_excluding(gadget.graph, set(F)), F
+                assert h[F] == brute_is(gadget.graph, avoid=F), F
 
     def test_edge_deletion_mutants_match_brute(self):
         # every single-edge-deletion mutant of the IS gadget, read off its
@@ -281,7 +280,7 @@ class TestBoundaryFunction:
         assert boundary_function(gadget)[()] == 9
         host = Graph.from_edges(5, itertools.combinations(range(5), 2))
         res = planarize(host, LinearLayout.identity(5), 1, gadget)
-        assert verify_planarization(host, 1, res)
+        assert verify_planarization(res)
         assert built == ["is"]
 
 
@@ -301,7 +300,7 @@ class TestIsGadget:
         h = boundary_function(gadget)
         for k in range(5):
             for F in itertools.combinations(gadget.terminals, k):
-                assert h[F] == brute_is_excluding(gadget.graph, set(F))
+                assert h[F] == brute_is(gadget.graph, avoid=F)
 
     def test_planar_with_cyclic_terminal_order(self):
         assert validate_crossover_shape(gjs_is_gadget())
@@ -369,7 +368,6 @@ class TestVcCrossingCore:
             assert size == 11  # 2 terminals + 9 interior
 
     def test_covers_avoiding_all_terminals_need_eleven(self):
-        from cutplanar.solvers import brute_is_excluding
         core, term = vc_crossing_core()
         # min |S| over covers S with no terminal = n - max IS containing
         # all four terminals; terminals are pairwise nonadjacent
@@ -377,7 +375,7 @@ class TestVcCrossingCore:
         blocked = set(tset)
         for t in tset:
             blocked |= core.neighbors(t)
-        inner_best = brute_is_excluding(core, blocked)
+        inner_best = brute_is(core, avoid=blocked)
         min_cover = core.n - (4 + inner_best)
         assert min_cover == 11
 

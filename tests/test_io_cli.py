@@ -430,7 +430,7 @@ class TestCli:
 
     def test_planarize_verify_failure_report(self, capsys, monkeypatch,
                                              k4_files, tmp_path):
-        monkeypatch.setattr(cli, "verify_planarization", lambda *args: False)
+        monkeypatch.setattr(cli, "verify_planarization", lambda result: False)
         gpath, lpath = k4_files
         code, rep = run_cli(capsys, [
             "planarize", gpath, lpath, "--problem", "is", "--t", "1",

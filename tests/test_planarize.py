@@ -55,7 +55,8 @@ class TestPlanarize:
         assert is_planar(res.g_prime)
         assert res.width_out <= res.width_in + gadget.width + 4
         assert res.g_prime.n == 4 + 22
-        assert verify_planarization(g, 1, res)
+        assert res.host is g and res.t == 1
+        assert verify_planarization(res)
         # optimum moves from 1 to 10
         assert dp_is(res.g_prime, res.layout_prime).optimum == 10
 
@@ -113,10 +114,16 @@ class TestPlanarize:
         assert is_planar(res.g_prime)
 
     def test_tampered_result_fails_verification(self):
+        # t' is derived from t, the crossings and the shift, so a forged
+        # t' is a forged shift; G' still moves the optimum by the real one
         g = complete(4)
-        res = planarize(g, LinearLayout.identity(4), 1, gjs_is_gadget())
-        bad = dataclasses.replace(res, t_prime=res.t_prime + 1)
-        assert not verify_planarization(g, 1, bad)
+        for gadget in (gjs_is_gadget(), ds_crossover_gadget()):
+            res = planarize(g, LinearLayout.identity(4), 1, gadget)
+            forged = dataclasses.replace(gadget, shift=gadget.shift + 1)
+            bad = dataclasses.replace(res, gadget=forged)
+            assert bad.t_prime == res.t_prime + 1
+            assert verify_planarization(res)
+            assert not verify_planarization(bad)
 
     def test_forged_width_raises_invariant_error(self):
         g = complete(4)
@@ -124,12 +131,12 @@ class TestPlanarize:
         res = planarize(g, LinearLayout.identity(4), 1, gadget)
         assert res.cut_profile == cut_profile(res.g_prime, res.layout_prime)
         with pytest.raises(InvariantError, match=r"^gap 0: .* original vertex 0 "):
-            _assert_invariants(dataclasses.replace(res, width_in=0), g)
+            _assert_invariants(dataclasses.replace(res, width_in=0))
         # with the gadget width forged down, a gap inside copy X2 fails first
         forged = dataclasses.replace(gadget)
         forged.__dict__["width"] = -4
         with pytest.raises(InvariantError, match=r"gadget copy X2 "):
-            _assert_invariants(dataclasses.replace(res, gadget=forged), g)
+            _assert_invariants(dataclasses.replace(res, gadget=forged))
 
     def test_edge_crossed_multiple_times(self):
         # three pairwise interleaving edges: every edge is crossed twice,
@@ -139,7 +146,7 @@ class TestPlanarize:
         res = planarize(g, LinearLayout.identity(6), 0, gadget)
         assert res.crossings_replaced == 3
         assert is_planar(res.g_prime)
-        assert verify_planarization(g, 0, res)
+        assert verify_planarization(res)
         assert dp_is(res.g_prime, res.layout_prime).optimum == brute_is(g) + 27
 
     def test_random_hosts_verify_is_shift(self):
@@ -153,7 +160,7 @@ class TestPlanarize:
             rng.shuffle(order)
             layout = LinearLayout(tuple(order))
             res = planarize(g, layout, 2, gadget)
-            assert verify_planarization(g, 2, res)
+            assert verify_planarization(res)
             done += 1
 
     def test_ds_double_crossing_shift(self):
@@ -554,10 +561,10 @@ class TestBlockRoute:
                                         problem).optimum == after
                 if problem == gadget.problem:
                     assert planarized_optimum(res) == after
-                    assert verify_planarization(g, 1, res) == (
+                    assert verify_planarization(res) == (
                         after == brute(g) + res.t_prime - 1)
         assert verify_planarization(
-            g, 1, planarize(g, LinearLayout.identity(5), 1, custom))
+            planarize(g, LinearLayout.identity(5), 1, custom))
 
 
 class TestStructureCheck:
@@ -600,7 +607,7 @@ class TestStructureCheck:
                     if not h.has_edge(a, b))
 
     def test_unchanged_copies_pass(self, k5):
-        assert verify_planarization(complete(5), 1, k5)
+        assert verify_planarization(k5)
 
     @pytest.mark.parametrize("k", [0, 2, 4])
     def test_extra_edge_inside_a_copy(self, k5, k):
@@ -614,7 +621,7 @@ class TestStructureCheck:
                  if w not in k5.gadget.terminals)
         bad, tag = self.mutated(k5, k, add=[(w, -1)])
         with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
-            verify_planarization(complete(5), 1, bad)
+            verify_planarization(bad)
 
     @pytest.mark.parametrize("k", [1, 4])
     def test_missing_gadget_edge(self, k5, k):
@@ -630,6 +637,20 @@ class TestStructureCheck:
                                 drop=[edge])
         with pytest.raises(InvariantError, match=f"gadget copy {tag} "):
             planarized_optimum(bad)
+
+    def test_extra_vertex(self, k5):
+        # G' and its layout with one isolated vertex appended: read from
+        # the end of G', every copy would start one id late
+        n = k5.g_prime.n
+        bad = dataclasses.replace(
+            k5, g_prime=Graph.from_edges(n + 1, k5.g_prime.edge_array,
+                                         k5.g_prime.labels),
+            layout_prime=LinearLayout(
+                np.append(k5.layout_prime.order_array, n)))
+        with pytest.raises(InvariantError, match=(
+                f"^G' has {n + 1} vertices, not the {n} of 5 host "
+                f"vertices and 5 gadget copies$")):
+            verify_planarization(bad)
 
     def test_copy_before_its_entering_vertex(self, k5):
         # reversed, every copy comes before the vertex before its u
@@ -716,13 +737,13 @@ class TestTransferTable:
             gadget = make.__wrapped__()
             res = planarize(g, LinearLayout.identity(4), 1, gadget)
             before = list(built)
-            assert verify_planarization(g, 1, res)
-            assert verify_planarization(g, 1, res)
+            assert verify_planarization(res)
+            assert verify_planarization(res)
             assert built == before + [gadget.problem]
         assert built == ["is", "ds"]
         # a host without crossings needs no table
         fresh = gadgets.gjs_is_gadget.__wrapped__()
         path = Graph.from_edges(3, [(0, 1), (1, 2)])
         assert verify_planarization(
-            path, 0, planarize(path, LinearLayout.identity(3), 0, fresh))
+            planarize(path, LinearLayout.identity(3), 0, fresh))
         assert built == ["is", "ds"]
