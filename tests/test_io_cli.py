@@ -99,6 +99,33 @@ def planarized(n, problem):
                      builtin_gadget(problem)).g_prime
 
 
+def banded_host(n, m, band, seed):
+    """n vertices under a random relabelling, laid out in band order, with
+    m distinct edges between positions at most ``band`` apart."""
+    rng = random.Random(seed)
+    pairs = rng.sample([(i, j) for i in range(n)
+                        for j in range(i + 1, min(n, i + band + 1))], m)
+    order = list(range(n))
+    rng.shuffle(order)   # order[i] is the vertex at position i
+    return (Graph.from_edges(n, [(order[i], order[j]) for i, j in pairs]),
+            LinearLayout(order))
+
+
+# 1-based ids on both sides of every digit boundary up to 10**7
+BOUNDARY_IDS = sorted({1} | {10**d + s for d in range(1, 8) for s in (-1, 0)})
+
+
+@st.composite
+def wide_graphs(draw):
+    """Up to 40 edges whose 1-based ids have 1 to 13 digits, under an n of
+    at least the largest id and at most 10**12."""
+    ids = st.integers(0, 12).flatmap(lambda d: st.integers(1, 10**d))
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]),
+                          max_size=40))
+    n = draw(st.integers(max((max(p) for p in pairs), default=0), 10**12))
+    return Graph.from_edges(n, [(u - 1, v - 1) for u, v in pairs])
+
+
 class TestWriters:
     """The writers format the sorted edge array; they must give the bytes
     of the line-by-line formatters over the sorted tuple set."""
@@ -133,6 +160,47 @@ class TestWriters:
                               '  2 [label="x<y&z"];',
                               '  3 [label="c\\\\d"];']
         self.assert_same_bytes(g)
+
+    @pytest.mark.parametrize("top", [10**d for d in range(1, 8)])
+    def test_ids_at_digit_boundaries(self, top):
+        # rows of ids one digit apart, and rows whose widest id is last
+        ids = [i for i in BOUNDARY_IDS if i <= top]
+        pairs = list(zip(ids, ids[1:])) + [(i, top) for i in ids[:-2]]
+        g = Graph.from_edges(top, [(u - 1, v - 1) for u, v in pairs])
+        assert cio.write_graph(g) == write_graph_by_tuples(g)
+        if top <= 10**5:   # DOT has a line per vertex
+            assert cio.write_dot(g) == write_dot_by_tuples(g)
+        # write_layout formats the order as it stands, a permutation or not
+        for order in (ids, ids[::-1]):
+            layout = LinearLayout([i - 1 for i in order])
+            assert cio.write_layout(layout) == write_layout_by_tuples(layout)
+
+    @pytest.mark.parametrize("n", [2**32 - 1, 2**32, 2**33])
+    def test_ids_at_and_past_two_to_the_32(self, n):
+        # the widest id is the last vertex: below 2**32 the digits come
+        # from uint32, from 2**32 on from uint64
+        g = Graph.from_edges(n, [(0, 1), (8, 9), (0, n - 1),
+                                 (2**31, n - 2), (n - 2, n - 1)])
+        text = cio.write_graph(g)
+        assert text == write_graph_by_tuples(g)
+        assert text.endswith(f"e {n - 1} {n}\n")
+
+    @settings(max_examples=200, derandomize=True, database=None,
+              deadline=None)
+    @given(wide_graphs())
+    def test_wide_ids_match_tuples_and_parse_back(self, g):
+        text = cio.write_graph(g)
+        assert text == write_graph_by_tuples(g)
+        assert cio.parse_graph(text) == g
+
+    def test_planarized_banded_host(self):
+        # a G' of about 45 000 vertices, so ids of 1 to 5 digits
+        g, layout = banded_host(1000, 1500, 4, seed=1)
+        res = planarize(g, layout, 0, builtin_gadget("is"))
+        assert 10**4 <= res.g_prime.n < 10**5
+        self.assert_same_bytes(res.g_prime)
+        assert cio.write_layout(res.layout_prime) == write_layout_by_tuples(
+            res.layout_prime)
 
     @pytest.mark.parametrize("problem", ["is", "ds"])
     def test_pipeline_never_builds_the_edge_set_of_g_prime(self, monkeypatch,
