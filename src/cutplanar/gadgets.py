@@ -43,8 +43,10 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Sequence
 
+import numpy as np
+
 from .errors import GadgetError, InvariantError, PreconditionError
-from .graph import (Graph, LinearLayout, check_embedding, cut_profile,
+from .graph import (Graph, LinearLayout, check_embedding_arrays, cut_profile,
                     planar_rotation, random_graph)
 from . import solvers
 
@@ -121,6 +123,20 @@ class CrossoverGadget:
         return _proven_rotation(self, rot)
 
     @cached_property
+    def flat_rotation(self) -> FlatRotation:
+        """``rotation`` as flat arrays, which planarize lays down once per
+        gadget copy and the splice proof compares every copy with.  Built
+        on first use, never when the gadget is built, and proven then:
+        these very arrays, extended to the shape certificate, go through
+        ``check_embedding_arrays`` (``_check_certificate``), whose
+        InvariantError is raised as it is."""
+        lens, heads = _flat(self.rotation)
+        slots = _check_certificate(self, lens, heads)
+        for a in (lens, heads, slots):
+            a.flags.writeable = False
+        return FlatRotation(lens, heads, slots)
+
+    @cached_property
     def transfer(self) -> solvers.Transfer:
         """The gadget's transfer table under its problem's DP
         (``solvers.transfer_table``), which block steps and
@@ -128,6 +144,19 @@ class CrossoverGadget:
         gadget is built, and kept on the gadget."""
         return solvers.transfer_table(self.graph, self.terminals,
                                       self.layout, self.problem)
+
+
+@dataclass(frozen=True)
+class FlatRotation:
+    """A gadget's rotation system as read-only int64 arrays: vertex w
+    lists ``lens[w]`` entries, which follow one another in ``heads``, and
+    ``slots`` holds the indices in ``heads`` of the connector slots
+    (CONNECTOR) of u, v, u', v', the counter-clockwise order of the
+    connectors."""
+
+    lens: np.ndarray
+    heads: np.ndarray
+    slots: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -187,31 +216,62 @@ def _lr_rotation(gadget: CrossoverGadget) -> list[list[int]]:
     return out
 
 
-def _proven_rotation(gadget: CrossoverGadget, rot: Sequence[Sequence[int]]
-                     ) -> tuple[tuple[int, ...], ...]:
-    """``rot`` as tuples, once proven to be the rotation that
-    ``CrossoverGadget.rotation`` describes; raises GadgetError if not.
+def _flat(rot: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """A rotation system as the flat arrays (lens, heads)."""
+    lens = np.fromiter(map(len, rot), np.int64, count=len(rot))
+    heads = np.fromiter(itertools.chain.from_iterable(rot), np.int64,
+                        count=int(lens.sum()))
+    return lens, heads
 
-    The proof extends ``rot`` to a rotation of the shape certificate and
-    runs ``check_embedding`` on it, in O(n log n).  At each terminal the
-    connector slot becomes the terminal's predecessor in the cyclic
-    order u, v, u', v', then the apex, then its successor (at u:
-    v', apex, v), and the apex sees u, v', u', v counter-clockwise.  A
-    planar embedding of the certificate is what
+
+def _check_certificate(gadget: CrossoverGadget, lens: np.ndarray,
+                       heads: np.ndarray) -> np.ndarray:
+    """Prove the flat rotation (lens, heads) to be the rotation that
+    ``CrossoverGadget.rotation`` describes, and return the indices in
+    ``heads`` of the connector slots of u, v, u', v'; raises
+    InvariantError if it is not.
+
+    The proof extends the rotation to one of the shape certificate and
+    runs ``check_embedding_arrays`` on it, in O(n log n).  At each
+    terminal the connector slot, its first entry, becomes the terminal's
+    predecessor in the cyclic order u, v, u', v', then the apex, then its
+    successor (at u: v', apex, v), and the apex sees u, v', u', v
+    counter-clockwise.  A planar embedding of the certificate is what
     ``validate_crossover_shape`` claims; the mirrored orientation fails.
     """
     u, up, v, vp = gadget.terminals
-    apex = gadget.graph.n
-    ring = (u, v, up, vp)
-    ext = [list(r) for r in rot] + [[u, vp, up, v]]
-    for i, t in enumerate(ring):
-        if ext[t][:1] != [CONNECTOR]:
-            raise GadgetError(
+    if len(lens) != gadget.graph.n:
+        raise InvariantError(f"rotation system has {len(lens)} vertices, "
+                             f"gadget has {gadget.graph.n}")
+    ring = np.array([u, v, up, vp])
+    slots = (np.cumsum(lens) - lens)[ring]
+    for t, at in zip(ring.tolist(), slots.tolist()):
+        if lens[t] == 0 or heads[at] != CONNECTOR:
+            raise InvariantError(
                 f"rotation of terminal {gadget.graph.labels.get(t, str(t))} "
                 f"does not start with its connector slot")
-        ext[t][:1] = [ring[i - 1], apex, ring[(i + 1) % 4]]
+    # each slot takes three entries
+    reps = np.ones(len(heads), dtype=np.int64)
+    reps[slots] = 3
+    ext = np.repeat(heads, reps)
+    ext[(np.cumsum(reps) - reps)[slots][:, None] + np.arange(3)] = np.stack(
+        (np.roll(ring, 1), np.full(4, gadget.graph.n), np.roll(ring, -1)),
+        axis=1)
+    ext_lens = lens.copy()
+    ext_lens[ring] += 2
+    check_embedding_arrays(_shape_certificate(gadget),
+                           np.append(ext_lens, 4),
+                           np.append(ext, [u, vp, up, v]))
+    return slots
+
+
+def _proven_rotation(gadget: CrossoverGadget, rot: Sequence[Sequence[int]]
+                     ) -> tuple[tuple[int, ...], ...]:
+    """``rot`` as tuples, once ``_check_certificate`` has proven it to be
+    the rotation that ``CrossoverGadget.rotation`` describes; raises
+    GadgetError if not."""
     try:
-        check_embedding(_shape_certificate(gadget), ext)
+        _check_certificate(gadget, *_flat(rot))
     except InvariantError as exc:
         raise GadgetError(
             f"rotation is not a planar drawing of the gadget {_SHAPE}: "

@@ -10,11 +10,13 @@ inside gadget copies never exceed input + gadget + 4.
 
 Planarity of the result is proven from the drawing itself: while G' is
 assembled, the arc positions give every host vertex its rotation, and
-each gadget copy takes the gadget's cached planar rotation with its
-connector slots filled in.  ``graph.check_embedding_arrays`` then
-counts the faces of this rotation system, handed over as flat arrays,
-and checks Euler's formula with numpy passes over the darts, so no
-general planarity test runs on G'.
+each gadget copy takes the gadget's flat rotation with its connector
+slots filled in.  ``check_spliced_embedding`` proves this rotation
+system planar by splicing: every copy is compared with the gadget's
+rotation, which is proven once per gadget, and faces are counted
+(``graph.check_embedding_arrays``) only on the graph C in which each
+copy is contracted to one vertex, about 4 edges per copy instead of
+the gadget's h.m + 2.  No general planarity test runs on G'.
 
 ``verify_planarization`` solves G' under the gadget's problem with one
 DP block step per gadget copy (``planarized_optimum``), after checking
@@ -24,7 +26,6 @@ terminals.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -84,13 +85,16 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     stop lists, connector edges, slot fills and host rotation are numpy
     passes over the crossings' (arc, copy) visits, and the edges,
     rotations and layout blocks of all gadget copies are laid down at
-    once by broadcasting the gadget's arrays over the copies' base ids.
+    once by broadcasting the gadget's arrays (its edges, its layout and
+    ``CrossoverGadget.flat_rotation``) over the copies' base ids.  The
+    rotation system is proven planar by ``check_spliced_embedding``.
 
     Raises ResourceLimitError when G' would have more than
     PLANARIZE_VERTEX_LIMIT vertices, GadgetError when the gadget has no
     planar drawing with its connectors in the crossover order, and
-    InvariantError when a width claim fails or the rotation system of G'
-    is not planar.
+    InvariantError when a width claim fails, the gadget's flat rotation
+    fails its proof, or the splice proof rejects the rotation system of
+    G'.
     """
     h = gadget.graph
     ell = count_crossings(g, layout)
@@ -153,16 +157,14 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     side = np.repeat(np.array([0, 1]), len(left))
     host = np.lexsort((np.concatenate((span, -span)), side, at))
     # counter-clockwise rotation of every vertex of G': the host vertices,
-    # then the gadget's rotation per copy, whose connector slots (index 0
-    # of a terminal's rotation) hold the other end of the terminal's
-    # connector edge
-    h_lens = np.fromiter(map(len, gadget.rotation), np.int64, count=h.n)
-    h_heads = np.fromiter(itertools.chain.from_iterable(gadget.rotation),
-                          np.int64, count=int(h_lens.sum()))
+    # then the gadget's flat rotation per copy, whose connector slots
+    # (index 0 of a terminal's rotation) hold the other end of the
+    # terminal's connector edge
+    flat = gadget.flat_rotation
     lens = np.concatenate((np.bincount(at, minlength=g.n),
-                           np.tile(h_lens, ell)))
+                           np.tile(flat.lens, ell)))
     rotation = np.concatenate((np.concatenate((first_stop, last_stop))[host],
-                               (bases[:, None] + h_heads).ravel()))
+                               (bases[:, None] + flat.heads).ravel()))
     # every connector end with an id from g.n on is a gadget terminal
     ends = np.concatenate((chain, chain[:, ::-1]))
     filled = ends[ends[:, 0] >= g.n]
@@ -184,7 +186,7 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
         cut_profile=cut_profile(g_prime, layout_prime), gadget=gadget,
     )
     _assert_invariants(result)
-    check_embedding_arrays(g_prime, lens, rotation)
+    check_spliced_embedding(result, lens, rotation)
     return result
 
 
@@ -266,41 +268,18 @@ def _contract(result: PlanarizationResult
     right after U where the copy's first vertex stands in the layout of
     G'.  The order inside a copy's block does not matter.
 
-    Raises InvariantError with both counts unless G' has host.n +
-    crossings * h.n vertices, and naming the copy (X{e}) unless every
-    copy is an exact copy of the gadget: its induced edges are the
-    gadget's edges plus its base id, only u, u', v and v' have an edge
-    leaving it, one each, and in C the vertex before u (the end of u's
-    edge) and the one before v are distinct, U comes after the first and
-    before the end of the edge of u', and V after the second and before
-    the end of the edge of v'.  So U and V each have exactly one earlier
-    neighbour, the one a block step reads.
+    Raises InvariantError as ``_exact_copies`` does unless every copy is
+    an exact copy of the gadget attached at its four terminals, and
+    naming the copy (X{e}) unless in C the vertex before u (the end of
+    u's edge) and the one before v are distinct, U comes after the first
+    and before the end of the edge of u', and V after the second and
+    before the end of the edge of v'.  So U and V each have exactly one
+    earlier neighbour, the one a block step reads.
     """
     gp, h, ell = result.g_prime, result.gadget.graph, result.crossings_replaced
     first = result.host.n
-    if gp.n != first + ell * h.n:
-        raise InvariantError(
-            f"G' has {gp.n} vertices, not the {first + ell * h.n} of "
-            f"{first} host vertices and {ell} gadget copies")
+    out, beyond = _exact_copies(result)
     result.layout_prime.validate(gp)
-    e = gp.edge_array
-    copy = np.where(e >= first, (e - first) // h.n, -1)
-    inside = (copy[:, 0] == copy[:, 1]) & (copy[:, 0] >= 0)
-    # the induced edges of each copy, by their gadget ids
-    k = copy[inside, 0]
-    sizes = np.bincount(k, minlength=ell)
-    bad = sizes != h.m
-    if not bad.any():
-        local = (e[inside] - first - h.n * k[:, None]).reshape(ell, h.m, 2)
-        bad = (local != h.edge_array).any(axis=(1, 2))
-    # the edges leaving each copy, per gadget vertex
-    out = e[~inside]
-    ends = out[out >= first] - first
-    terminal = np.zeros(h.n, dtype=np.int64)
-    terminal[list(result.gadget.terminals)] = 1
-    bad |= (np.bincount(ends, minlength=ell * h.n).reshape(ell, h.n)
-            != terminal).any(axis=1)
-    _raise_for_copy(result, first, bad)
 
     u, up, v, vp = result.gadget.terminals
     # a terminal's C id, less first + 2k; -1 marks the dropped vertices
@@ -308,7 +287,6 @@ def _contract(result: PlanarizationResult
     merged[[u, up, v, vp]] = 0, 0, 1, 1
     cid = np.concatenate((np.arange(first), first + (
         2 * np.arange(ell)[:, None] + merged).ravel()))
-    edges = cid[out]
     # C's layout: host vertices at their positions, U and V at the
     # copy's first position
     pos = np.empty(gp.n, dtype=np.int64)
@@ -318,27 +296,198 @@ def _contract(result: PlanarizationResult
     order = np.argsort(key)
     pos_c = np.empty(first + 2 * ell, dtype=np.int64)
     pos_c[order] = np.arange(order.size)
-    # the C id beyond each terminal's edge; a, b, c and d are the
-    # positions in C of those beyond u, u', v and v'
-    beyond = np.empty(ell * h.n, dtype=np.int64)
-    for side in (0, 1):
-        mine = out[:, side] >= first
-        beyond[out[mine, side] - first] = edges[mine, 1 - side]
-    a, b, c, d = pos_c[beyond.reshape(ell, h.n)[:, [u, up, v, vp]].T]
+    # a, b, c and d are the positions in C of the ends of the edges that
+    # leave u, u', v and v'
+    a, b, c, d = pos_c[cid[beyond[:, [u, up, v, vp]].T]]
     here = pos_c[first::2]
-    _raise_for_copy(result, first, (a >= here) | (b <= here) | (c >= here + 1)
+    _raise_for_copy(result, (a >= here) | (b <= here) | (c >= here + 1)
                     | (d <= here + 1) | (a == c))
-    return (Graph.from_edges(first + 2 * ell, edges), LinearLayout(order),
+    return (Graph.from_edges(first + 2 * ell, cid[out]), LinearLayout(order),
             first)
 
 
-def _raise_for_copy(result: PlanarizationResult, first: int,
-                    bad: np.ndarray) -> None:
+def _exact_copies(result: PlanarizationResult
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Check that every gadget copy of G' is an exact copy of the gadget
+    attached at its four terminals, and return the edges that leave the
+    copies and, per copy and gadget vertex, the far end of its edge.
+
+    Copy k holds the ids bases[k] = first + k * h.n onwards, first =
+    host.n.  Its induced edges must be the gadget's edges plus its base
+    id, and only u, u', v and v' may have an edge leaving it, one each.
+    G''s edge rows are sorted, so the rows whose low end lies in copy k
+    follow one another, and one search of the bases finds where each
+    copy's rows begin; of those rows, the ones whose high end lies in the
+    copy too are its induced edges, and they must be the gadget's rows.
+    Every other edge leaves the copies, and their ends in copies must be
+    the terminals, each once.
+
+    Returns the rows of G''s edge array that lie in no copy, and an
+    (ell, h.n) array of the other end of each copy vertex's leaving edge,
+    -1 for the vertices that have none.  Raises InvariantError with both
+    counts unless G' has host.n + ell * h.n vertices, and naming the
+    first copy (X{e}) that is not exact.
+    """
+    gp, h, ell = result.g_prime, result.gadget.graph, result.crossings_replaced
+    first, e = result.host.n, result.g_prime.edge_array
+    if gp.n != first + ell * h.n:
+        raise InvariantError(
+            f"G' has {gp.n} vertices, not the {first + ell * h.n} of "
+            f"{first} host vertices and {ell} gadget copies")
+    bases = first + h.n * np.arange(ell + 1)
+    bounds = np.searchsorted(e[:, 0], bases)
+    inside = np.zeros(len(e), dtype=bool)
+    inside[bounds[0]:] = e[bounds[0]:, 1] < np.repeat(bases[1:],
+                                                      np.diff(bounds))
+    rows = np.compress(inside, e, axis=0)
+    if len(rows) == ell * h.m:
+        bad = (rows.reshape(ell, h.m, 2) - bases[:-1, None, None]
+               != h.edge_array).any(axis=(1, 2))
+    else:
+        # the induced edges per copy, to name the first copy that is off
+        sizes = np.bincount(np.repeat(np.arange(ell), np.diff(bounds))[
+            inside[bounds[0]:]], minlength=ell)
+        bad = sizes != h.m
+        k = np.flatnonzero(~bad)
+        local = rows[(np.cumsum(sizes) - sizes)[k, None] + np.arange(h.m)]
+        bad[k] = (local - bases[k, None, None] != h.edge_array).any(axis=(1, 2))
+    out = np.compress(~inside, e, axis=0)
+    terminal = np.zeros(h.n, dtype=np.int64)
+    terminal[list(result.gadget.terminals)] = 1
+    ends = out[out >= first] - first
+    bad |= (np.bincount(ends, minlength=ell * h.n).reshape(ell, h.n)
+            != terminal).any(axis=1)
+    _raise_for_copy(result, bad)
+    beyond = np.full(ell * h.n, -1, dtype=np.int64)
+    for side in (0, 1):
+        mine = out[:, side] >= first
+        beyond[out[mine, side] - first] = out[mine, 1 - side]
+    return out, beyond.reshape(ell, h.n)
+
+
+def check_spliced_embedding(result: PlanarizationResult, lens: np.ndarray,
+                            heads: np.ndarray) -> None:
+    """Prove the flat rotation system (lens, heads) of G' planar by
+    splicing: every gadget copy is compared with the gadget's proven
+    rotation, and faces are counted only on the contracted graph C.
+
+    The rotation system is flat as in ``check_embedding_arrays``.  C has
+    the host vertices and one vertex X_k = host.n + k per gadget copy;
+    its edges are the edges that leave the copies, with each copy vertex
+    mapped to its X_k.  The checks:
+
+    1. every copy is an exact copy of the gadget attached at its four
+       terminals by one edge each (``_exact_copies``);
+    2. each copy's block of ``lens`` and ``heads`` is the gadget's flat
+       rotation (``CrossoverGadget.flat_rotation``) plus the copy's base
+       id, except at the four connector slots;
+    3. each slot holds the far end of its terminal's edge; every entry of
+       a host vertex's rotation is a vertex, and one at or above host.n
+       is a terminal whose edge ends at that host vertex;
+    4. C is simple, and ``check_embedding_arrays`` accepts it with the
+       host rotations mapped to C and X_k's rotation the far ends of the
+       u, v, u', v' edges of copy k, in that order;
+    5. the gadget's flat rotation, extended to its shape certificate, is
+       planar: ``flat_rotation`` proves it once per gadget.
+
+    Why this is sound: take the planar drawing of C that its rotation
+    system gives, and replace a small disk around each X_k by the drawing
+    of the gadget that check 5 proves to exist, with the terminals on its
+    boundary in the counter-clockwise order u, v, u', v' in which X_k's
+    edges leave it.  The result is a planar drawing of G' whose rotation
+    system is exactly (lens, heads): checks 1-3 make every rotation a
+    permutation of its vertex's neighbours in G', checks 2 and 5 give the
+    copies' rotations and check 4 the host vertices'.  The proof is
+    stricter than the general check: a copy block unlike the gadget's
+    is rejected even when the rotation system is planar.
+
+    Checks 1-3 are a few numpy passes over the edges and darts of G',
+    with one search of the copies' base ids; only C, which has about 4
+    edges per copy instead of h.m + 2, goes through the face count.
+    Raises InvariantError as ``_exact_copies`` does, naming the copy
+    vertex (X{e}:{name}) whose block is not the gadget's, the host
+    vertex whose rotation lists no neighbour, the copy (X{e}) with two
+    edges to one vertex, or as ``check_embedding_arrays`` does on C.
+    """
+    gadget, first, ell = result.gadget, result.host.n, result.crossings_replaced
+    gp, h, flat = result.g_prime, gadget.graph, gadget.flat_rotation
+    out, beyond = _exact_copies(result)
+    if len(lens) != gp.n:
+        raise InvariantError(
+            f"rotation system has {len(lens)} vertices, G' has {gp.n}")
+    u, up, v, vp = gadget.terminals
+    ring = beyond[:, [u, v, up, vp]]
+    # checks 2 and 3 on the copies: one compare with the gadget's blocks
+    want = first + h.n * np.arange(ell)[:, None] + flat.heads
+    want[:, flat.slots] = ring
+    host_lens = lens[:first]
+    host_darts = int(host_lens.sum())
+    off = lens[first:] != np.tile(flat.lens, ell)
+    if not off.any():
+        if (host_lens < 0).any() or len(heads) != host_darts + want.size:
+            raise InvariantError(
+                f"rotation system of G' has {len(heads)} darts, not the "
+                f"{host_darts} of the host vertices and {want.shape[1]} per "
+                f"gadget copy")
+        wrong = (heads[host_darts:].reshape(want.shape) != want).ravel()
+        if wrong.any():
+            k, j = divmod(int(np.argmax(wrong)), want.shape[1])
+            w = int(np.searchsorted(np.cumsum(flat.lens), j, side="right"))
+            off[k * h.n + w] = True
+    if off.any():
+        raise InvariantError(
+            f"rotation at vertex {_label(gp, first + int(np.argmax(off)))} "
+            f"is not its gadget vertex's rotation with the connector slot "
+            f"filled in")
+    # check 3 on the host vertices
+    host_heads = heads[:host_darts]
+    tail = np.repeat(np.arange(first, dtype=np.int64), host_lens)
+    bad = (host_heads < 0) | (host_heads >= gp.n)
+    if not bad.any():
+        far = np.flatnonzero(host_heads >= first)
+        bad[far] = beyond.ravel()[host_heads[far] - first] != tail[far]
+    if bad.any():
+        i = int(np.argmax(bad))
+        y = int(host_heads[i])
+        raise InvariantError(
+            f"rotation at vertex {_label(gp, int(tail[i]))} lists "
+            f"{_label(gp, y) if 0 <= y < gp.n else y}, which is not one of "
+            f"its neighbours")
+    # check 4: the contracted graph
+    edges = _contracted(out, first, h.n)
+    c = Graph.from_edges(first + ell, edges, result.host.labels)
+    if c.m != len(edges):
+        key = np.sort(edges[:, 0] * c.n + edges[:, 1])
+        twice = key[1:][key[1:] == key[:-1]]
+        ends = np.concatenate((twice // c.n, twice % c.n))
+        bad = np.zeros(ell, dtype=bool)
+        bad[ends[ends >= first] - first] = True
+        _raise_for_copy(result, bad, "has two edges to one vertex, so "
+                        "contracting the copies leaves a multigraph")
+    check_embedding_arrays(
+        c, np.concatenate((host_lens, np.full(ell, 4, dtype=np.int64))),
+        np.concatenate((_contracted(host_heads, first, h.n),
+                        _contracted(ring, first, h.n).ravel())))
+
+
+def _contracted(ids: np.ndarray, first: int, size: int) -> np.ndarray:
+    """G' ids as ids of the contracted graph of
+    ``check_spliced_embedding``: host ids stay, and the vertices of copy
+    k become first + k."""
+    return np.where(ids < first, ids, first + (ids - first) // size)
+
+
+def _label(g: Graph, w: int) -> str:
+    return g.labels.get(w, str(w))
+
+
+def _raise_for_copy(result: PlanarizationResult, bad: np.ndarray,
+                    fault: str = "is not an exact copy of the gadget "
+                                 "attached at its four terminals") -> None:
     """Raise InvariantError naming the first copy that ``bad`` marks."""
     if bad.any():
         k = int(np.argmax(bad))
-        w = first + k * result.gadget.graph.n
-        label = result.g_prime.labels.get(w, str(w))
-        raise InvariantError(
-            f"gadget copy {label.split(':')[0]} of G' is not an exact copy "
-            f"of the gadget attached at its four terminals")
+        label = _label(result.g_prime,
+                       result.host.n + k * result.gadget.graph.n)
+        raise InvariantError(f"gadget copy {label.split(':')[0]} of G' "
+                             f"{fault}")

@@ -22,7 +22,7 @@ from cutplanar.gadgets import builtin_gadget, gjs_is_gadget, CrossoverGadget
 from cutplanar.graph import (CutProfile, Graph, LinearLayout,
                              check_embedding_arrays, cut_profile,
                              random_graph)
-from cutplanar.planarize import planarize
+from cutplanar.planarize import check_spliced_embedding, planarize
 
 from oracles import (graph_to_json_by_tuples, write_dot_by_tuples,
                      write_graph_by_tuples, write_layout_by_tuples)
@@ -472,9 +472,15 @@ class TestCli:
         assert out_graph.n == 26
 
     def test_planarize_k4_verify(self, capsys, monkeypatch, k4_files, tmp_path):
-        # planarity of G' is proven once per job, by the embedding check;
-        # the left-right test runs at most once, on the gadget certificate
-        checks, lr_calls = [], []
+        # planarity of G' is proven once per job, by one splice proof,
+        # whose general embedding check runs on the contracted graph C
+        # (the 4 host vertices and the one copy); the left-right test
+        # runs at most once, on the gadget certificate
+        splices, checks, lr_calls = [], [], []
+
+        def counting_splice(result, lens, heads):
+            splices.append(result.g_prime.n)
+            return check_spliced_embedding(result, lens, heads)
 
         def counting_check(g, lens, heads):
             checks.append(g.n)
@@ -484,6 +490,8 @@ class TestCli:
             lr_calls.append(graph.number_of_nodes())
             return lr_check_planarity(graph, *args, **kwargs)
         assert not hasattr(planarize_module, "is_planar")
+        monkeypatch.setattr(planarize_module, "check_spliced_embedding",
+                            counting_splice)
         monkeypatch.setattr(planarize_module, "check_embedding_arrays",
                             counting_check)
         monkeypatch.setattr(networkx, "check_planarity", counting_lr)
@@ -493,7 +501,8 @@ class TestCli:
             "--verify", "--out-prefix", str(tmp_path / "v")])
         assert code == 0
         assert rep["results"]["verified"] is True
-        assert checks == [26]
+        assert splices == [26]
+        assert checks == [5]
         assert lr_calls in ([], [gjs_is_gadget().graph.n + 1])
 
     def test_planarize_verify_failure_report(self, capsys, monkeypatch,

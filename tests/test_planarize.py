@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import importlib
@@ -21,8 +22,9 @@ from cutplanar.gadgets import (CrossoverGadget, builtin_gadget,
 from cutplanar.graph import (Graph, LinearLayout, bag_steps, check_embedding,
                              check_embedding_arrays, cut_profile, is_planar,
                              random_graph)
-from cutplanar.planarize import (_assert_invariants, planarize,
-                                 planarized_optimum, verify_planarization)
+from cutplanar.planarize import (_assert_invariants, check_spliced_embedding,
+                                 planarize, planarized_optimum,
+                                 verify_planarization)
 from cutplanar.solvers import SOLVERS, brute_is, dp_is
 
 from oracles import (band24_host, gap_cuts, pairwise_crossings,
@@ -333,19 +335,26 @@ def mirrored(gadget):
     return m
 
 
-def captured_embedding(monkeypatch, g, gadget):
-    """G' and the rotation system that planarize hands to the check, as
-    one neighbour list per vertex."""
+def captured_arrays(monkeypatch, g, gadget, layout=None):
+    """planarize's result and the flat rotation system (lens, heads) of
+    G' that it hands to the splice proof."""
     seen = []
 
-    def capture(g_prime, lens, heads):
-        rotation = np.split(heads, np.cumsum(lens)[:-1])
-        seen.append((g_prime, [r.tolist() for r in rotation]))
-        return check_embedding_arrays(g_prime, lens, heads)
-    monkeypatch.setattr(planarize_module, "check_embedding_arrays", capture)
-    planarize(g, LinearLayout.identity(g.n), 0, gadget)
-    assert len(seen) == 1
+    def capture(result, lens, heads):
+        seen.append((result, lens.copy(), heads.copy()))
+        return check_spliced_embedding(result, lens, heads)
+    monkeypatch.setattr(planarize_module, "check_spliced_embedding", capture)
+    res = planarize(g, layout or LinearLayout.identity(g.n), 0, gadget)
+    assert len(seen) == 1 and seen[0][0] is res
     return seen[0]
+
+
+def captured_embedding(monkeypatch, g, gadget):
+    """G' and the rotation system that planarize hands to the splice
+    proof, as one neighbour list per vertex."""
+    res, lens, heads = captured_arrays(monkeypatch, g, gadget)
+    rotation = np.split(heads, np.cumsum(lens)[:-1])
+    return res.g_prime, [r.tolist() for r in rotation]
 
 
 class TestEmbedding:
@@ -428,8 +437,234 @@ class TestEmbedding:
                 assert check_embedding(g_prime, r) == expect
 
 
+def banded_hosts(n, m, band, seeds):
+    """Hosts of m edges between layout positions at most ``band`` apart,
+    each under a shuffled layout made from its seed."""
+    out = []
+    for seed in seeds:
+        rng = random.Random(seed)
+        pairs = rng.sample([(i, j) for i in range(n)
+                            for j in range(i + 1, min(n, i + band + 1))], m)
+        order = list(range(n))
+        rng.shuffle(order)
+        out.append((Graph.from_edges(n, [(order[i], order[j])
+                                         for i, j in pairs]),
+                    LinearLayout(tuple(order))))
+    return out
+
+
+def splice_hosts(problem):
+    """K4-K7, the 47 concurrent triples and four seeded banded hosts, each
+    with its layout; the banded hosts under the DS gadget are smaller."""
+    hosts = [identity_host(n) for n in range(4, 8)]
+    hosts += [(g, LinearLayout.identity(g.n)) for g in triple_hosts()]
+    size = (16, 24, 4) if problem == "is" else (10, 14, 3)
+    return hosts + banded_hosts(*size, seeds=range(4))
+
+
+def splice_mutants(res, lens, heads, rng, count):
+    """``count`` mutants of the flat rotation system (lens, heads) of G',
+    each as (kind, heads) and each unlike ``heads``.  Host and copy
+    blocks get two entries swapped or one replaced (by a vertex, -1 or
+    n'); a connector slot is replaced or swapped with its successor; a
+    copy is mirrored (every rotation in it reversed), or its whole block
+    is reversed."""
+    first, n, ell = res.host.n, res.g_prime.n, res.crossings_replaced
+    flat = res.gadget.flat_rotation
+    start = np.cumsum(lens) - lens
+    host_darts = int(lens[:first].sum())
+    block = len(flat.heads)
+    # the vertices a swap (two entries) or a replaced entry can hit
+    pools = {f"{side} {what}": np.flatnonzero(lens[vertices] >= least)
+             + vertices.start
+             for side, vertices in (("host", range(first)),
+                                    ("copy", range(first, n)))
+             for what, least in (("swap", 2), ("entry", 1))}
+    kinds = [kind for kind, pool in pools.items() if len(pool)]
+    if ell:
+        kinds += ["slot", "mirrored copy", "reversed copy block"]
+    out = []
+    while len(out) < count:
+        kind = kinds[rng.randrange(len(kinds))]
+        bad = heads.copy()
+        if kind in pools:
+            w = int(rng.choice(pools[kind]))
+            s, size = int(start[w]), int(lens[w])
+            if kind.endswith("swap"):
+                i, j = rng.sample(range(s, s + size), 2)
+                bad[i], bad[j] = heads[j], heads[i]
+            else:
+                bad[rng.randrange(s, s + size)] = rng.choice(
+                    [-1, n, rng.randrange(n)])
+        else:
+            k = rng.randrange(ell)
+            base = host_darts + k * block
+            if kind == "slot":
+                i = base + int(rng.choice(flat.slots))
+                if rng.random() < 0.5:
+                    bad[i] = rng.randrange(n)
+                else:
+                    bad[i], bad[i + 1] = heads[i + 1], heads[i]
+            elif kind == "mirrored copy":
+                for w in range(first + k * res.gadget.graph.n,
+                               first + (k + 1) * res.gadget.graph.n):
+                    s, e = int(start[w]), int(start[w] + lens[w])
+                    bad[s:e] = heads[s:e][::-1]
+            else:
+                bad[base:base + block] = heads[base:base + block][::-1]
+        if not np.array_equal(bad, heads):
+            out.append((kind, bad))
+    return out
+
+
+def accepts(check, *args):
+    try:
+        check(*args)
+    except InvariantError:
+        return False
+    return True
+
+
+class TestSpliceProof:
+    """planarize proves G' planar by splicing; the general embedding check
+    on G' is the oracle."""
+
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    def test_both_checks_accept_planarize_output(self, monkeypatch, problem):
+        for g, layout in splice_hosts(problem):
+            res, lens, heads = captured_arrays(
+                monkeypatch, g, builtin_gadget(problem), layout)
+            check_spliced_embedding(res, lens, heads)
+            assert check_embedding_arrays(res.g_prime, lens, heads) > 0
+
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    def test_no_mutant_accepted_that_the_general_check_rejects(
+            self, monkeypatch, problem):
+        # a copy block unlike the gadget's is rejected even when planar;
+        # with the copies as they are, both checks agree
+        rng = random.Random(33)
+        kinds = collections.Counter()
+        general_only = 0
+        for g, layout in splice_hosts(problem):
+            res, lens, heads = captured_arrays(
+                monkeypatch, g, builtin_gadget(problem), layout)
+            for kind, bad in splice_mutants(res, lens, heads, rng, 20):
+                splice = accepts(check_spliced_embedding, res, lens, bad)
+                general = accepts(check_embedding_arrays, res.g_prime, lens,
+                                  bad)
+                assert general or not splice, kind
+                if kind.startswith("host"):
+                    assert splice == general, kind
+                else:
+                    assert not splice, kind
+                    general_only += general
+                kinds[kind] += 1
+        assert sum(kinds.values()) >= 1000
+        assert len(kinds) == 7 and min(kinds.values()) >= 20
+        # some copy mutants are still planar: a swap at a vertex of
+        # degree 2 keeps its cyclic order
+        assert general_only > 0
+
+    @pytest.fixture
+    def k5(self, monkeypatch):
+        # a labelled host: the contracted graph names host vertices by label
+        g = Graph.from_edges(5, complete(5).edge_array,
+                             {v: "abcde"[v] for v in range(5)})
+        return captured_arrays(monkeypatch, g, gjs_is_gadget())
+
+    @pytest.mark.parametrize("tamper", ["extra", "missing", "wired out",
+                                        "rewired"])
+    def test_tampered_edges_name_the_copy(self, k5, tamper):
+        res, lens, heads = k5
+        gadget = res.gadget
+        inner = [w for w in range(gadget.graph.n) if w not in gadget.terminals]
+        pair = next((a, b) for a, b in itertools.combinations(inner, 2)
+                    if not gadget.graph.has_edge(a, b))
+        edge = tuple(gadget.graph.edge_array[3].tolist())
+        change = {"extra": dict(add=[pair]), "missing": dict(drop=[edge]),
+                  "wired out": dict(add=[(inner[0], -1)]),
+                  "rewired": dict(add=[pair], drop=[edge])}[tamper]
+        bad, tag = TestStructureCheck.mutated(res, 2, **change)
+        with pytest.raises(InvariantError, match=f"^gadget copy {tag} "):
+            check_spliced_embedding(bad, lens, heads)
+
+    def test_two_edges_to_one_vertex_name_the_copy(self, monkeypatch):
+        # K4's one copy, with v wired to u's host vertex 0 instead of 1:
+        # G' is still planar, but the contracted graph is not simple
+        res, lens, heads = captured_arrays(monkeypatch, complete(4),
+                                           gjs_is_gadget())
+        u, _, v, _ = res.gadget.terminals
+        edges = {tuple(e) for e in res.g_prime.edge_array.tolist()}
+        assert {(0, 4 + u), (1, 4 + v)} <= edges
+        g_prime = Graph.from_edges(
+            res.g_prime.n, sorted(edges - {(1, 4 + v)} | {(0, 4 + v)}),
+            res.g_prime.labels)
+        rot = [r.tolist() for r in np.split(heads, np.cumsum(lens)[:-1])]
+        rot[1].remove(4 + v)
+        rot[0].insert(rot[0].index(4 + u), 4 + v)
+        rot[4 + v][0] = 0
+        lens = np.array([len(r) for r in rot])
+        heads = np.concatenate(rot)
+        bad = dataclasses.replace(res, g_prime=g_prime)
+        assert check_embedding_arrays(g_prime, lens, heads)
+        with pytest.raises(InvariantError, match=r"^gadget copy X2 .* two "
+                           r"edges to one vertex"):
+            check_spliced_embedding(bad, lens, heads)
+
+    def test_bad_copy_block_names_the_vertex(self, k5):
+        res, lens, heads = k5
+        h, first = res.gadget.graph, res.host.n
+        flat = res.gadget.flat_rotation
+        w = next(w for w in range(h.n)
+                 if w not in res.gadget.terminals and flat.lens[w] >= 2)
+        k = 3
+        at = (int(lens[:first].sum()) + k * len(flat.heads)
+              + int((np.cumsum(flat.lens) - flat.lens)[w]))
+        bad = heads.copy()
+        bad[at], bad[at + 1] = heads[at + 1], heads[at]
+        label = res.g_prime.labels[first + k * h.n + w]
+        with pytest.raises(InvariantError, match=(
+                f"^rotation at vertex {label} is not its gadget vertex's ")):
+            check_spliced_embedding(res, lens, bad)
+
+    def test_bad_slot_names_the_terminal(self, k5):
+        res, lens, heads = k5
+        h, first = res.gadget.graph, res.host.n
+        flat = res.gadget.flat_rotation
+        k = 1
+        # the slot of v, the second in the order u, v, u', v'
+        at = int(lens[:first].sum()) + k * len(flat.heads) + int(flat.slots[1])
+        bad = heads.copy()
+        bad[at] = first
+        label = res.g_prime.labels[first + k * h.n + res.gadget.terminals[2]]
+        assert label.endswith(":v")
+        with pytest.raises(InvariantError,
+                           match=f"^rotation at vertex {label} is not"):
+            check_spliced_embedding(res, lens, bad)
+
+    def test_bad_host_entry_names_the_host_vertex(self, k5):
+        res, lens, heads = k5
+        first, n = res.host.n, res.g_prime.n
+        # vertex a (0) lists a terminal; put an unattached one, a vertex
+        # out of range, or a host vertex twice in its place
+        i = next(i for i in range(int(lens[0])) if heads[i] >= first)
+        j = next(j for j in range(int(lens[0])) if heads[j] < first)
+        stranger = int(heads[i]) + 1
+        for entry, text in [
+                (stranger, f"lists {res.g_prime.labels[stranger]}, which is "
+                           f"not one of its neighbours$"),
+                (n, f"lists {n}, which is not one of its neighbours$"),
+                (int(heads[j]), r"is not a permutation of its \d+ "
+                                r"neighbours$")]:
+            bad = heads.copy()
+            bad[i] = entry
+            with pytest.raises(InvariantError,
+                               match=f"^rotation at vertex a {text}"):
+                check_spliced_embedding(res, lens, bad)
+
+
 # sha256 (first 16 hex digits) of the rotation arrays (lens, heads) that
-# planarize hands to the embedding check, of write_graph(G') and of
+# planarize hands to the splice proof, of write_graph(G') and of
 # write_layout(layout'), each taken over the hosts in order
 PINNED = {
     ("K5", "is"): ("66e8d1c63bea6f76", "7554eaa8c9b2bfc6", "0128b5ea20dc223b"),
@@ -456,11 +691,12 @@ class TestPinnedOutput:
                   else [complete(int(hosts[1:]))])
         rotation, graph, layout = (hashlib.sha256() for _ in range(3))
 
-        def capture(g_prime, lens, heads):
+        def capture(result, lens, heads):
             rotation.update(np.asarray(lens, dtype=np.int64).tobytes())
             rotation.update(np.asarray(heads, dtype=np.int64).tobytes())
-            return check_embedding_arrays(g_prime, lens, heads)
-        monkeypatch.setattr(planarize_module, "check_embedding_arrays", capture)
+            return check_spliced_embedding(result, lens, heads)
+        monkeypatch.setattr(planarize_module, "check_spliced_embedding",
+                            capture)
         gadget = builtin_gadget(problem)
         for g in graphs:
             res = planarize(g, LinearLayout.identity(g.n), 0, gadget)
