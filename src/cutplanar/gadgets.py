@@ -18,12 +18,14 @@ Two gadget families are provided:
   by the vertex-cover crossing core (+9 each).
 
 Both gadgets carry a layout frozen by vertex label and a rotation system
-(a planar drawing) frozen by layout position.  The rotation is proven
-when the gadget is built, by checking it as an embedding of the shape
-certificate of validate_crossover_shape, so the built-in pipeline runs
-no general planarity test and never imports networkx; a gadget read
-from a file, which carries no rotation, gets one from networkx's
-left-right test and the same proof.
+(a planar drawing) frozen by layout position.  A gadget's rotation is
+kept once, as the flat arrays that planarize lays down per gadget copy,
+and proven once, by checking it as an embedding of the shape
+certificate of validate_crossover_shape; the built-in gadgets prove it
+when they are built, so the built-in pipeline runs no general planarity
+test and never imports networkx.  A gadget read from a file, which
+carries no rotation, gets one from networkx's left-right test and the
+same proof.
 
 Every construction in this module is validated by tests against
 brute-force optimum oracles; the structural facts used by the
@@ -41,13 +43,12 @@ import itertools
 import random
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Sequence
 
 import numpy as np
 
 from .errors import GadgetError, InvariantError, PreconditionError
 from .graph import (Graph, LinearLayout, check_embedding_arrays, cut_profile,
-                    planar_rotation, random_graph)
+                    planar_rotation, random_graph, rotation_arrays)
 from . import solvers
 
 Edge = tuple[int, int]
@@ -68,9 +69,9 @@ class CrossoverGadget:
     ``transfer``, so --verify solves G' under it.  The layout is any valid
     layout of the gadget graph; its cutwidth feeds the width bound.
     ``frozen_rotation``, if given, is ``rotation`` keyed by layout
-    position: entry i lists the positions of the neighbours of the
-    vertex at position i, in the same order.  The built-in gadgets
-    carry one.
+    position: entry i lists counter-clockwise the positions of the
+    neighbours of the vertex at position i, a terminal's CONNECTOR slot
+    first.  The built-in gadgets carry one.
     """
 
     problem: str
@@ -96,42 +97,40 @@ class CrossoverGadget:
         return cut_profile(self.graph, self.layout).max_width
 
     @cached_property
-    def rotation(self) -> tuple[tuple[int, ...], ...]:
+    def rotation(self) -> FlatRotation:
         """Counter-clockwise rotation system of a planar drawing of the
         gadget whose connector edges leave u, v, u', v' in that
         counter-clockwise order, as at a crossing whose first edge runs
         from upper left (u) to lower right (u').  Each terminal's
         rotation starts with CONNECTOR, the slot of its connector edge.
 
+        These read-only arrays are what planarize lays down once per
+        gadget copy and what the splice proof compares every copy with.
         A built-in gadget translates its frozen rotation, and proves it
         when the gadget is built; any other gadget derives one with the
         left-right planarity test (networkx, imported then).  Either way
-        the rotation is proven before it is returned
-        (``_proven_rotation``), and GadgetError is raised when no such
-        drawing exists or the frozen rotation is not one.
+        the arrays are proven by one ``_check_certificate`` run before
+        they are returned, and GadgetError is raised when no such drawing
+        exists or the frozen rotation is not one.
         """
         if self.frozen_rotation is None:
-            return _proven_rotation(self, _lr_rotation(self))
-        order = self.layout.order
-        rot: list = [()] * len(order)
+            rot = _lr_rotation(self)
+        else:
+            order = self.layout.order
+            rot: list = [()] * len(order)
+            try:
+                for w, r in zip(order, self.frozen_rotation, strict=True):
+                    rot[w] = [x if x == CONNECTOR else order[x] for x in r]
+            except (IndexError, ValueError) as exc:
+                raise GadgetError("frozen rotation does not fit the "
+                                  "gadget's layout") from exc
+        lens, heads = rotation_arrays(rot)
         try:
-            for w, r in zip(order, self.frozen_rotation, strict=True):
-                rot[w] = tuple(x if x == CONNECTOR else order[x] for x in r)
-        except (IndexError, ValueError) as exc:
-            raise GadgetError("frozen rotation does not fit the gadget's "
-                              "layout") from exc
-        return _proven_rotation(self, rot)
-
-    @cached_property
-    def flat_rotation(self) -> FlatRotation:
-        """``rotation`` as flat arrays, which planarize lays down once per
-        gadget copy and the splice proof compares every copy with.  Built
-        on first use, never when the gadget is built, and proven then:
-        these very arrays, extended to the shape certificate, go through
-        ``check_embedding_arrays`` (``_check_certificate``), whose
-        InvariantError is raised as it is."""
-        lens, heads = _flat(self.rotation)
-        slots = _check_certificate(self, lens, heads)
+            slots = _check_certificate(self, lens, heads)
+        except InvariantError as exc:
+            raise GadgetError(
+                f"rotation is not a planar drawing of the gadget {_SHAPE}: "
+                f"{exc}") from exc
         for a in (lens, heads, slots):
             a.flags.writeable = False
         return FlatRotation(lens, heads, slots)
@@ -177,12 +176,14 @@ class BoundaryFunction:
 
 def _shape_certificate(gadget: CrossoverGadget) -> Graph:
     """The gadget graph plus the terminal 4-cycle u-v-u'-v' and an apex
-    (vertex n) adjacent to all four terminals."""
+    (vertex n, labelled apex) adjacent to all four terminals; the gadget
+    vertices keep their labels."""
     u, up, v, vp = gadget.terminals
     g = gadget.graph
     extra = [(u, v), (v, up), (up, vp), (vp, u),
              (g.n, u), (g.n, v), (g.n, up), (g.n, vp)]
-    return Graph.from_edges(g.n + 1, list(g.edges) + extra)
+    return Graph.from_edges(g.n + 1, np.concatenate((g.edge_array, extra)),
+                            {**g.labels, g.n: "apex"})
 
 
 _SHAPE = ("with the terminals on the outer face in the cyclic order "
@@ -214,14 +215,6 @@ def _lr_rotation(gadget: CrossoverGadget) -> list[list[int]]:
             r = [CONNECTOR] + r[i + 1:] + r[:i]
         out.append(r)
     return out
-
-
-def _flat(rot: Sequence[Sequence[int]]) -> tuple[np.ndarray, np.ndarray]:
-    """A rotation system as the flat arrays (lens, heads)."""
-    lens = np.fromiter(map(len, rot), np.int64, count=len(rot))
-    heads = np.fromiter(itertools.chain.from_iterable(rot), np.int64,
-                        count=int(lens.sum()))
-    return lens, heads
 
 
 def _check_certificate(gadget: CrossoverGadget, lens: np.ndarray,
@@ -263,20 +256,6 @@ def _check_certificate(gadget: CrossoverGadget, lens: np.ndarray,
                            np.append(ext_lens, 4),
                            np.append(ext, [u, vp, up, v]))
     return slots
-
-
-def _proven_rotation(gadget: CrossoverGadget, rot: Sequence[Sequence[int]]
-                     ) -> tuple[tuple[int, ...], ...]:
-    """``rot`` as tuples, once ``_check_certificate`` has proven it to be
-    the rotation that ``CrossoverGadget.rotation`` describes; raises
-    GadgetError if not."""
-    try:
-        _check_certificate(gadget, *_flat(rot))
-    except InvariantError as exc:
-        raise GadgetError(
-            f"rotation is not a planar drawing of the gadget {_SHAPE}: "
-            f"{exc}") from exc
-    return tuple(map(tuple, rot))
 
 
 def validate_crossover_shape(gadget: CrossoverGadget) -> bool:

@@ -392,13 +392,20 @@ def planar_rotation(g: Graph) -> list[list[int]] | None:
     return [list(emb.neighbors_cw_order(v))[::-1] for v in range(g.n)]
 
 
-def check_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> int:
-    """``check_embedding_arrays`` on a rotation system given as one
-    sequence of neighbours per vertex."""
+def rotation_arrays(rotation: Sequence[Sequence[int]]
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """A rotation system given as one sequence of neighbours per vertex,
+    as the flat int64 arrays (lens, heads) of ``check_embedding_arrays``."""
     lens = np.fromiter(map(len, rotation), np.int64, count=len(rotation))
     heads = np.fromiter(itertools.chain.from_iterable(rotation), np.int64,
                         count=int(lens.sum()))
-    return check_embedding_arrays(g, lens, heads)
+    return lens, heads
+
+
+def check_embedding(g: Graph, rotation: Sequence[Sequence[int]]) -> int:
+    """``check_embedding_arrays`` on a rotation system given as one
+    sequence of neighbours per vertex."""
+    return check_embedding_arrays(g, *rotation_arrays(rotation))
 
 
 def check_embedding_arrays(g: Graph, lens: np.ndarray,

@@ -10,8 +10,8 @@ inside gadget copies never exceed input + gadget + 4.
 
 Planarity of the result is proven from the drawing itself: while G' is
 assembled, the arc positions give every host vertex its rotation, and
-each gadget copy takes the gadget's flat rotation with its connector
-slots filled in.  ``check_spliced_embedding`` proves this rotation
+each gadget copy takes the gadget's rotation with its connector slots
+filled in.  ``check_spliced_embedding`` proves this rotation
 system planar by splicing: every copy is compared with the gadget's
 rotation, which is proven once per gadget, and faces are counted
 (``graph.check_embedding_arrays``) only on the graph C in which each
@@ -86,15 +86,14 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     passes over the crossings' (arc, copy) visits, and the edges,
     rotations and layout blocks of all gadget copies are laid down at
     once by broadcasting the gadget's arrays (its edges, its layout and
-    ``CrossoverGadget.flat_rotation``) over the copies' base ids.  The
+    ``CrossoverGadget.rotation``) over the copies' base ids.  The
     rotation system is proven planar by ``check_spliced_embedding``.
 
     Raises ResourceLimitError when G' would have more than
     PLANARIZE_VERTEX_LIMIT vertices, GadgetError when the gadget has no
-    planar drawing with its connectors in the crossover order, and
-    InvariantError when a width claim fails, the gadget's flat rotation
-    fails its proof, or the splice proof rejects the rotation system of
-    G'.
+    planar drawing with its connectors in the crossover order or its
+    rotation fails its proof, and InvariantError when a width claim fails
+    or the splice proof rejects the rotation system of G'.
     """
     h = gadget.graph
     ell = count_crossings(g, layout)
@@ -157,10 +156,10 @@ def planarize(g: Graph, layout: LinearLayout, t: int,
     side = np.repeat(np.array([0, 1]), len(left))
     host = np.lexsort((np.concatenate((span, -span)), side, at))
     # counter-clockwise rotation of every vertex of G': the host vertices,
-    # then the gadget's flat rotation per copy, whose connector slots
-    # (index 0 of a terminal's rotation) hold the other end of the
-    # terminal's connector edge
-    flat = gadget.flat_rotation
+    # then the gadget's rotation per copy, whose connector slots (index 0
+    # of a terminal's rotation) hold the other end of the terminal's
+    # connector edge
+    flat = gadget.rotation
     lens = np.concatenate((np.bincount(at, minlength=g.n),
                            np.tile(flat.lens, ell)))
     rotation = np.concatenate((np.concatenate((first_stop, last_stop))[host],
@@ -378,17 +377,18 @@ def check_spliced_embedding(result: PlanarizationResult, lens: np.ndarray,
 
     1. every copy is an exact copy of the gadget attached at its four
        terminals by one edge each (``_exact_copies``);
-    2. each copy's block of ``lens`` and ``heads`` is the gadget's flat
-       rotation (``CrossoverGadget.flat_rotation``) plus the copy's base
-       id, except at the four connector slots;
+    2. each copy's block of ``lens`` and ``heads`` is the gadget's
+       rotation (``CrossoverGadget.rotation``) plus the copy's base id,
+       except at the four connector slots;
     3. each slot holds the far end of its terminal's edge; every entry of
        a host vertex's rotation is a vertex, and one at or above host.n
        is a terminal whose edge ends at that host vertex;
     4. C is simple, and ``check_embedding_arrays`` accepts it with the
        host rotations mapped to C and X_k's rotation the far ends of the
        u, v, u', v' edges of copy k, in that order;
-    5. the gadget's flat rotation, extended to its shape certificate, is
-       planar: ``flat_rotation`` proves it once per gadget.
+    5. the gadget's rotation, extended to its shape certificate, is
+       planar: ``CrossoverGadget.rotation`` is proven so, once per
+       gadget, before it is returned.
 
     Why this is sound: take the planar drawing of C that its rotation
     system gives, and replace a small disk around each X_k by the drawing
@@ -410,7 +410,7 @@ def check_spliced_embedding(result: PlanarizationResult, lens: np.ndarray,
     edges to one vertex, or as ``check_embedding_arrays`` does on C.
     """
     gadget, first, ell = result.gadget, result.host.n, result.crossings_replaced
-    gp, h, flat = result.g_prime, gadget.graph, gadget.flat_rotation
+    gp, h, flat = result.g_prime, gadget.graph, gadget.rotation
     out, beyond = _exact_copies(result)
     if len(lens) != gp.n:
         raise InvariantError(

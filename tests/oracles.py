@@ -178,6 +178,14 @@ def pairwise_element_order(g: Graph, layout: LinearLayout) -> list:
 # planar embedding check by tracing faces dart by dart
 # ---------------------------------------------------------------------------
 
+def rotation_lists(lens, heads) -> list[list[int]]:
+    """A flat rotation system (lens, heads) as one neighbour list per
+    vertex."""
+    flat = list(map(int, heads))
+    starts = itertools.accumulate(map(int, lens), initial=0)
+    return [flat[s:s + k] for s, k in zip(starts, map(int, lens))]
+
+
 def trace_faces(g: Graph, rotation) -> int:
     """Faces of a planar rotation system, with the same InvariantError
     texts as ``graph.check_embedding``: every face is walked dart by dart

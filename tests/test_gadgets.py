@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import re
 
 import networkx
 import pytest
@@ -22,7 +23,7 @@ from cutplanar.io import gadget_from_json, gadget_to_json
 from cutplanar.planarize import planarize, verify_planarization
 from cutplanar.solvers import brute_ds, brute_is, dp_ds, heuristic_layout
 
-from oracles import (subsets_ds_covers, verify_domset_is_vc,
+from oracles import (rotation_lists, subsets_ds_covers, verify_domset_is_vc,
                      verify_simplicial_avoidance)
 
 
@@ -37,6 +38,30 @@ def counting_lr(monkeypatch):
         return lr(graph, *args, **kwargs)
     monkeypatch.setattr(networkx, "check_planarity", counting)
     return calls
+
+
+def counting_proofs(monkeypatch):
+    """The gadget of every ``gadgets._check_certificate`` run from now
+    on."""
+    proofs = []
+    check = gadgets._check_certificate
+
+    def counting(gadget, lens, heads):
+        proofs.append(gadget)
+        return check(gadget, lens, heads)
+    monkeypatch.setattr(gadgets, "_check_certificate", counting)
+    return proofs
+
+
+def assert_proven_once(gadget, res, proofs):
+    """The gadget's rotation was proven by one certificate run, it is
+    read-only, and the planarization read that very rotation."""
+    assert len(proofs) == 1 and proofs[0] is gadget
+    rot = gadget.rotation
+    assert res.gadget.rotation is rot
+    for a in (rot.lens, rot.heads, rot.slots):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
 
 
 def _replace_entry(frozen, i, entry):
@@ -66,6 +91,15 @@ def _move_connector(gadget):
     return _replace_entry(frozen, j, frozen[j] + (CONNECTOR,))
 
 
+def _repeat_entry(gadget):
+    # the first interior rotation of two or more entries lists its first
+    # neighbour twice and its last one not at all
+    i = next(i for i, r in enumerate(gadget.frozen_rotation)
+             if len(r) >= 2 and CONNECTOR not in r)
+    r = gadget.frozen_rotation[i]
+    return _replace_entry(gadget.frozen_rotation, i, r[:-1] + r[:1])
+
+
 def _mirror(gadget):
     return tuple(r[:1] + r[:0:-1] if r[0] == CONNECTOR else r[::-1]
                  for r in gadget.frozen_rotation)
@@ -74,6 +108,7 @@ def _mirror(gadget):
 ROTATION_MUTANTS = {"swap_terminal": _swap_terminal,
                     "reverse_interior": _reverse_interior,
                     "move_connector": _move_connector,
+                    "repeat_entry": _repeat_entry,
                     "mirror": _mirror,
                     "truncated": lambda gadget: gadget.frozen_rotation[:-1]}
 
@@ -118,7 +153,7 @@ def connector_successors(gadget):
     check, the walk continues from v->w with the successor of v in w's
     rotation, so consecutive exits follow the counter-clockwise order of
     the connectors."""
-    rot = gadget.rotation
+    rot = rotation_lists(gadget.rotation.lens, gadget.rotation.heads)
     out = {}
     for t in gadget.terminals:
         prev, cur = CONNECTOR, t
@@ -139,32 +174,40 @@ class TestGadgetEmbedding:
         u, up, v, vp = gadget.terminals
         assert connector_successors(gadget) == {u: v, v: up, up: vp, vp: u}
         adj = gadget.graph.adjacency()
-        for w, r in enumerate(gadget.rotation):
+        rot = rotation_lists(gadget.rotation.lens, gadget.rotation.heads)
+        for w, r in enumerate(rot):
             slot = [CONNECTOR] if w in gadget.terminals else []
-            assert r[:len(slot)] == tuple(slot)
+            assert r[:len(slot)] == slot
             assert sorted(r[len(slot):]) == sorted(adj[w])
 
     def test_lr_runs_once_per_gadget(self, monkeypatch):
+        obj = gadget_to_json(gjs_is_gadget())
         calls = counting_lr(monkeypatch)
+        proofs = counting_proofs(monkeypatch)
         # a gadget file carries no rotation: nothing frozen, nothing cached
-        gadget = gadget_from_json(gadget_to_json(gjs_is_gadget()))
+        gadget = gadget_from_json(obj)
         assert gadget.frozen_rotation is None
         k5 = Graph.from_edges(5, itertools.combinations(range(5), 2))
         assert validate_crossover_shape(gadget)
         planarize(k5, LinearLayout.identity(5), 0, gadget)
-        planarize(k5, LinearLayout.identity(5), 0, gadget)
+        res = planarize(k5, LinearLayout.identity(5), 0, gadget)
+        assert verify_planarization(res)
         assert calls == [gadget.graph.n + 1]
+        assert_proven_once(gadget, res, proofs)
 
     @pytest.mark.parametrize("build", [gjs_is_gadget, ds_crossover_gadget],
                              ids=["is", "ds"])
     def test_builtin_runs_no_lr(self, monkeypatch, build):
         calls = counting_lr(monkeypatch)
+        proofs = counting_proofs(monkeypatch)
         gadget = build.__wrapped__()   # fresh, past the lru_cache
         k5 = Graph.from_edges(5, itertools.combinations(range(5), 2))
         assert validate_crossover_shape(gadget)
         planarize(k5, LinearLayout.identity(5), 0, gadget)
-        planarize(k5, LinearLayout.identity(5), 0, gadget)
+        res = planarize(k5, LinearLayout.identity(5), 0, gadget)
+        assert verify_planarization(res)
         assert calls == []
+        assert_proven_once(gadget, res, proofs)
 
     @pytest.mark.parametrize("build", [gjs_is_gadget, ds_crossover_gadget],
                              ids=["is", "ds"])
@@ -177,6 +220,23 @@ class TestGadgetEmbedding:
         with pytest.raises(GadgetError):
             bad.rotation
         assert not validate_crossover_shape(bad)
+
+    @pytest.mark.parametrize("build", [gjs_is_gadget, ds_crossover_gadget],
+                             ids=["is", "ds"])
+    @pytest.mark.parametrize("mutate", ["swap_terminal", "repeat_entry"])
+    def test_refused_rotation_names_the_vertex_label(self, build, mutate):
+        # both mutants break the rotation of one vertex, which the error
+        # names by its label, not by its id in the certificate graph
+        gadget = build()
+        frozen = ROTATION_MUTANTS[mutate](gadget)
+        i = next(i for i, (r, s) in enumerate(zip(frozen,
+                                                  gadget.frozen_rotation))
+                 if r != s)
+        label = gadget.graph.labels[gadget.layout.order[i]]
+        bad = dataclasses.replace(gadget, frozen_rotation=frozen)
+        with pytest.raises(GadgetError, match=(
+                rf": rotation (of terminal|at vertex) {re.escape(label)} ")):
+            bad.rotation
 
     def test_bad_shape_raises_gadget_error(self):
         # the crossing itself, edges u-u' and v-v', cannot be drawn with

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from cutplanar import io as cio
 from cutplanar.drawing import build_arc_drawing, element_order
 from cutplanar import gadgets, solvers
-from cutplanar.errors import InvariantError, ResourceLimitError
+from cutplanar.errors import GadgetError, InvariantError, ResourceLimitError
 from cutplanar.gadgets import (CrossoverGadget, builtin_gadget,
                                ds_crossover_gadget, gjs_is_gadget)
 from cutplanar.graph import (Graph, LinearLayout, bag_steps, check_embedding,
@@ -28,7 +28,7 @@ from cutplanar.planarize import (_assert_invariants, check_spliced_embedding,
 from cutplanar.solvers import SOLVERS, brute_is, dp_is
 
 from oracles import (band24_host, gap_cuts, pairwise_crossings,
-                     single_crossing_host, trace_faces)
+                     rotation_lists, single_crossing_host, trace_faces)
 
 # the package exports the function planarize under the module's name
 planarize_module = importlib.import_module("cutplanar.planarize")
@@ -328,11 +328,10 @@ def nx_embedding_is_planar(g, rotation):
 
 
 def mirrored(gadget):
-    """A copy of the gadget whose rotation has the opposite orientation:
-    its connectors run clockwise u, v, u', v'."""
-    m = dataclasses.replace(gadget)
-    m.__dict__["rotation"] = tuple(r[:1] + r[:0:-1] for r in gadget.rotation)
-    return m
+    """A copy of the gadget whose frozen rotation has the opposite
+    orientation: its connectors run clockwise u, v, u', v'."""
+    return dataclasses.replace(gadget, frozen_rotation=tuple(
+        r[:1] + r[:0:-1] for r in gadget.frozen_rotation))
 
 
 def captured_arrays(monkeypatch, g, gadget, layout=None):
@@ -353,8 +352,7 @@ def captured_embedding(monkeypatch, g, gadget):
     """G' and the rotation system that planarize hands to the splice
     proof, as one neighbour list per vertex."""
     res, lens, heads = captured_arrays(monkeypatch, g, gadget)
-    rotation = np.split(heads, np.cumsum(lens)[:-1])
-    return res.g_prime, [r.tolist() for r in rotation]
+    return res.g_prime, rotation_lists(lens, heads)
 
 
 class TestEmbedding:
@@ -376,7 +374,8 @@ class TestEmbedding:
     @pytest.mark.parametrize("gadget", [gjs_is_gadget(), ds_crossover_gadget()],
                              ids=["is", "ds"])
     def test_mirrored_gadget_rejected(self, gadget):
-        with pytest.raises(InvariantError, match=r"V - E \+ F = .* C = 1 "):
+        # the mirror's only way in is the gadget's own proof
+        with pytest.raises(GadgetError, match=r"V - E \+ F = .* C = 1 "):
             planarize(complete(6), LinearLayout.identity(6), 0,
                       mirrored(gadget))
 
@@ -470,7 +469,7 @@ def splice_mutants(res, lens, heads, rng, count):
     copy is mirrored (every rotation in it reversed), or its whole block
     is reversed."""
     first, n, ell = res.host.n, res.g_prime.n, res.crossings_replaced
-    flat = res.gadget.flat_rotation
+    flat = res.gadget.rotation
     start = np.cumsum(lens) - lens
     host_darts = int(lens[:first].sum())
     block = len(flat.heads)
@@ -599,7 +598,7 @@ class TestSpliceProof:
         g_prime = Graph.from_edges(
             res.g_prime.n, sorted(edges - {(1, 4 + v)} | {(0, 4 + v)}),
             res.g_prime.labels)
-        rot = [r.tolist() for r in np.split(heads, np.cumsum(lens)[:-1])]
+        rot = rotation_lists(lens, heads)
         rot[1].remove(4 + v)
         rot[0].insert(rot[0].index(4 + u), 4 + v)
         rot[4 + v][0] = 0
@@ -614,7 +613,7 @@ class TestSpliceProof:
     def test_bad_copy_block_names_the_vertex(self, k5):
         res, lens, heads = k5
         h, first = res.gadget.graph, res.host.n
-        flat = res.gadget.flat_rotation
+        flat = res.gadget.rotation
         w = next(w for w in range(h.n)
                  if w not in res.gadget.terminals and flat.lens[w] >= 2)
         k = 3
@@ -630,7 +629,7 @@ class TestSpliceProof:
     def test_bad_slot_names_the_terminal(self, k5):
         res, lens, heads = k5
         h, first = res.gadget.graph, res.host.n
-        flat = res.gadget.flat_rotation
+        flat = res.gadget.rotation
         k = 1
         # the slot of v, the second in the order u, v, u', v'
         at = int(lens[:first].sum()) + k * len(flat.heads) + int(flat.slots[1])
