@@ -85,7 +85,7 @@ class CrossoverGadget:
     def __post_init__(self):
         if self.problem not in solvers.SOLVERS:
             raise ValueError(f"unknown problem {self.problem!r}")
-        if len(set(self.terminals)) != 4:
+        if len(self.terminals) != 4 or len(set(self.terminals)) != 4:
             raise ValueError("terminals must be four distinct vertices")
         for t in self.terminals:
             if not (0 <= t < self.graph.n):

@@ -428,8 +428,7 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
     pairs every dart with its reverse (``_reverse_darts``); faces are
     labelled by their minimum dart (``_cycle_minima``), and components
     are counted by hooking each root to its lowest lower neighbouring
-    root (``_component_count``).  Dart and vertex indices are int32
-    where they fit.
+    root (``_component_count``), all in int64.
     """
     n = g.n
     if len(lens) != n:
@@ -442,9 +441,8 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
             f"rotation system lens sum to {listed}"
             f"{' with a negative entry' if negative else ''}, heads has "
             f"{darts} darts")
-    index = np.int32 if max(n, darts) < 2**31 else np.int64
     start = np.cumsum(lens) - lens
-    rev = _reverse_darts(n, lens, heads, g.edge_array, index)
+    rev = _reverse_darts(n, lens, heads, g.edge_array)
     if rev is None:
         adj = g.adjacency()
         flat = heads.tolist()
@@ -455,12 +453,12 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
             f"permutation of its {len(adj[v])} neighbours")
     # succ[d] is the next dart around the tail of d, rev[d] the reverse of
     # d, and the face after dart v->w continues with the successor of w->v
-    succ = np.arange(1, darts + 1, dtype=index)
+    succ = np.arange(1, darts + 1)
     ends = np.flatnonzero(lens)
     succ[start[ends] + lens[ends] - 1] = start[ends]
     faces = int(np.count_nonzero(_cycle_minima(succ.take(rev))
-                                 == np.arange(darts, dtype=index)))
-    components = _component_count(n, g.edge_array.astype(index))
+                                 == np.arange(darts)))
+    components = _component_count(n, g.edge_array)
     isolated = int(np.count_nonzero(lens == 0))
     m = darts // 2
     if n - m + faces != 2 * components - isolated:
@@ -472,9 +470,9 @@ def check_embedding_arrays(g: Graph, lens: np.ndarray,
 
 
 def _reverse_darts(n: int, lens: np.ndarray, heads: np.ndarray,
-                   edges: np.ndarray, index) -> np.ndarray | None:
-    """The reverse of every dart of a flat rotation system, as an
-    ``index`` array, or None if some rotation is not a permutation of its
+                   edges: np.ndarray) -> np.ndarray | None:
+    """The reverse of every dart of a flat rotation system, as an int64
+    array, or None if some rotation is not a permutation of its
     vertex's neighbours in the graph of the sorted edge rows ``edges``.
 
     Darts are numbered vertex by vertex in rotation order.  Every
@@ -497,51 +495,25 @@ def _reverse_darts(n: int, lens: np.ndarray, heads: np.ndarray,
             and np.array_equal(bkey.take(by_bkey), want)):
         return None
     fwd, bwd = fwd.take(by_fkey), bwd.take(by_bkey)
-    rev = np.empty(len(heads), dtype=index)
+    rev = np.empty(len(heads), dtype=np.int64)
     rev[fwd] = bwd
     rev[bwd] = fwd
     return rev
 
 
-# faces up to this length are settled by plain steps before any pointer
-# doubling; most faces of a planarized graph have length 3 or 5
-_PLAIN_STEPS = 5
-
-
 def _cycle_minima(perm: np.ndarray) -> np.ndarray:
     """For a permutation, the smallest element of the cycle through each
-    element.  _PLAIN_STEPS plain steps walk every element that far along
-    its cycle: an element that came back to itself lies on a cycle no
-    longer than that and has seen all of it.  The elements on longer
-    cycles are compacted into a permutation of their own, and pointer
-    doubling finishes them: round k takes the minimum over the next
-    (_PLAIN_STEPS + 1) * 2^k elements; once a round changes nothing, that
-    minimum is constant along each cycle."""
-    ids = np.arange(len(perm), dtype=perm.dtype)
-    label, at = ids.copy(), ids
-    closed = np.zeros(len(perm), dtype=bool)
-    home = np.empty(len(perm), dtype=bool)
-    for _ in range(_PLAIN_STEPS):
-        at = perm.take(at)
-        np.minimum(label, at, out=label)
-        closed |= np.equal(at, ids, out=home)
-    rest = np.flatnonzero(~closed)
-    if not rest.size:
-        return label
-    compact = np.empty(len(perm), dtype=perm.dtype)
-    compact[rest] = np.arange(len(rest), dtype=perm.dtype)
-    # each remaining element's label covers itself and the next
-    # _PLAIN_STEPS elements; jump leads to the element after those
-    jump = compact.take(perm.take(at.take(rest)))
-    low = label.take(rest)
+    element, in the permutation's dtype.  Round k takes the minimum over
+    the next 2^k elements; once a round changes nothing, that minimum is
+    constant along each cycle."""
+    label = np.arange(len(perm), dtype=perm.dtype)
+    jump = perm
     while True:
-        ahead = low.take(jump)
-        if not (ahead < low).any():
-            break
-        np.minimum(low, ahead, out=low)
+        ahead = label.take(jump)
+        if not (ahead < label).any():
+            return label
+        np.minimum(label, ahead, out=label)
         jump = jump.take(jump)
-    label[rest] = low
-    return label
 
 
 def _component_count(n: int, edges: np.ndarray) -> int:
@@ -553,35 +525,21 @@ def _component_count(n: int, edges: np.ndarray) -> int:
     round or, its neighbours having hooked to lower roots, sees a lower
     root in the next round and hooks then; so the trees with an edge to
     another tree halve every two rounds, and at most 2 * ceil(log2 n)
-    rounds merge trees.  The labels take the edges' dtype.
-
-    Only the roots that hooked are compressed, not all n parents.  The
-    kept edges carry their ends' roots pu, pv instead of their ends.
-    Every pointer chain from one of those roots runs through roots that
-    hooked this round, so once each hooked root points at a root,
-    parent.take(pu) is again the root of the end.  The other vertices
-    may point at a root that has since hooked, but a vertex is a root
-    exactly when it points at itself, which is all the final count
-    reads."""
+    rounds merge trees.  The labels take the edges' dtype."""
     parent = np.arange(n, dtype=edges.dtype)
-    pu, pv = edges[:, 0], edges[:, 1]
+    u, v = edges[:, 0], edges[:, 1]
     while True:
-        pu, pv = parent.take(pu), parent.take(pv)
+        pu, pv = parent.take(u), parent.take(v)
         split = pu != pv
         if not split.any():
             return int(np.count_nonzero(parent == np.arange(n)))
-        pu, pv = pu[split], pv[split]
-        high = np.maximum(pu, pv)
-        np.minimum.at(parent, high, np.minimum(pu, pv))
-        hooked = np.zeros(n, dtype=bool)
-        hooked[high] = True
-        hooked = np.flatnonzero(hooked)   # each hooked root once
-        up = parent.take(hooked)
+        u, v, pu, pv = u[split], v[split], pu[split], pv[split]
+        np.minimum.at(parent, np.maximum(pu, pv), np.minimum(pu, pv))
         while True:
-            grand = parent.take(up)
-            if np.array_equal(grand, up):
+            grand = parent.take(parent)
+            if np.array_equal(grand, parent):
                 break
-            parent[hooked] = up = grand
+            parent = grand
 
 
 def bag_steps(g: Graph, layout: LinearLayout

@@ -365,6 +365,17 @@ class TestIsGadget:
     def test_planar_with_cyclic_terminal_order(self):
         assert validate_crossover_shape(gjs_is_gadget())
 
+    @pytest.mark.parametrize("pick", [(0, 1, 2), (0, 1, 2, 3, 3),
+                                      (0, 1, 2, 3, 0, 1)],
+                             ids=["three", "repeated-fifth", "six"])
+    def test_terminals_must_be_four_distinct(self, pick):
+        # five or six entries can still name only four distinct vertices
+        gadget = gjs_is_gadget()
+        terminals = tuple(gadget.terminals[i] for i in pick)
+        with pytest.raises(ValueError, match="^terminals must be four "
+                           "distinct vertices$"):
+            dataclasses.replace(gadget, terminals=terminals)
+
     def test_layout_width_recorded(self):
         gadget = gjs_is_gadget()
         assert gadget.width >= 1

@@ -493,9 +493,9 @@ class TestEmbeddingCheck:
 
 @st.composite
 def cycle_permutations(draw):
-    """A permutation from cycle lengths: fixed points, cycles up to and
-    past the plain steps, and cycles that take several doubling rounds;
-    the elements are shuffled, and the dtype is int32 or int64."""
+    """A permutation from cycle lengths: fixed points, short cycles,
+    and cycles that take several doubling rounds; the elements are
+    shuffled, and the dtype is int32 or int64."""
     lengths = draw(st.lists(st.one_of(st.integers(1, 8), st.integers(9, 300)),
                             max_size=12))
     ids = list(range(sum(lengths)))
@@ -519,11 +519,11 @@ class TestCycleMinima:
         assert got.dtype == perm.dtype
         assert got.tolist() == cycle_minima_by_orbits(perm.tolist())
 
-    @pytest.mark.parametrize("n", [0, 1, graph._PLAIN_STEPS,
-                                   graph._PLAIN_STEPS + 1, 1000])
+    @pytest.mark.parametrize("n", [0, 1, 5, 6, 1000, 2**12 + 1])
     def test_one_cycle_and_fixed_points(self, n):
         # one cycle through 0..n-1 backwards, so every label must travel
-        # the whole cycle, and as many fixed points after it
+        # the whole cycle, and as many fixed points after it; a cycle of
+        # 2^12 + 1 elements takes 13 doubling rounds
         perm = np.concatenate(((np.arange(n) - 1) % max(n, 1),
                                np.arange(n, 2 * n)))
         assert graph._cycle_minima(perm).tolist() == [0] * n + list(

@@ -22,7 +22,8 @@ from cutplanar.gadgets import builtin_gadget, gjs_is_gadget, CrossoverGadget
 from cutplanar.graph import (CutProfile, Graph, LinearLayout,
                              check_embedding_arrays, cut_profile,
                              random_graph)
-from cutplanar.planarize import check_spliced_embedding, planarize
+from cutplanar.planarize import (check_spliced_embedding, planarize,
+                                 verify_planarization)
 
 from oracles import (graph_to_json_by_tuples, write_dot_by_tuples,
                      write_graph_by_tuples, write_layout_by_tuples)
@@ -505,6 +506,38 @@ class TestCli:
         assert checks == [5]
         assert lr_calls in ([], [gjs_is_gadget().graph.n + 1])
 
+    @pytest.mark.parametrize("problem", ["is", "ds"])
+    def test_planarize_k6_verify_checks_only_c(self, capsys, monkeypatch,
+                                               tmp_path, problem):
+        # with 15 crossings the one general embedding check of a job still
+        # runs on C alone, 6 host vertices and one vertex per copy, and the
+        # verify step runs none: the check never sees G' itself
+        checks, in_verify = [], []
+
+        def counting_check(g, lens, heads):
+            checks.append(g.n)
+            return check_embedding_arrays(g, lens, heads)
+
+        def counting_verify(result):
+            before = len(checks)
+            ok = verify_planarization(result)
+            in_verify.append(len(checks) - before)
+            return ok
+        monkeypatch.setattr(planarize_module, "check_embedding_arrays",
+                            counting_check)
+        monkeypatch.setattr(cli, "verify_planarization", counting_verify)
+        gpath, lpath = tmp_path / "k6.gr", tmp_path / "k6.layout"
+        gpath.write_text(cio.write_graph(complete(6)))
+        lpath.write_text("1 2 3 4 5 6\n")
+        code, rep = run_cli(capsys, [
+            "planarize", str(gpath), str(lpath), "--problem", problem,
+            "--t", "1", "--verify", "--out-prefix", str(tmp_path / "v")])
+        assert code == 0
+        assert rep["results"]["verified"] is True
+        assert rep["results"]["crossings_replaced"] == 15
+        assert checks == [6 + 15]
+        assert in_verify == [0]
+
     def test_planarize_verify_failure_report(self, capsys, monkeypatch,
                                              k4_files, tmp_path):
         monkeypatch.setattr(cli, "verify_planarization", lambda result: False)
@@ -599,6 +632,22 @@ class TestCli:
         assert code == cli.EXIT_PARSE == 2
         assert rep == {"schema": 1, "error": "parse error: bad gadget JSON: "
                        "unknown problem 'vc'"}
+
+    def test_certify_repeated_fifth_terminal_exit_code(self, capsys,
+                                                      tmp_path):
+        # five terminal entries naming four distinct vertices are refused
+        # by the gadget model, not by a crash in the rotation
+        obj = cio.gadget_to_json(gjs_is_gadget())
+        gpath = tmp_path / "five.json"
+        gpath.write_text(json.dumps(
+            {**obj, "terminals": obj["terminals"] + obj["terminals"][-1:]}))
+        code = cli.main(["certify", str(gpath)])
+        out, err = capsys.readouterr()
+        assert code == cli.EXIT_PARSE == 2
+        assert err == ""
+        assert json.loads(out) == {
+            "schema": 1, "error": "parse error: bad gadget JSON: "
+            "terminals must be four distinct vertices"}
 
     def test_certify_needs_at_least_one_host(self, capsys, tmp_path):
         # the DS verdict rests on the host checks alone, so without hosts
